@@ -22,6 +22,7 @@ The environment variable DICKSON_MAX_EXHAUSTIVE overrides the default
 import argparse
 import json
 import random
+import re
 import sys
 import time
 
@@ -75,8 +76,32 @@ def _document(args):
 def _taus(D, args):
     raw = getattr(args, "tau", None)
     if not raw:
-        return None
+        # quaternion automorphisms are witness-relative: default to id and
+        # the chosen sigma, as the --tau help says
+        return ["id", D.sigma] if D.coeff.kind == "quat" else None
     return [parse_sigma(D.coeff, t) for t in raw]
+
+
+# argparse reads a token that starts with "-" and holds a comma, such as
+# "-1,1", as an option rather than as the value of --c
+_ELEMENT_FLAGS = ("--c", "--r", "--s", "--t")
+_NEGATIVE_LITERAL = re.compile(r"-\d")
+
+
+def _join_negative_literals(argv):
+    """["--c", "-1,1"] -> ["--c=-1,1"], for the element-literal flags."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in _ELEMENT_FLAGS and i + 1 < len(argv)
+                and _NEGATIVE_LITERAL.match(argv[i + 1])):
+            out.append("%s=%s" % (tok, argv[i + 1]))
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 # -- result builders ---------------------------------------------------------
@@ -311,7 +336,9 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_negative_literals(argv))
     started = time.monotonic()
     try:
         input_echo, result = args.run(args)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .fields import FiniteField, FrobeniusAut
 from .linalg import FpOps, QOps, in_span, kernel_basis, rref, solve
-from .padics import PadicExtElement, PadicOps, PadicQuadExt, ext_is_square, ext_sqrt
+from .padics import (DEFAULT_PRECISION, PadicExtElement, PadicOps,
+                     PadicQuadExt, ext_is_square, ext_sqrt)
 from .quadratic import QuadField, quad_is_square
 from .quaternions import InnerAut, QuaternionAlgebra, quat_is_square
 from .reports import NucleusReport
@@ -376,7 +377,10 @@ class PadicCoefficients:
         return x.literal()
 
     def describe(self):
-        return "qp(%d;%s)" % (self.K.ctx.p, self.K.kind)
+        ctx = self.K.ctx
+        if ctx.N == DEFAULT_PRECISION:
+            return "qp(%d;%s)" % (ctx.p, self.K.kind)
+        return "qp(%d;%s;%d)" % (ctx.p, self.K.kind, ctx.N)
 
     def is_finite(self):
         return False

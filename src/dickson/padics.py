@@ -24,6 +24,9 @@ from .fields import FiniteField, is_prime
 from .reports import DIVISION, UNKNOWN, DivisionVerdict
 
 
+DEFAULT_PRECISION = 32
+
+
 class PrecisionError(ArithmeticError):
     """A verdict would need p-adic digits beyond the working precision."""
 
@@ -56,10 +59,28 @@ def _mod_sqrt(a, p):
     return r
 
 
-class PadicContext:
-    """Q_p at a fixed working precision of N significant digits."""
+class _PowerTable(dict):
+    """p**k, stored for 0 <= k <= N; a larger k is computed on lookup."""
 
-    def __init__(self, p, precision=32):
+    __slots__ = ("p",)
+
+    def __init__(self, p, n):
+        super().__init__((k, p ** k) for k in range(n + 1))
+        self.p = p
+
+    def __missing__(self, k):
+        return self.p ** k
+
+
+class PadicContext:
+    """Q_p at a fixed working precision of N significant digits.
+
+    `powers[k]` is p**k; every modulus, sum window and valuation shift of
+    the arithmetic reads it there.  `zero()` is one shared number: a
+    PadicNumber is never mutated in place.
+    """
+
+    def __init__(self, p, precision=DEFAULT_PRECISION):
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
         if p == 2:
@@ -68,10 +89,12 @@ class PadicContext:
             raise ValueError("precision must be at least 4 digits")
         self.p = p
         self.N = precision
+        self.powers = _PowerTable(p, precision)
         self._u = None
+        self._zero = PadicNumber(self, 0, 0, precision)
 
     def zero(self):
-        return PadicNumber(self, 0, 0, self.N)
+        return self._zero
 
     def one(self):
         return self.from_int(1)
@@ -82,7 +105,7 @@ class PadicContext:
     def from_fraction(self, r):
         r = Fraction(r)
         if r == 0:
-            return self.zero()
+            return self._zero
         p = self.p
         v = 0
         num, den = r.numerator, r.denominator
@@ -92,8 +115,8 @@ class PadicContext:
         while den % p == 0:
             den //= p
             v -= 1
-        unit = num * pow(den, -1, p ** self.N) % p ** self.N
-        return PadicNumber(self, v, unit, self.N)
+        mod = self.powers[self.N]
+        return PadicNumber(self, v, num * pow(den, -1, mod) % mod, self.N)
 
     def nonresidue(self):
         """The smallest positive quadratic non-residue mod p."""
@@ -105,6 +128,8 @@ class PadicContext:
         return self._u
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, PadicContext) and other.p == self.p
                 and other.N == self.N)
 
@@ -125,7 +150,7 @@ class PadicNumber:
             return
         if prec < 1:
             raise PrecisionError("no significant digits left")
-        unit %= ctx.p ** prec
+        unit %= ctx.powers[prec]
         if unit % ctx.p == 0:
             raise ValueError("unit part divisible by p")
         self.val, self.unit, self.prec = val, unit, prec
@@ -135,65 +160,76 @@ class PadicNumber:
 
     def _coerce(self, other):
         if isinstance(other, PadicNumber):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("numbers from different contexts")
             return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.from_fraction(Fraction(other))
         return NotImplemented
 
+    # The operators below skip _coerce when the operand is a PadicNumber of
+    # this very context object, the case of nearly every call.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
+        if type(other) is not PadicNumber or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.unit:
             return other
-        if other.is_zero():
+        if not other.unit:
             return self
-        p = self.ctx.p
-        v = min(self.val, other.val)
+        ctx = self.ctx
+        sv, ov = self.val, other.val
         # absolute precision of the sum
-        absp = min(self.val + self.prec, other.val + other.prec)
+        sa, oa = sv + self.prec, ov + other.prec
+        absp = sa if sa <= oa else oa
+        v = sv if sv <= ov else ov
         window = absp - v
         if window < 1:
             raise PrecisionError("operands do not overlap in precision")
-        mod = p ** window
-        raw = (self.unit * p ** (self.val - v)
-               + other.unit * p ** (other.val - v)) % mod
-        if raw == 0:
-            return self.ctx.zero()
+        pw = ctx.powers
+        if sv == v:
+            raw = (self.unit + other.unit * pw[ov - v]) % pw[window]
+        else:
+            raw = (self.unit * pw[sv - v] + other.unit) % pw[window]
+        if not raw:
+            return ctx._zero
+        p = ctx.p
         s = 0
         while raw % p == 0:
             raw //= p
             s += 1
-        return PadicNumber(self.ctx, v + s, raw, window - s)
+        return PadicNumber(ctx, v + s, raw, window - s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero():
+        if not self.unit:
             return self
-        return PadicNumber(self.ctx, self.val,
-                           -self.unit % self.ctx.p ** self.prec, self.prec)
+        return PadicNumber(self.ctx, self.val, -self.unit, self.prec)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not PadicNumber or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.ctx.zero()
-        prec = min(self.prec, other.prec)
+        if type(other) is not PadicNumber or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.unit or not other.unit:
+            return self.ctx._zero
+        prec = self.prec if self.prec < other.prec else other.prec
+        # __init__ reduces the product mod p**prec
         return PadicNumber(self.ctx, self.val + other.val,
-                           self.unit * other.unit % self.ctx.p ** prec, prec)
+                           self.unit * other.unit, prec)
 
     __rmul__ = __mul__
 
@@ -201,7 +237,8 @@ class PadicNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of p-adic zero")
         return PadicNumber(self.ctx, -self.val,
-                           pow(self.unit, -1, self.ctx.p ** self.prec), self.prec)
+                           pow(self.unit, -1, self.ctx.powers[self.prec]),
+                           self.prec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -212,14 +249,15 @@ class PadicNumber:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.from_fraction(Fraction(other))
-        if not isinstance(other, PadicNumber) or other.ctx != self.ctx:
+        if not isinstance(other, PadicNumber) or (
+                other.ctx is not self.ctx and other.ctx != self.ctx):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
+        if not self.unit or not other.unit:
+            return not self.unit and not other.unit
         if self.val != other.val:
             return False
         prec = min(self.prec, other.prec)
-        return (self.unit - other.unit) % self.ctx.p ** prec == 0
+        return (self.unit - other.unit) % self.ctx.powers[prec] == 0
 
     def __hash__(self):
         if self.is_zero():
@@ -290,7 +328,9 @@ def padic_sqrt(z):
     x %= p ** prec
     x = min(x, (-x) % p ** prec)
     root = PadicNumber(z.ctx, z.val // 2, x, prec)
-    assert root * root == z
+    if root * root != z:
+        raise RuntimeError("Hensel-lifted root does not square back; "
+                           "this is a bug, not a property of the input")
     return root
 
 
@@ -372,6 +412,8 @@ class PadicQuadExt:
         return z
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, PadicQuadExt) and other.ctx == self.ctx
                 and other.kind == self.kind)
 
@@ -394,45 +436,52 @@ class PadicExtElement:
 
     def _coerce(self, other):
         if isinstance(other, PadicExtElement):
-            if other.ext != self.ext:
+            if other.ext is not self.ext and other.ext != self.ext:
                 raise ValueError("elements of different extensions")
             return other
         if isinstance(other, (int, Fraction, PadicNumber)):
             return self.ext.element(other, 0)
         return NotImplemented
 
+    # As for PadicNumber, an operand of this very extension object skips
+    # _coerce; the coordinates of such elements are PadicNumbers already,
+    # so results are built without ext.element's lift.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ext.element(self.x + other.x, self.y + other.y)
+        if type(other) is not PadicExtElement or other.ext is not self.ext:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return PadicExtElement(self.ext, self.x + other.x, self.y + other.y)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ext.element(-self.x, -self.y)
+        return PadicExtElement(self.ext, -self.x, -self.y)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not PadicExtElement or other.ext is not self.ext:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self.ext.d
-        return self.ext.element(self.x * other.x + d * self.y * other.y,
-                                self.x * other.y + self.y * other.x)
+        if type(other) is not PadicExtElement or other.ext is not self.ext:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ext = self.ext
+        x, y, ox, oy = self.x, self.y, other.x, other.y
+        return PadicExtElement(ext, x * ox + ext.d * y * oy, x * oy + y * ox)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return self.ext.element(self.x, -self.y)
+        return PadicExtElement(self.ext, self.x, -self.y)
 
     def norm(self):
         """N(x + y alpha) = x^2 - (alpha^2) y^2, in Q_p."""
@@ -530,9 +579,13 @@ def ext_sqrt(z):
     half = ext.element(Fraction(1, 2), 0)
     for _ in range(ext.ctx.N.bit_length() + 2):
         s = (s + w / s) * half
-    assert s * s == w
+    if s * s != w:
+        raise RuntimeError("Hensel-lifted unit root does not square back; "
+                           "this is a bug, not a property of the input")
     root = s * ext.pi_power(v // 2)
-    assert root * root == z
+    if root * root != z:
+        raise RuntimeError("extension root does not square back; "
+                           "this is a bug, not a property of the input")
     return root
 
 

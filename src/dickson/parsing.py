@@ -29,7 +29,7 @@ from fractions import Fraction
 from .doubling import (DicksonAlgebra, FieldCoefficients, PadicCoefficients,
                        QuadCoefficients, QuatCoefficients)
 from .fields import FieldError, FrobeniusAut, make_field
-from .padics import PadicContext, PadicQuadExt
+from .padics import DEFAULT_PRECISION, PadicContext, PadicQuadExt
 from .quadratic import QuadField
 from .quaternions import InnerAut, QuaternionAlgebra
 
@@ -81,7 +81,8 @@ def parse_coefficient(text):
         if head == "qp":
             p = _int(parts[0], "prime")
             kind = parts[1] if len(parts) > 1 else "sqrt_p"
-            prec = _int(parts[2], "precision") if len(parts) > 2 else 32
+            prec = (_int(parts[2], "precision") if len(parts) > 2
+                    else DEFAULT_PRECISION)
             return PadicCoefficients(PadicQuadExt(PadicContext(p, prec), kind))
         if head == "quat":
             ab = parts[0].split(",")

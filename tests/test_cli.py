@@ -236,6 +236,41 @@ def test_autgroup_quaternion_taus(capsys):
     assert "complete:          false" in out
 
 
+def test_autgroup_quaternion_default_taus_are_id_and_sigma(capsys):
+    base = ["autgroup", "--coeff", "quat(2,3)", "--sigma",
+            "conjugation:0,1,0,0", "--c", "0,1,1,0", "--variant", "left",
+            "--format", "json"]
+    code, out, err = run_cli(capsys, base)
+    assert code == 0, err
+    code2, out2, _ = run_cli(capsys, base + ["--tau", "id", "--tau",
+                                             "conjugation:0,1,0,0"])
+    assert code2 == 0
+    default, explicit = json.loads(out), json.loads(out2)
+    del default["wall_time_s"], explicit["wall_time_s"]
+    assert default == explicit
+
+
+def test_negative_element_literal_after_a_space(capsys):
+    code, out, err = run_cli(capsys, [
+        "division", "--coeff", "quad(2)", "--sigma", "conjugate",
+        "--c", "-1,1"])
+    assert code == 0, err
+    assert "verdict:  proved-division" in out
+    _, joined, _ = run_cli(capsys, [
+        "division", "--coeff", "quad(2)", "--sigma", "conjugate",
+        "--c=-1,1"])
+    assert out == joined
+
+
+def test_negative_literals_for_witness_flags(capsys):
+    code, out, err = run_cli(capsys, [
+        "witness-zero-divisor", "--coeff", "quad(2)", "--sigma",
+        "conjugate", "--c", "1,0", "--r", "-1,1", "--s", "-2,0", "--t",
+        "-1,3"])
+    assert code == 0, err
+    assert "product_is_zero:  true" in out
+
+
 def test_parser_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import dickson
 from dickson.padics import (PadicContext, PadicNumber, PadicQuadExt,
                             PrecisionError, ext_is_square, ext_sqrt,
                             padic_example_division_check, padic_is_square,
@@ -75,6 +80,183 @@ def test_no_significant_digits_raises():
     ctx = PadicContext(5, 4)
     with pytest.raises(PrecisionError):
         PadicNumber(ctx, 0, 1, 0)
+
+
+# Reference arithmetic: the sum and product formulas with plain p ** k,
+# on (val, unit, prec) triples; zero is (0, 0, N).
+
+def _ref_add(a, b, N, p):
+    if a[1] == 0:
+        return b
+    if b[1] == 0:
+        return a
+    v = min(a[0], b[0])
+    window = min(a[0] + a[2], b[0] + b[2]) - v
+    if window < 1:
+        raise PrecisionError("operands do not overlap in precision")
+    raw = (a[1] * p ** (a[0] - v) + b[1] * p ** (b[0] - v)) % p ** window
+    if raw == 0:
+        return (0, 0, N)
+    s = 0
+    while raw % p == 0:
+        raw //= p
+        s += 1
+    return (v + s, raw % p ** (window - s), window - s)
+
+
+def _ref_mul(a, b, N, p):
+    if a[1] == 0 or b[1] == 0:
+        return (0, 0, N)
+    prec = min(a[2], b[2])
+    return (a[0] + b[0], a[1] * b[1] % p ** prec, prec)
+
+
+def _triple(z):
+    return (z.val, z.unit, z.prec)
+
+
+def _in_context(z, ctx):
+    """The same (val, unit, prec) in another context."""
+    return ctx.zero() if z.is_zero() else PadicNumber(ctx, z.val, z.unit,
+                                                      z.prec)
+
+
+def _random_number(ctx, rng):
+    p, N = ctx.p, ctx.N
+    if rng.random() < 0.1:
+        return ctx.zero()
+    prec = rng.randint(1, N)
+    unit = rng.randrange(1, p ** prec)
+    if unit % p == 0:
+        unit += 1
+    # valuations up to 3N apart, so shifts beyond the tabled p**N occur
+    return PadicNumber(ctx, rng.randint(-N, 2 * N), unit, prec)
+
+
+def _near_negative(z, rng):
+    """-z plus a perturbation at a random digit: the sum with z cancels
+    partly, or wholly (to the exact zero) when the digit is past the window."""
+    ctx = z.ctx
+    k = rng.randint(1, z.prec + 2)
+    unit = -z.unit + rng.randrange(1, ctx.p) * ctx.p ** k
+    return PadicNumber(ctx, z.val, unit, z.prec)
+
+
+def test_arithmetic_matches_reference_formulas():
+    rng = random.Random(20261018)
+    for p in (3, 5, 7):
+        for N in (4, 16, 32):
+            ctx, twin = PadicContext(p, N), PadicContext(p, N)
+            assert twin == ctx and twin is not ctx
+            for _ in range(300):
+                a = _random_number(ctx, rng)
+                roll = rng.random()
+                if roll < 0.2 and not a.is_zero():
+                    b = _near_negative(a, rng)
+                elif roll < 0.3:
+                    b = ctx.from_fraction(Fraction(rng.randint(-50, 50),
+                                                   rng.randint(1, 9)))
+                else:
+                    b = _random_number(ctx, rng)
+                b_twin = _in_context(b, twin)
+                want_sum = _ref_add(_triple(a), _triple(b), N, p)
+                want_prod = _ref_mul(_triple(a), _triple(b), N, p)
+                for other in (b, b_twin):
+                    for got, want in ((a + other, want_sum),
+                                      (other + a, want_sum),
+                                      (a * other, want_prod),
+                                      (other * a, want_prod)):
+                        assert _triple(got) == want
+                        assert got.is_zero() == (want[1] == 0)
+                        assert got.ctx == ctx
+                diff = a - b
+                want = _ref_add(_triple(a), _triple(-b), N, p)
+                assert _triple(diff) == want
+            zero = ctx.zero()
+            assert zero is ctx.zero()
+            assert _triple(zero) == (0, 0, N)
+
+
+def test_mixed_p_or_precision_raises():
+    ctx = PadicContext(5, 16)
+    a = ctx.from_fraction(3)
+    for other in (PadicContext(7, 16), PadicContext(5, 32)):
+        b = other.from_fraction(3)
+        for op in (lambda: a + b, lambda: a * b, lambda: a - b,
+                   lambda: b + a, lambda: b * a):
+            with pytest.raises(ValueError):
+                op()
+        K, L = PadicQuadExt(ctx, "sqrt_u"), PadicQuadExt(other, "sqrt_u")
+        for op in (lambda: K.one() + L.one(), lambda: K.one() * L.one()):
+            with pytest.raises(ValueError):
+                op()
+
+
+def test_shared_zero_is_still_zero_after_use():
+    ctx = PadicContext(7, 8)
+    zero = ctx.zero()
+    a = ctx.from_fraction(Fraction(22, 3))
+    assert (a - a) is zero
+    assert (a * zero) is zero and (zero * a) is zero
+    assert (zero + a) is a and (a + zero) is a
+    assert -zero is zero
+    K = PadicQuadExt(ctx, "sqrt_p")
+    x = K.random_element(random.Random(3))
+    assert (x * K.zero() - K.zero()).is_zero()
+    assert (x + K.zero()) == x
+    assert zero is ctx.zero() and ctx.from_fraction(0) is zero
+    assert (zero.val, zero.unit, zero.prec) == (0, 0, 8)
+    assert zero.is_zero() and zero == 0
+
+
+def test_extension_ops_across_equal_contexts():
+    rng = random.Random(12)
+    for kind in PadicQuadExt.KINDS:
+        K = PadicQuadExt(PadicContext(5, 16), kind)
+        L = PadicQuadExt(PadicContext(5, 16), kind)
+        for _ in range(20):
+            x, y = K.random_element(rng), K.random_element(rng)
+            y_twin = L.element(_in_context(y.x, L.ctx), _in_context(y.y, L.ctx))
+            assert x + y_twin == x + y
+            assert x * y_twin == x * y
+            assert x - y_twin == x - y
+
+
+# A certificate must hold under ``python -O`` too: plant a wrong first
+# residue for the Hensel lift and expect the root check to raise.
+_WRONG_ROOT_SCRIPT = textwrap.dedent("""
+    import dickson.fields as fields
+    import dickson.padics as padics
+
+    ctx = padics.PadicContext(7)
+    padics._mod_sqrt = lambda a, p: 1          # 1 is not a root of 4 mod 7
+    try:
+        r = padics.padic_sqrt(ctx.from_fraction(4))
+        print("returned", r)
+    except RuntimeError as exc:
+        print("raised", exc)
+
+    K = padics.PadicQuadExt(padics.PadicContext(5), "sqrt_u")
+    z = K.element(4, 0)
+    fields.FiniteField.sqrt = lambda self, e: self.element([1, 0])
+    try:
+        r = padics.ext_sqrt(z)
+        print("returned", r)
+    except RuntimeError as exc:
+        print("raised", exc)
+""")
+
+
+def test_sqrt_certificates_run_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_ROOT_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("raised ") for line in lines), lines
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,18 @@ def test_parse_qp_defaults_and_overrides():
     assert B.K.ctx.N == 16
 
 
+def test_qp_label_round_trips_with_its_precision():
+    for spec, label in (("qp(5;sqrt_u;4)", "qp(5;sqrt_u;4)"),
+                        ("qp(7;sqrt_up;16)", "qp(7;sqrt_up;16)"),
+                        ("qp(3;sqrt_p;32)", "qp(3;sqrt_p)"),
+                        ("qp(5)", "qp(5;sqrt_p)")):
+        A = parse_coefficient(spec)
+        assert A.describe() == label
+        B = parse_coefficient(label)
+        assert (B.K.ctx.p, B.K.kind, B.K.ctx.N) == (A.K.ctx.p, A.K.kind,
+                                                    A.K.ctx.N)
+
+
 def test_parse_quat_rational_and_finite():
     A = parse_coefficient("quat(2,3)")
     assert A.kind == "quat"
