@@ -4,12 +4,11 @@ groups, isomorphism testing and a small-order census."""
 
 __version__ = "0.1.0"
 
-from .doubling import (DicksonAlgebra, DicksonElement, associator,
-                       coefficients_for, compute_nuclei, critical_constants,
-                       critical_value, dickson_mul, doubled_subfield_check,
-                       mul_by_constants, structure_constants,
-                       subalgebra_check, theorem_zero_divisor_witness,
-                       zero_divisor_search)
+from .doubling import (DicksonAlgebra, DicksonElement, coefficients_for,
+                       compute_nuclei, critical_constants, critical_value,
+                       doubled_subfield_check, mul_by_constants,
+                       structure_constants, subalgebra_check,
+                       theorem_zero_divisor_witness, zero_divisor_search)
 from .analysis import (aut_bounds_check, census, division_decide,
                        enumerate_automorphisms, group_structure, iso_test,
                        oracle_automorphisms, subgroups, verify_automorphism,
@@ -26,8 +25,8 @@ from .reports import (DIVISION, NOT_DIVISION, UNKNOWN, AutGroupReport,
 
 __all__ = [
     "__version__",
-    "DicksonAlgebra", "DicksonElement", "associator", "coefficients_for",
-    "compute_nuclei", "critical_constants", "critical_value", "dickson_mul",
+    "DicksonAlgebra", "DicksonElement", "coefficients_for",
+    "compute_nuclei", "critical_constants", "critical_value",
     "doubled_subfield_check", "mul_by_constants", "structure_constants",
     "subalgebra_check", "theorem_zero_divisor_witness", "zero_divisor_search",
     "aut_bounds_check", "census", "division_decide",

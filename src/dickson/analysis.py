@@ -22,13 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .doubling import (DicksonAlgebra, _field_grid, compute_nuclei, search_cap,
+from .doubling import (DicksonAlgebra, _field_grid, annihilating,
+                       compute_nuclei, search_cap, square_root_pair,
                        zero_divisor_search)
-from .fields import FiniteField, FrobeniusAut, make_field
+from .fields import FrobeniusAut, make_field
 from .linalg import FpOps, kernel_basis, rank, solve
-from .quadratic import (cyclic_division_decision_quad, rational_is_square,
-                        rational_sqrt)
-from .quaternions import InnerAut
+from .quadratic import cyclic_division_decision_quad, rational_is_square
 from .reports import (DIVISION, NOT_DIVISION, UNKNOWN, AutGroupReport,
                       CensusReport, DivisionVerdict, IsoVerdict,
                       SubgroupReport, WeneReport)
@@ -80,11 +79,9 @@ def _division_finite(D):
 def _division_identity_sigma(D):
     """sigma = id turns the doubling into B[X]/(X^2 - c) for commutative B:
     division exactly when c is not a square."""
-    A = D.coeff
-    ok, root = A.is_square(D.c)
+    ok, root = D.coeff.is_square(D.c)
     if ok:
-        pair = (D.element(root, A.one()), D.element(A.neg(root), A.one()))
-        assert D.mul(*pair).is_zero()
+        pair = square_root_pair(D, root)
         return DivisionVerdict(NOT_DIVISION, method="square-root-witness",
                                witness=pair, witness_literal=_pair_literal(pair),
                                notes="sigma is the identity and c is a square")
@@ -97,8 +94,7 @@ def _division_quad(D):
     verdict = cyclic_division_decision_quad(D.c, variant=D.variant)
     if verdict.witness is not None:
         (u1, v1), (u2, v2) = verdict.witness
-        pair = (D.element(u1, v1), D.element(u2, v2))
-        assert D.mul(*pair).is_zero()
+        pair = annihilating(D, (D.element(u1, v1), D.element(u2, v2)))
         verdict.witness = pair
         verdict.witness_literal = _pair_literal(pair)
     return verdict
@@ -106,17 +102,15 @@ def _division_quad(D):
 
 def _division_padic(D):
     from .padics import padic_is_square
-    A = D.coeff
     norm_c = D.c.norm()
     if not padic_is_square(norm_c):
         return DivisionVerdict(
             DIVISION, method="norm-criterion",
             notes="the norm of c down to Q_p is not a square, so c misses "
                   "every critical value (those have square norm)")
-    ok, root = A.is_square(D.c)
+    ok, root = D.coeff.is_square(D.c)
     if ok:
-        pair = (D.element(root, A.one()), D.element(A.neg(root), A.one()))
-        assert D.mul(*pair).is_zero()
+        pair = square_root_pair(D, root)
         return DivisionVerdict(NOT_DIVISION, method="square-root-witness",
                                witness=pair, witness_literal=_pair_literal(pair))
     return DivisionVerdict(
@@ -154,16 +148,16 @@ def _division_quat(D):
     if A.is_finite():
         zd = B.find_zero_divisor()
         z, w = zd
-        pair = (D.element(z, A.zero()), D.element(w, A.zero()))
-        assert D.mul(*pair).is_zero()
+        pair = annihilating(D, (D.element(z, A.zero()),
+                                D.element(w, A.zero())))
         return DivisionVerdict(NOT_DIVISION, method="split-coefficients",
                                witness=pair, witness_literal=_pair_literal(pair),
                                notes="finite quaternion algebras always split")
     if _quat_is_split(B):
         q = _quat_zero_divisor(B)
         if q is not None:
-            pair = (D.element(q, A.zero()), D.element(q.conjugate(), A.zero()))
-            assert D.mul(*pair).is_zero()
+            pair = annihilating(D, (D.element(q, A.zero()),
+                                    D.element(q.conjugate(), A.zero())))
             return DivisionVerdict(NOT_DIVISION, method="split-coefficients",
                                    witness=pair, witness_literal=_pair_literal(pair),
                                    notes="the coefficient algebra splits "
@@ -181,8 +175,7 @@ def _division_quat(D):
                   "value (those have square reduced norm)")
     ok, m = A.is_square(D.c)
     if ok:
-        pair = (D.element(m, A.one()), D.element(A.neg(m), A.one()))
-        assert D.mul(*pair).is_zero()
+        pair = square_root_pair(D, m)
         return DivisionVerdict(NOT_DIVISION, method="square-root-witness",
                                witness=pair, witness_literal=_pair_literal(pair))
     if ok is False:
@@ -215,86 +208,31 @@ def division_decide(D):
 # tau-level helpers (automorphisms of the coefficient algebra)
 
 
-def _canon_taus(A, taus):
-    if A.kind != "quat":
-        return list(taus)
-    out = []
-    for t in taus:
-        t = InnerAut(A.B.one()) if t == "id" else t
-        A.check_auto(t)
-        if not any(t == s for s in out):
-            out.append(t)
-    ident = InnerAut(A.B.one())
-    if not any(t == ident for t in out):
-        out.insert(0, ident)
-    return out
+def _intertwines(D1, D2, tau):
+    """tau after sigma1 equals sigma2 after tau, on a basis."""
+    A = D2.coeff
+    return all(A.apply_auto(tau, D1.sigma_apply(e))
+               == D2.sigma_apply(A.apply_auto(tau, e)) for e in A.basis())
 
 
-def _tau_compose(A, t1, t2):
-    """t1 after t2."""
-    if A.kind == "field":
-        return t1.compose(t2)
-    if A.kind in ("quad", "padic"):
-        return "id" if t1 == t2 else "conjugate"
-    return t1.compose(t2)
-
-
-def _tau_eq(A, t1, t2):
-    return t1 == t2
-
-
-def _tau_inverse(A, tau):
-    return A.auto_inverse(tau)
-
-
-def _commutes_with_sigma(D, tau):
-    A = D.coeff
-    for e in A.basis():
-        lhs = A.apply_auto(tau, D.sigma_apply(e))
-        rhs = D.sigma_apply(A.apply_auto(tau, e))
-        if not A.eq(lhs, rhs):
-            return False
-    return True
-
-
-def _scalar_square_root(A, t):
-    """For quaternion coefficients: a central square root of the central
-    element t taken inside the base field, or None."""
-    if not t.is_central():
-        return None
-    s = t.x
-    if A.B.p is None:
-        s = Fraction(s)
-        if not rational_is_square(s):
-            return None
-        return A.B.element(rational_sqrt(s), 0, 0, 0)
-    p = A.B.p
-    s = s % p
-    if s == 0 or pow(s, (p - 1) // 2, p) != 1:
-        return None
-    r = next(r for r in range(1, p) if (r * r) % p == s)
-    return A.B.element(r, 0, 0, 0)
+def _c_ratio(D1, D2, tau):
+    """tau(c1) / c2: (u,v) -> (tau(u), tau(v) b) takes D1 onto D2 only when
+    b is a root of it (sigma2(b)^2, or b^2 with b central)."""
+    return D2.coeff.apply_auto(tau, D1.c) * D2.c.inv()
 
 
 def _j_member(D, tau):
     """tau is in J(c) when tau(c)/c is a square (of the right central kind
     for quaternion coefficients)."""
-    A = D.coeff
-    t = A.mul(A.apply_auto(tau, D.c), A.invert(D.c))
-    if A.kind == "quat":
-        return _scalar_square_root(A, t) is not None
-    ok, _ = A.is_square(t)
-    return bool(ok)
+    return D.coeff.square_root(_c_ratio(D, D, tau)) is not None
 
 
 def _closure_ok(A, group):
     for t1 in group:
         for t2 in group:
-            comp = _tau_compose(A, t1, t2)
-            if not any(_tau_eq(A, comp, z) for z in group):
+            if A.auto_compose(t1, t2) not in group:
                 return False
-        inv = _tau_inverse(A, t1)
-        if not any(_tau_eq(A, inv, z) for z in group):
+        if A.auto_inverse(t1) not in group:
             return False
     return True
 
@@ -305,19 +243,11 @@ def subgroups(D, taus=None):
     witness-relative: it is whatever conjugations the caller supplies
     (the identity is always added)."""
     A = D.coeff
-    if A.kind == "field":
-        auts = A.K.automorphisms()
-    elif A.kind in ("quad", "padic"):
-        auts = ["id", "conjugate"]
-    else:
-        if taus is None:
-            raise ValueError("quaternion coefficients need witness "
-                             "conjugations for the subgroup computation")
-        auts = _canon_taus(A, taus)
+    auts = A.automorphisms(taus)
     j = [t for t in auts if _j_member(D, t)]
-    csig = [t for t in auts if _commutes_with_sigma(D, t)]
-    inter = [t for t in j if any(_tau_eq(A, t, s) for s in csig)]
-    iso = [t for t in auts if A.eq(A.apply_auto(t, D.c), D.c)]
+    csig = [t for t in auts if _intertwines(D, D, t)]
+    inter = [t for t in j if t in csig]
+    iso = [t for t in auts if A.apply_auto(t, D.c) == D.c]
     closure = all(_closure_ok(A, g) for g in (j, csig, inter, iso))
     labels = {t: A.auto_label(t) for t in auts}
     return SubgroupReport(auts, j, csig, inter, iso, labels, closure)
@@ -330,19 +260,19 @@ def subgroups(D, taus=None):
 def apply_automorphism(D, desc, z):
     tau, b = desc
     A = D.coeff
-    return D.element(A.apply_auto(tau, z.u), A.mul(A.apply_auto(tau, z.v), b))
+    return D.element(A.apply_auto(tau, z.u), A.apply_auto(tau, z.v) * b)
 
 
 def compose_descriptors(D, d1, d2):
     """d1 after d2."""
     A = D.coeff
-    tau = _tau_compose(A, d1[0], d2[0])
-    b = A.mul(A.apply_auto(d1[0], d2[1]), d1[1])
+    tau = A.auto_compose(d1[0], d2[0])
+    b = A.apply_auto(d1[0], d2[1]) * d1[1]
     return (tau, b)
 
 
 def descriptor_eq(D, d1, d2):
-    return _tau_eq(D.coeff, d1[0], d2[0]) and D.coeff.eq(d1[1], d2[1])
+    return d1[0] == d2[0] and d1[1] == d2[1]
 
 
 def automorphism_images(D, desc):
@@ -352,58 +282,51 @@ def automorphism_images(D, desc):
                  for e in D.basis())
 
 
+def _map_failure(D1, D2, desc):
+    """Why (u,v) -> (tau(u), tau(v) b) is not an isomorphism D1 -> D2
+    (unital, multiplicative on a full basis, bijective), or None."""
+    basis = D1.basis()
+    if apply_automorphism(D2, desc, D1.unit()) != D2.unit():
+        return "candidate does not fix the unit"
+    images = [apply_automorphism(D2, desc, e) for e in basis]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            lhs = apply_automorphism(D2, desc, D1.mul(x, y))
+            rhs = D2.mul(images[i], images[j])
+            if lhs != rhs:
+                return ("candidate is not multiplicative on basis pair "
+                        "(%d, %d)" % (i, j))
+    ops = D2.coeff.base_ops()
+    rows = [[D2.coords(images[j])[coord] for j in range(D2.dim)]
+            for coord in range(D2.dim)]
+    if kernel_basis(rows, D2.dim, ops):
+        return "candidate is not bijective"
+    return None
+
+
 def verify_automorphism(D, desc):
     """Unital, multiplicative on a full basis, and bijective; raises on
     failure."""
-    A = D.coeff
-    basis = D.basis()
-    if apply_automorphism(D, desc, D.unit()) != D.unit():
-        raise AssertionError("candidate does not fix the unit")
-    images = [apply_automorphism(D, desc, e) for e in basis]
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            lhs = apply_automorphism(D, desc, D.mul(x, y))
-            rhs = D.mul(images[i], images[j])
-            if lhs != rhs:
-                raise AssertionError("candidate is not multiplicative on "
-                                     "basis pair (%d, %d)" % (i, j))
-    ops = A.base_ops()
-    rows = [[D.coords(images[j])[coord] for j in range(D.dim)]
-            for coord in range(D.dim)]
-    if kernel_basis(rows, D.dim, ops):
-        raise AssertionError("candidate is not bijective")
+    failure = _map_failure(D, D, desc)
+    if failure is not None:
+        raise AssertionError(failure)
     return True
 
 
-def _b_sort_key(A, b):
-    if A.kind == "field":
-        return tuple(b.coeffs)
-    if A.kind == "quad":
-        return (b.x, b.y)
-    if A.kind == "padic":
-        return (b.x.val, b.x.unit, b.y.val, b.y.unit)
-    return tuple(b.coords())
+def _b_candidates(D1, D2, tau):
+    """Every b for which (tau, b) can map D1 onto D2, in the order the
+    coefficient kind reports them."""
+    return D2.coeff.b_candidates(_c_ratio(D1, D2, tau), D2.sigma)
 
 
 def _b_roots(D, tau):
     """Both solutions b of sigma(b)^2 = tau(c)/c (commutative coefficients)
-    or b^2 = tau(c)/c in the base field (quaternion coefficients), in a
-    deterministic order."""
-    A = D.coeff
-    t = A.mul(A.apply_auto(tau, D.c), A.invert(D.c))
-    if A.kind == "quat":
-        b = _scalar_square_root(A, t)
-        if b is None:
-            raise ValueError("tau is not in J(c)")
-    else:
-        ok, r = A.is_square(t)
-        if not ok:
-            raise ValueError("tau is not in J(c)")
-        sigma_inv = A.auto_inverse(D.sigma)
-        b = A.apply_auto(sigma_inv, r)
-    pair = [b, A.neg(b)]
-    pair.sort(key=lambda x: _b_sort_key(A, x))
-    return pair
+    or b^2 = tau(c)/c in the base field (quaternion coefficients), in
+    sort_key order."""
+    pair = _b_candidates(D, D, tau)
+    if not pair:
+        raise ValueError("tau is not in J(c)")
+    return sorted(pair, key=D.coeff.sort_key)
 
 
 def enumerate_automorphisms(D, taus=None):
@@ -427,7 +350,7 @@ def enumerate_automorphisms(D, taus=None):
     if order != 2 * len(sub.intersection):
         raise RuntimeError("expected order 2 |J and C|, got %d" % order)
     table = []
-    complete = A.kind != "quat"
+    complete = not A.witness_relative
     for d1 in elements:
         row = []
         for d2 in elements:
@@ -441,7 +364,7 @@ def enumerate_automorphisms(D, taus=None):
                 complete = False
             row.append(idx)
         table.append(row)
-    labels = [{"tau": A.auto_label(t), "b": A.literal(b)} for t, b in elements]
+    labels = [{"tau": A.auto_label(t), "b": b.literal()} for t, b in elements]
     return AutGroupReport(elements, labels, order, table,
                           "undetermined", "not analyzed", None, complete)
 
@@ -473,16 +396,10 @@ def _orbit_product(D, tau, b):
     """b * tau(b) * tau^2(b) * ... over the full tau-orbit; always +1 or -1
     when (tau, b) is an automorphism descriptor."""
     A = D.coeff
-    if A.kind == "field":
-        m = tau.order()
-    elif A.kind in ("quad", "padic"):
-        m = 1 if tau == "id" else 2
-    else:
-        raise ValueError("orbit products are for commutative coefficients")
     acc = A.one()
     cur = b
-    for _ in range(m):
-        acc = A.mul(acc, cur)
+    for _ in range(A.auto_order(tau)):
+        acc = acc * cur
         cur = A.apply_auto(tau, cur)
     return acc
 
@@ -505,9 +422,9 @@ def group_structure(D, report):
     all_products = []
     for t, b in report.elements:
         pr = _orbit_product(D, t, b)
-        if A.eq(pr, A.one()):
+        if pr == A.one():
             all_products.append("+1")
-        elif A.eq(pr, A.neg(A.one())):
+        elif pr == -A.one():
             all_products.append("-1")
         else:
             raise RuntimeError("orbit product is not +1 or -1")
@@ -515,7 +432,7 @@ def group_structure(D, report):
 
     taus = []
     for t, _ in report.elements:
-        if not any(_tau_eq(A, t, s) for s in taus):
+        if t not in taus:
             taus.append(t)
     m = len(taus)
     if report.order != 2 * m:
@@ -526,7 +443,7 @@ def group_structure(D, report):
     def tau_order(t):
         k, cur = 1, t
         while not A.auto_is_identity(cur):
-            cur = _tau_compose(A, t, cur)
+            cur = A.auto_compose(t, cur)
             k += 1
         return k
 
@@ -541,10 +458,10 @@ def group_structure(D, report):
                        "not cyclic, the labeling argument does not apply",
                        labeling=dict(base_label))
 
-    roots = [b for t, b in report.elements if _tau_eq(A, t, gen)]
+    roots = [b for t, b in report.elements if t == gen]
     products = [_orbit_product(D, gen, b) for b in roots]
-    plus = [b for b, pr in zip(roots, products) if A.eq(pr, A.one())]
-    prod_labels = {A.literal(b): ("+1" if A.eq(pr, A.one()) else "-1")
+    plus = [b for b, pr in zip(roots, products) if pr == A.one()]
+    prod_labels = {b.literal(): ("+1" if pr == A.one() else "-1")
                    for b, pr in zip(roots, products)}
 
     if m % 2 == 1:
@@ -560,28 +477,28 @@ def group_structure(D, report):
                            "generator with orbit product -1 on both roots, "
                            "the sign labeling has no consistent base point",
                            labeling=labeling)
-        b_gen = min(plus, key=lambda b: _b_sort_key(A, b))
+        b_gen = min(plus, key=A.sort_key)
 
     chain = {0: A.one()}
     for j in range(1, m):
-        chain[j] = A.mul(A.apply_auto(gen, chain[j - 1]), b_gen)
+        chain[j] = A.apply_auto(gen, chain[j - 1]) * b_gen
 
     def power_of(t):
         if A.auto_is_identity(t):
             return 0
         cur = gen
         for j in range(1, m):
-            if _tau_eq(A, cur, t):
+            if cur == t:
                 return j
-            cur = _tau_compose(A, gen, cur)
+            cur = A.auto_compose(gen, cur)
         raise RuntimeError("tau is not a power of the generator")
 
     assignment = []
     for t, b in report.elements:
         j = power_of(t)
-        if A.eq(b, chain[j]):
+        if b == chain[j]:
             sign = 1
-        elif A.eq(b, A.neg(chain[j])):
+        elif b == -chain[j]:
             sign = -1
         else:
             return replace(report, structure="no",
@@ -748,7 +665,7 @@ def wene_inner_check(D):
 
     images = [grouped(e) for e in basis]
     matches = all(images[i] == sigma_pair(basis[i]) for i in range(D.dim))
-    fixes = A.eq(D.sigma_apply(D.c), D.c)
+    fixes = D.sigma_apply(D.c) == D.c
     consistent = matches == fixes
     member = None
     if matches:
@@ -771,24 +688,54 @@ def _same_field(K1, K2):
 def verify_isomorphism(D1, D2, tau, b):
     """(u,v) -> (tau(u), tau(v) b) as a map D1 -> D2: unital,
     multiplicative on all basis pairs, bijective."""
-    A = D2.coeff
+    return _map_failure(D1, D2, (tau, b)) is None
 
-    def G(z):
-        return D2.element(A.apply_auto(tau, z.u),
-                          A.mul(A.apply_auto(tau, z.v), b))
 
-    if G(D1.unit()) != D2.unit():
-        return False
-    basis = D1.basis()
-    for x in basis:
-        for y in basis:
-            if G(D1.mul(x, y)) != D2.mul(G(x), G(y)):
-                return False
-    images = [G(e) for e in basis]
-    ops = A.base_ops()
-    rows = [[D2.coords(images[j])[coord] for j in range(D2.dim)]
-            for coord in range(D2.dim)]
-    return not kernel_basis(rows, D2.dim, ops)
+def _iso_prelude(D1, D2):
+    """The kind-specific part of iso_test: a verdict when the coefficient
+    algebras differ or the nucleus dimensions tell D1 and D2 apart, else
+    None."""
+    A1, A2 = D1.coeff, D2.coeff
+    if A1.kind != A2.kind:
+        return IsoVerdict("no", "coefficient algebras have different kinds")
+    if A1.kind == "field" and not _same_field(A1.K, A2.K):
+        if (A1.K.p, A1.K.n) != (A2.K.p, A2.K.n):
+            return IsoVerdict("no", "coefficient fields have different "
+                                    "orders")
+        return IsoVerdict("unknown", "same field order but different "
+                          "moduli; identification of the fields is not "
+                          "implemented")
+    if A1.kind == "quad" and A1.K.a != A2.K.a:
+        return IsoVerdict("no", "different quadratic fields")
+    if A1.kind == "padic" and (A1.K.ctx.p != A2.K.ctx.p
+                               or A1.K.kind != A2.K.kind):
+        return IsoVerdict("no", "different p-adic extensions")
+    if A1.kind == "quat" and ((A1.B.a, A1.B.b, A1.B.p)
+                              != (A2.B.a, A2.B.b, A2.B.p)):
+        return IsoVerdict("unknown", "different quaternion presentations; "
+                          "identifying them is out of scope")
+    if A1.kind == "quat" or D1.sigma_is_id != D2.sigma_is_id:
+        n1, n2 = compute_nuclei(D1), compute_nuclei(D2)
+        if n1.dims != n2.dims:
+            return IsoVerdict("no", "nucleus dimensions differ: %s vs %s"
+                              % (n1.dims, n2.dims))
+    return None
+
+
+# per kind: the reason given for a match, and the verdict when no (tau, b)
+# matches
+_ISO_OUTCOMES = {
+    "field": ("matched by an automorphism of the coefficient field",
+              ("no", "no (tau, b) pair intertwines the two products; the "
+                     "search over coefficient automorphisms is exhaustive")),
+    "quad": ("matched by a coefficient automorphism",
+             ("no", "no (tau, b) pair intertwines the two products")),
+    "padic": ("matched by a coefficient automorphism",
+              ("no", "no (tau, b) pair intertwines the two products")),
+    "quat": ("matched by a supplied conjugation",
+             ("unknown", "no supplied conjugation matches; the "
+                         "witness-relative search is not exhaustive")),
+}
 
 
 def iso_test(D1, D2, taus=None):
@@ -800,104 +747,19 @@ def iso_test(D1, D2, taus=None):
     "yes" and "no" are proofs.  Quaternion coefficients: the search runs
     over supplied conjugation witnesses only, so a miss is "unknown".
     """
-    A1, A2 = D1.coeff, D2.coeff
-    if A1.kind != A2.kind:
-        return IsoVerdict("no", "coefficient algebras have different kinds")
-
-    if A1.kind == "field":
-        if not _same_field(A1.K, A2.K):
-            if (A1.K.p, A1.K.n) != (A2.K.p, A2.K.n):
-                return IsoVerdict("no", "coefficient fields have different "
-                                        "orders")
-            return IsoVerdict("unknown", "same field order but different "
-                              "moduli; identification of the fields is not "
-                              "implemented")
-        if D1.sigma_is_id != D2.sigma_is_id:
-            n1, n2 = compute_nuclei(D1), compute_nuclei(D2)
-            if n1.dims != n2.dims:
-                return IsoVerdict("no", "nucleus dimensions differ: %s vs %s"
-                                  % (n1.dims, n2.dims))
-        K = A1.K
-        for tau in K.automorphisms():
-            if not all(A2.eq(A2.apply_auto(tau, D1.sigma_apply(e)),
-                             D2.sigma_apply(A2.apply_auto(tau, e)))
-                       for e in A2.basis()):
-                continue
-            t = A2.mul(A2.apply_auto(tau, D1.c), A2.invert(D2.c))
-            ok, r = A2.is_square(t)
-            if not ok:
-                continue
-            sigma_inv = A2.auto_inverse(D2.sigma)
-            b0 = A2.apply_auto(sigma_inv, r)
-            for b in sorted([b0, A2.neg(b0)],
-                            key=lambda x: _b_sort_key(A2, x)):
-                if verify_isomorphism(D1, D2, tau, b):
-                    return IsoVerdict("yes", "matched by an automorphism of "
-                                      "the coefficient field",
-                                      {"tau": A2.auto_label(tau),
-                                       "b": A2.literal(b)})
-        return IsoVerdict("no", "no (tau, b) pair intertwines the two "
-                          "products; the search over coefficient "
-                          "automorphisms is exhaustive")
-
-    if A1.kind in ("quad", "padic"):
-        if A1.kind == "quad" and A1.K.a != A2.K.a:
-            return IsoVerdict("no", "different quadratic fields")
-        if A1.kind == "padic" and (A1.K.ctx.p != A2.K.ctx.p
-                                   or A1.K.kind != A2.K.kind):
-            return IsoVerdict("no", "different p-adic extensions")
-        if D1.sigma_is_id != D2.sigma_is_id:
-            n1, n2 = compute_nuclei(D1), compute_nuclei(D2)
-            if n1.dims != n2.dims:
-                return IsoVerdict("no", "nucleus dimensions differ: %s vs %s"
-                                  % (n1.dims, n2.dims))
-        for tau in ("id", "conjugate"):
-            if not all(A2.eq(A2.apply_auto(tau, D1.sigma_apply(e)),
-                             D2.sigma_apply(A2.apply_auto(tau, e)))
-                       for e in A2.basis()):
-                continue
-            t = A2.mul(A2.apply_auto(tau, D1.c), A2.invert(D2.c))
-            ok, r = A2.is_square(t)
-            if not ok:
-                continue
-            sigma_inv = A2.auto_inverse(D2.sigma)
-            b0 = A2.apply_auto(sigma_inv, r)
-            for b in (b0, A2.neg(b0)):
-                if verify_isomorphism(D1, D2, tau, b):
-                    return IsoVerdict("yes", "matched by a coefficient "
-                                      "automorphism",
-                                      {"tau": A2.auto_label(tau),
-                                       "b": A2.literal(b)})
-        return IsoVerdict("no", "no (tau, b) pair intertwines the two "
-                          "products")
-
-    B1, B2 = A1.B, A2.B
-    if (B1.a, B1.b, B1.p) != (B2.a, B2.b, B2.p):
-        return IsoVerdict("unknown", "different quaternion presentations; "
-                          "identifying them is out of scope")
-    n1, n2 = compute_nuclei(D1), compute_nuclei(D2)
-    if n1.dims != n2.dims:
-        return IsoVerdict("no", "nucleus dimensions differ: %s vs %s"
-                          % (n1.dims, n2.dims))
-    if taus is None:
-        taus = []
-    for tau in _canon_taus(A2, taus):
-        ok_commute = all(A2.eq(A2.apply_auto(tau, D1.sigma_apply(e)),
-                               D2.sigma_apply(A2.apply_auto(tau, e)))
-                         for e in A2.basis())
-        if not ok_commute:
+    verdict = _iso_prelude(D1, D2)
+    if verdict is not None:
+        return verdict
+    A = D2.coeff
+    matched, missed = _ISO_OUTCOMES[A.kind]
+    for tau in A.automorphisms([] if taus is None else taus):
+        if not _intertwines(D1, D2, tau):
             continue
-        t = A2.mul(A2.apply_auto(tau, D1.c), A2.invert(D2.c))
-        b0 = _scalar_square_root(A2, t)
-        if b0 is None:
-            continue
-        for b in (b0, A2.neg(b0)):
+        for b in _b_candidates(D1, D2, tau):
             if verify_isomorphism(D1, D2, tau, b):
-                return IsoVerdict("yes", "matched by a supplied conjugation",
-                                  {"tau": A2.auto_label(tau),
-                                   "b": A2.literal(b)})
-    return IsoVerdict("unknown", "no supplied conjugation matches; the "
-                      "witness-relative search is not exhaustive")
+                return IsoVerdict("yes", matched, {"tau": A.auto_label(tau),
+                                                   "b": b.literal()})
+    return IsoVerdict(*missed)
 
 
 # ---------------------------------------------------------------------------
@@ -965,11 +827,9 @@ def census(p, n, limit=27):
 def aut_bounds_check(D, taus=None):
     """2 |C(sigma) and isotropy(c)| <= |Aut| <= 2 |C(sigma)|, all three
     numbers computed independently."""
-    A = D.coeff
     sub = subgroups(D, taus)
     rep = enumerate_automorphisms(D, taus)
-    iso_and_c = [t for t in sub.isotropy
-                 if any(_tau_eq(A, t, s) for s in sub.c_sigma)]
+    iso_and_c = [t for t in sub.isotropy if t in sub.c_sigma]
     lower = 2 * len(iso_and_c)
     upper = 2 * len(sub.c_sigma)
     return {"lower": lower, "order": rep.order, "upper": upper,

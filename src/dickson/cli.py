@@ -78,7 +78,7 @@ def _taus(D, args):
     if not raw:
         # quaternion automorphisms are witness-relative: default to id and
         # the chosen sigma, as the --tau help says
-        return ["id", D.sigma] if D.coeff.kind == "quat" else None
+        return ["id", D.sigma] if D.coeff.witness_relative else None
     return [parse_sigma(D.coeff, t) for t in raw]
 
 
@@ -200,7 +200,7 @@ def _run_witness(args):
     Dc = pair[0].alg
     return doc, {
         "algebra": Dc.describe(),
-        "critical_c": Dc.coeff.literal(Dc.c),
+        "critical_c": Dc.c.literal(),
         "pair": [pair[0].literal(), pair[1].literal()],
         "product": product.literal(),
         "product_is_zero": product == Dc.zero(),
@@ -334,8 +334,16 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    # the parser holds no per-call state, and building it costs about as
+    # much as answering a small question, so it is built once per process
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_negative_literals(argv))

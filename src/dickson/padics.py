@@ -160,9 +160,15 @@ class PadicNumber:
 
     def _coerce(self, other):
         if isinstance(other, PadicNumber):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
+            if other.ctx is self.ctx:
+                return other
+            if other.ctx != self.ctx:
                 raise ValueError("numbers from different contexts")
-            return other
+            # an equal but distinct context: a result such as 0 + other
+            # must still carry self's context
+            if not other.unit:
+                return self.ctx._zero
+            return PadicNumber(self.ctx, other.val, other.unit, other.prec)
         if isinstance(other, (int, Fraction)):
             return self.ctx.from_fraction(Fraction(other))
         return NotImplemented

@@ -17,7 +17,7 @@ finite set of places where either argument is a non-unit.
 from fractions import Fraction
 from math import isqrt
 
-from .reports import DIVISION, NOT_DIVISION, DivisionVerdict
+from .reports import DIVISION, NOT_DIVISION, DivisionVerdict, certify
 
 
 def _as_fraction(x):
@@ -304,7 +304,7 @@ def quad_is_square(z):
             s = rational_sqrt(cand)
             if s is not None and s != 0:
                 w = K.element(s, z.y / (2 * s))
-                assert w * w == z
+                certify(w * w == z, "the square root squares back")
                 return True, w
     return False, None
 
@@ -404,7 +404,8 @@ def cyclic_division_decision_quad(c, variant="commutative"):
         (u1, v1), (u2, v2) = pair
         first = u1 * u2 + c * (v1 * v2).conjugate()
         second = u1 * v2 + v1 * u2
-        assert first.is_zero() and second.is_zero()
+        certify(first.is_zero() and second.is_zero(),
+                "the witness pair annihilates")
         witness, witness_literal = pair, _render_pair(pair)
     return DivisionVerdict(
         NOT_DIVISION, method="norm-criterion",

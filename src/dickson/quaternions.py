@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .linalg import FpOps, QOps, kernel_basis
 from .quadratic import rational_is_square, rational_sqrt
+from .reports import certify
 
 
 class QuaternionAlgebra:
@@ -277,11 +278,6 @@ class InnerAut:
         return "conj-by(%s)" % self.witness.literal()
 
 
-def inner_apply(aut, q):
-    """Apply an inner automorphism; the name mirrors the analysis layer."""
-    return aut(q)
-
-
 def fixed_subalgebra(aut):
     """Basis of {z : m z = z m} via an exact 4x4 kernel over the base.
 
@@ -324,7 +320,7 @@ def quat_is_square(c):
                 if s is not None:
                     half = 1 / (2 * s)
                     m = alg.element(s, c.y * half, c.z * half, c.w * half)
-                    assert m * m == c
+                    certify(m * m == c, "the square root squares back")
                     return True, m
         return False, None
     c0 = c.x
@@ -337,6 +333,6 @@ def quat_is_square(c):
         t = rational_sqrt(val)
         if t is not None:
             m = mk(t)
-            assert m * m == c
+            certify(m * m == c, "the square root squares back")
             return True, m
     return None, None

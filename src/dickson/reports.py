@@ -17,6 +17,16 @@ NOT_DIVISION = "proved-not-division"
 UNKNOWN = "unknown"
 
 
+def certify(ok, claim):
+    """Check a claim the program has just computed a certificate for.
+
+    Unlike assert it also runs under python -O; a failure is a bug in the
+    program, never a property of the input, and raises RuntimeError."""
+    if not ok:
+        raise RuntimeError("certificate failed: %s; this is a bug, not a "
+                           "property of the input" % claim)
+
+
 @dataclass
 class DivisionVerdict:
     status: str

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import dickson
 from dickson.analysis import (apply_automorphism, aut_bounds_check,
                               automorphism_images, census, compose_descriptors,
                               division_decide, enumerate_automorphisms,
@@ -143,6 +148,66 @@ def test_division_split_quaternions_give_witness():
     assert v.method == "split-coefficients"
     x, y = v.witness
     assert D.mul(x, y).is_zero()
+
+
+# Witness and root checks must hold under ``python -O`` too: plant a wrong
+# square root at each check and expect RuntimeError, not a wrong answer.
+_WRONG_WITNESS_SCRIPT = textwrap.dedent("""
+    import dickson.doubling as doubling
+    import dickson.quadratic as quadratic
+    import dickson.quaternions as quaternions
+    from dickson.analysis import division_decide
+    from dickson.parsing import algebra_from_document
+
+    def attempt(name, fn):
+        try:
+            print(name, "returned", fn())
+        except RuntimeError as exc:
+            print(name, "raised", exc)
+
+    # 11 + 6 sqrt(2) = (3 + sqrt(2))^2 and 11 + 6i = (3 + i)^2 in (2,3|Q)
+    # find the root 3 of 9; i^2 = 2 is found from the root 1 of 2/2
+    real = quadratic.rational_sqrt
+    wrong = lambda r: {9: 4, 1: 2}.get(r, real(r))
+    quadratic.rational_sqrt = quaternions.rational_sqrt = wrong
+    K = quadratic.QuadField(2)
+    B = quaternions.QuaternionAlgebra(2, 3)
+    attempt("quad-root", lambda: quadratic.quad_is_square(K.element(11, 6)))
+    attempt("quat-root", lambda: quaternions.quat_is_square(
+        B.element(11, 6, 0, 0)))
+    attempt("quat-axis-root", lambda: quaternions.quat_is_square(
+        B.element(2, 0, 0, 0)))
+    quadratic.rational_sqrt = quaternions.rational_sqrt = real
+
+    square = lambda self, x: (True, x.field.one())
+    quadratic.quad_is_square = lambda z: square(None, z)
+    attempt("quad-pair", lambda: division_decide(algebra_from_document(
+        {"coeff": "quad(2)", "sigma": "conjugate", "c": "11,6"})))
+    doubling.QuadCoefficients.is_square = square
+    attempt("root-pair", lambda: division_decide(algebra_from_document(
+        {"coeff": "quad(2)", "sigma": "id", "c": "2,0",
+         "allow_identity": True})))
+    doubling.critical_value = lambda D, r, s, t: D.c
+    D = algebra_from_document({"coeff": "gf(5,2)", "sigma": "frobenius:1",
+                               "c": "0,1"})
+    K5 = D.coeff.K
+    attempt("theorem-pair", lambda: doubling.theorem_zero_divisor_witness(
+        D, K5.element([1, 1]), K5.element([2, 1]), K5.element([1, 2])))
+""")
+
+
+def test_witness_checks_run_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_WITNESS_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "quad-root", "quat-root", "quat-axis-root", "quad-pair", "root-pair",
+        "theorem-pair"]
+    assert all(line.split()[1] == "raised" for line in lines), lines
 
 
 # ---------------------------------------------------------------------------

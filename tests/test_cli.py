@@ -2,11 +2,13 @@
 flags the README shows, and the salient output lines are pinned."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dickson
 from dickson.cli import build_parser, main
 
 
@@ -281,3 +283,23 @@ def test_module_entry_point_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_parser_reuse_leaks_no_state_between_calls(capsys):
+    """main builds its parser once per process: an autgroup call with
+    --tau must not change the answer of a later call without it."""
+    base = ["autgroup", "--coeff=quat(2,3)", "--sigma=conjugation:0,1,0,0",
+            "--c=2,0,0,0", "--variant=left", "--format=json"]
+    code, _, err = run_cli(capsys, base + ["--tau=id",
+                                           "--tau=conjugation:0,0,1,0"])
+    assert code == 0, err
+    code, out, err = run_cli(capsys, base)
+    assert code == 0, err
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "dickson"] + base,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    in_process, fresh = json.loads(out), json.loads(proc.stdout)
+    del in_process["wall_time_s"], fresh["wall_time_s"]
+    assert in_process == fresh

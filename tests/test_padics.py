@@ -222,6 +222,19 @@ def test_extension_ops_across_equal_contexts():
             assert x - y_twin == x - y
 
 
+def test_results_carry_the_left_operand_context():
+    K, L = PadicContext(5, 16), PadicContext(5, 16)
+    a, b = K.from_fraction(Fraction(7, 5)), L.from_fraction(Fraction(7, 5))
+    for got, want in ((K.zero() + b, a), (K.zero() - b, -a),
+                      (a + L.zero(), a)):
+        assert got.ctx is K and _triple(got) == _triple(want)
+    assert (L.zero() + K.zero()) is L.zero()
+    E, F = PadicQuadExt(K, "sqrt_u"), PadicQuadExt(L, "sqrt_u")
+    for z in (E.zero() + F.one(), E.zero() - F.root(), E.one() * F.one()):
+        assert z.ext is E and z.x.ctx is K and z.y.ctx is K
+    assert E.zero() + F.one() == E.one()
+
+
 # A certificate must hold under ``python -O`` too: plant a wrong first
 # residue for the Hensel lift and expect the root check to raise.
 _WRONG_ROOT_SCRIPT = textwrap.dedent("""
