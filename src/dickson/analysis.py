@@ -22,12 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .doubling import (DicksonAlgebra, _field_grid, annihilating,
-                       compute_nuclei, search_cap, square_root_pair,
-                       zero_divisor_search)
+from .doubling import (DicksonAlgebra, FieldCoefficients, _field_grid,
+                       annihilating, compute_nuclei, critical_constants,
+                       search_cap, square_root_pair, zero_divisor_search)
 from .fields import FrobeniusAut, make_field
 from .linalg import FpOps, kernel_basis, rank, solve
-from .quadratic import cyclic_division_decision_quad, rational_is_square
+from .padics import padic_is_square
+from .quadratic import (QuadField, cyclic_division_decision_quad,
+                        is_norm_from_quadfield, rational_is_square)
 from .reports import (DIVISION, NOT_DIVISION, UNKNOWN, AutGroupReport,
                       CensusReport, DivisionVerdict, IsoVerdict,
                       SubgroupReport, WeneReport)
@@ -47,12 +49,7 @@ def _division_finite(D):
     A = D.coeff
     K = A.K
     status, pair = zero_divisor_search(D)
-    crit = A._critical.get(D.sigma.k)
-    if crit is None:
-        from .doubling import critical_constants
-        crit = critical_constants(D)
-        A._critical[D.sigma.k] = crit
-    in_crit = D.c in crit
+    in_crit = D.c in critical_constants(D)
     if in_crit != (status == "witness"):
         raise RuntimeError("scan and critical-value set disagree; "
                            "this is a bug, not a property of the input")
@@ -101,7 +98,6 @@ def _division_quad(D):
 
 
 def _division_padic(D):
-    from .padics import padic_is_square
     norm_c = D.c.norm()
     if not padic_is_square(norm_c):
         return DivisionVerdict(
@@ -122,7 +118,6 @@ def _division_padic(D):
 def _quat_is_split(B):
     """Exact splitness of a rational quaternion algebra via the norm test
     for b against Q(sqrt(a))."""
-    from .quadratic import QuadField, is_norm_from_quadfield
     a, b = Fraction(B.a), Fraction(B.b)
     if rational_is_square(a) or rational_is_square(b):
         return True
@@ -297,8 +292,7 @@ def _map_failure(D1, D2, desc):
                 return ("candidate is not multiplicative on basis pair "
                         "(%d, %d)" % (i, j))
     ops = D2.coeff.base_ops()
-    rows = [[D2.coords(images[j])[coord] for j in range(D2.dim)]
-            for coord in range(D2.dim)]
+    rows = list(zip(*(D2.coords(im) for im in images)))
     if kernel_basis(rows, D2.dim, ops):
         return "candidate is not bijective"
     return None
@@ -625,8 +619,7 @@ def oracle_automorphisms(D):
                     break
             if not ok:
                 continue
-            rows = [[coords[images[j]][coord] for j in range(dim)]
-                    for coord in range(dim)]
+            rows = list(zip(*(coords[im] for im in images)))
             if rank(rows, ops) != dim:
                 continue
             found.append(tuple(int(images[r]) for r in range(dim)))
@@ -649,8 +642,7 @@ def wene_inner_check(D):
     lam = D.adjoined()
     basis = D.basis()
     ops = A.base_ops()
-    rows = [[D.coords(D.mul(basis[j], lam))[coord] for j in range(D.dim)]
-            for coord in range(D.dim)]
+    rows = list(zip(*(D.coords(D.mul(e, lam)) for e in basis)))
     sol = solve(rows, D.coords(D.unit()), ops)
     if sol is None:
         raise RuntimeError("(0,1) has no left inverse; c was supposed to "
@@ -710,6 +702,10 @@ def _iso_prelude(D1, D2):
     if A1.kind == "padic" and (A1.K.ctx.p != A2.K.ctx.p
                                or A1.K.kind != A2.K.kind):
         return IsoVerdict("no", "different p-adic extensions")
+    if A1.kind == "padic" and A1.K.ctx.N != A2.K.ctx.N:
+        return IsoVerdict("unknown", "the same p-adic extension at precisions "
+                          "%d and %d; comparing across precisions is not "
+                          "implemented" % (A1.K.ctx.N, A2.K.ctx.N))
     if A1.kind == "quat" and ((A1.B.a, A1.B.b, A1.B.p)
                               != (A2.B.a, A2.B.b, A2.B.p)):
         return IsoVerdict("unknown", "different quaternion presentations; "
@@ -779,7 +775,6 @@ def census(p, n, limit=27):
     if p ** n > limit:
         raise ValueError("census is sized for p^n <= %d; pass a larger "
                          "limit explicitly to go bigger" % limit)
-    from .doubling import FieldCoefficients
     K = make_field(p, n)
     coeff_cache = FieldCoefficients(K)
     nonsquares = [c for c in K.elements()

@@ -628,21 +628,21 @@ def structure_constants(D):
     return [[D.coords(D.mul(x, y)) for y in basis] for x in basis]
 
 
+def _combine(ops, n, terms):
+    """The coordinate vector sum of s * row over the (s, row) terms."""
+    acc = [ops.zero] * n
+    for s, row in terms:
+        acc = [ops.add(a, ops.mul(s, t)) for a, t in zip(acc, row)]
+    return acc
+
+
 def mul_by_constants(D, table, x, y):
     ops = D.coeff.base_ops()
     xs, ys = D.coords(x), D.coords(y)
-    n = len(xs)
-    acc = [ops.zero] * n
-    for i in range(n):
-        if ops.is_zero(xs[i]):
-            continue
-        for j in range(n):
-            if ops.is_zero(ys[j]):
-                continue
-            f = ops.mul(xs[i], ys[j])
-            row = table[i][j]
-            acc = [ops.add(a, ops.mul(f, t)) for a, t in zip(acc, row)]
-    return D.from_coords(acc)
+    terms = ((ops.mul(a, b), table[i][j])
+             for i, a in enumerate(xs) if not ops.is_zero(a)
+             for j, b in enumerate(ys) if not ops.is_zero(b))
+    return D.from_coords(_combine(ops, len(xs), terms))
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +654,14 @@ def compute_nuclei(D):
     and the center, each as the kernel of an exact linear system ranging
     the other associator slots over a basis.
 
-    The systems are assembled by contracting the structure-constant tensor,
-    so the doubled product is only evaluated on basis pairs; the kernels it
-    yields are the same as with per-constraint products because kernel_basis
-    is canonical in the row space.
+    The associator [e_a, e_b, e_c] of every basis triple is contracted once
+    from the structure-constant tensor, so the doubled product is only
+    evaluated on basis pairs.  The left, middle and right systems are its
+    three slot views, with the unknown w = sum w_i e_i in the first, second
+    or third slot; the commuting system reads [e_i, e_j] off the tensor.
+    Rows come key by key in a fixed order, since over Q_p the pivot choice
+    of rref depends on it; the kernels themselves are canonical in the row
+    space.
     """
     dim = D.dim
     ops = D.coeff.base_ops()
@@ -667,73 +671,36 @@ def compute_nuclei(D):
     Pt = [[P[m][k] for m in idx] for k in idx]
 
     def comb(scalars, rows):
-        acc = [ops.zero] * dim
-        for s, row in zip(scalars, rows):
-            if not ops.is_zero(s):
-                acc = [ops.add(a, ops.mul(s, t)) for a, t in zip(acc, row)]
-        return acc
+        return _combine(ops, dim, ((s, row) for s, row in zip(scalars, rows)
+                                   if not ops.is_zero(s)))
 
-    def rows_from(columns):
-        made = []
-        for coord in idx:
-            row = [columns[i][coord] for i in idx]
-            if any(not ops.is_zero(t) for t in row):
-                made.append(row)
-        return made
+    # assoc[a][b][c]: the coordinate row of (e_a e_b) e_c - e_a (e_b e_c)
+    assoc = [[[[ops.sub(s, t) for s, t in zip(comb(P[a][b], Pt[c]),
+                                              comb(P[b][c], P[a]))]
+               for c in idx] for b in idx] for a in idx]
 
-    left_rows, middle_rows, right_rows, comm_rows = [], [], [], []
-    for j in idx:
-        comm_rows += rows_from(
-            [[ops.sub(a, b) for a, b in zip(P[i][j], P[j][i])] for i in idx])
-        for k in idx:
-            # column i of w -> [w, e_j, e_k]: (e_i e_j) e_k - e_i (e_j e_k)
-            left_rows += rows_from(
-                [[ops.sub(a, b) for a, b in zip(comb(P[i][j], Pt[k]),
-                                                comb(P[j][k], P[i]))]
-                 for i in idx])
-            middle_rows += rows_from(
-                [[ops.sub(a, b) for a, b in zip(comb(P[j][i], Pt[k]),
-                                                comb(P[i][k], P[j]))]
-                 for i in idx])
-            right_rows += rows_from(
-                [[ops.sub(a, b) for a, b in zip(comb(P[j][k], Pt[i]),
-                                                comb(P[k][i], P[j]))]
-                 for i in idx])
-
-    def reduced(rows):
-        work = [list(r) for r in rows]
-        pivots = rref(work, ops)
-        return work[:len(pivots)]
+    def reduced(column, keys):
+        """The reduced rows of sum_i w_i column(i, *key) = 0 over all keys:
+        each key's nonzero coordinate rows, in coordinate order."""
+        rows = [list(row) for key in keys
+                for row in zip(*(column(i, *key) for i in idx))
+                if any(not ops.is_zero(t) for t in row)]
+        pivots = rref(rows, ops)
+        return rows[:len(pivots)]
 
     def kernel(rows):
         return [D.from_coords(vec) for vec in kernel_basis(rows, dim, ops)]
 
-    left_red = reduced(left_rows)
-    middle_red = reduced(middle_rows)
-    right_red = reduced(right_rows)
-    comm_red = reduced(comm_rows)
-
-    left_b = kernel(left_red)
-    middle_b = kernel(middle_red)
-    right_b = kernel(right_red)
-    nucleus_b = kernel(left_red + middle_red + right_red)
-    comm_b = kernel(comm_red)
-    center_b = kernel(left_red + middle_red + right_red + comm_red)
-
-    dims = {
-        "left": len(left_b), "middle": len(middle_b), "right": len(right_b),
-        "nucleus": len(nucleus_b), "commuter": len(comm_b), "center": len(center_b),
-    }
-    literals = {
-        "left": [e.literal() for e in left_b],
-        "middle": [e.literal() for e in middle_b],
-        "right": [e.literal() for e in right_b],
-        "nucleus": [e.literal() for e in nucleus_b],
-        "commuter": [e.literal() for e in comm_b],
-        "center": [e.literal() for e in center_b],
-    }
-    return NucleusReport(left_b, middle_b, right_b, nucleus_b, comm_b, center_b,
-                         dims, literals)
+    pairs = [(j, k) for j in idx for k in idx]
+    left = reduced(lambda i, j, k: assoc[i][j][k], pairs)
+    middle = reduced(lambda i, j, k: assoc[j][i][k], pairs)
+    right = reduced(lambda i, j, k: assoc[j][k][i], pairs)
+    comm = reduced(lambda i, j: [ops.sub(a, b)
+                                 for a, b in zip(P[i][j], P[j][i])],
+                   [(j,) for j in idx])
+    return NucleusReport(kernel(left), kernel(middle), kernel(right),
+                         kernel(left + middle + right), kernel(comm),
+                         kernel(left + middle + right + comm))
 
 
 # ---------------------------------------------------------------------------
@@ -781,12 +748,14 @@ def square_root_pair(D, root):
 def zero_divisor_search(D, budget=None, rng=None):
     """Look for nonzero x, y with x*y = 0.
 
-    Finite coefficients: exhaustive over all ordered pairs (refusing above
-    the pair cap), deterministic, returning the lexicographically first
-    witness or the proof that none exists; budget is ignored.  Infinite
-    coefficients: the constructive square-root witness is attempted, then
-    up to `budget` random pairs drawn from `rng`; absence of a witness is
-    reported as inconclusive, never as a proof.
+    Finite field coefficients: exhaustive over all ordered pairs (refusing
+    above the pair cap), deterministic, returning the lexicographically
+    first witness or the proof that none exists; budget is ignored.  Finite
+    quaternion coefficients split, so a norm-zero pair of the coefficient
+    algebra is the witness.  Infinite coefficients: the constructive
+    square-root witness is attempted, then up to `budget` random pairs
+    drawn from `rng`; absence of a witness is reported as inconclusive,
+    never as a proof.
 
     Returns (status, pair) with status one of "witness", "none",
     "inconclusive".
@@ -808,21 +777,10 @@ def zero_divisor_search(D, budget=None, rng=None):
         pair = (D.element_at(int(i)), D.element_at(int(j)))
         return "witness", annihilating(D, pair)
     if A.is_finite():
-        zd = A.B.find_zero_divisor()
-        if zd is not None:
-            z, w = zd
-            pair = (D.element(z, A.zero()), D.element(w, A.zero()))
-            return "witness", annihilating(D, pair)
-        n_pairs = D.size() ** 2
-        if n_pairs > search_cap():
-            raise ValueError("exhaustive scan needs %d pairs, over the cap; "
-                             "set DICKSON_MAX_EXHAUSTIVE to override" % n_pairs)
-        elems = [e for e in D.elements() if not e.is_zero()]
-        for x in elems:
-            for y in elems:
-                if D.mul(x, y).is_zero():
-                    return "witness", (x, y)
-        return "none", None
+        # a quaternion algebra over GF(p) splits: its norm form is isotropic
+        z, w = A.B.find_zero_divisor()
+        pair = (D.element(z, A.zero()), D.element(w, A.zero()))
+        return "witness", annihilating(D, pair)
     ok, root = A.is_square(D.c)
     if ok:
         return "witness", square_root_pair(D, root)
@@ -837,18 +795,23 @@ def zero_divisor_search(D, budget=None, rng=None):
 
 def critical_constants(D):
     """The set of c-values for which the defining theorem hands out zero
-    divisors, enumerated exhaustively (finite commutative coefficients)."""
+    divisors, enumerated exhaustively (finite commutative coefficients).
+    It depends on sigma alone and is kept per sigma on the adapter."""
     A = D.coeff
     if A.kind != "field":
         raise ValueError("critical-set enumeration needs a finite field")
-    K = A.K
-    sig = D.sigma_apply
-    units = [x for x in K.elements() if not x.is_zero()]
-    squares = {r * r for r in units}
-    s_part = {s * sig(s).inv() for s in units}
-    t_part = {(t * sig(t)).inv() for t in units}
-    stage = {a * b for a in squares for b in s_part}
-    return {a * b for a in stage for b in t_part}
+    crit = A._critical.get(D.sigma.k)
+    if crit is None:
+        K = A.K
+        sig = D.sigma_apply
+        units = [x for x in K.elements() if not x.is_zero()]
+        squares = {r * r for r in units}
+        s_part = {s * sig(s).inv() for s in units}
+        t_part = {(t * sig(t)).inv() for t in units}
+        stage = {a * b for a in squares for b in s_part}
+        crit = A._critical[D.sigma.k] = frozenset(a * b for a in stage
+                                                  for b in t_part)
+    return crit
 
 
 def critical_value(D, r, s, t):

@@ -426,13 +426,13 @@ class FrobeniusAut:
         K = self.field
         g = gcd(self.k, K.n)
         sub = FiniteField(K.p, g)
-        rows = []
-        images = []
+        # column j: the coordinates of tau(e_j) - e_j
+        columns = []
         for j in range(K.n):
-            e = K.element([0] * j + [1] + [0] * (K.n - 1 - j))
-            images.append(self(e))
-        for i in range(K.n):
-            rows.append([images[j].coeffs[i] - (1 if i == j else 0) for j in range(K.n)])
+            image = self(K.element([0] * j + [1] + [0] * (K.n - 1 - j)))
+            columns.append([a - (1 if i == j else 0)
+                            for i, a in enumerate(image.coeffs)])
+        rows = list(zip(*columns))
         basis = [K.element(vec) for vec in kernel_basis(rows, K.n, FpOps(K.p))]
         return sub, basis
 

@@ -171,6 +171,4 @@ def in_span(vectors, target, ops):
     """Is target a linear combination of the given vectors?"""
     if not vectors:
         return all(ops.is_zero(t) for t in target)
-    cols = len(target)
-    rows = [[vec[c] for vec in vectors] for c in range(cols)]
-    return solve(rows, list(target), ops) is not None
+    return solve(list(zip(*vectors)), list(target), ops) is not None

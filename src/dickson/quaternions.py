@@ -286,11 +286,7 @@ def fixed_subalgebra(aut):
     """
     alg = aut.alg
     m = aut.witness
-    basis = alg.basis()
-    rows = []
-    images = [m * e - e * m for e in basis]
-    for coord in range(4):
-        rows.append([im.coords()[coord] for im in images])
+    rows = list(zip(*((m * e - e * m).coords() for e in alg.basis())))
     vecs = kernel_basis(rows, 4, alg.ops)
     return [Quaternion(alg, *v) for v in vecs]
 

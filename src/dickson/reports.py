@@ -9,7 +9,7 @@ Records keep native algebra elements where useful for re-verification,
 plus pre-rendered literals so they serialize deterministically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 DIVISION = "proved-division"
@@ -56,8 +56,15 @@ class NucleusReport:
     nucleus: list
     commuter: list
     center: list
-    dims: dict
-    literals: dict
+
+    @property
+    def dims(self):
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
+
+    @property
+    def literals(self):
+        return {f.name: [e.literal() for e in getattr(self, f.name)]
+                for f in fields(self)}
 
     def to_dict(self):
         return {"dims": self.dims, "bases": self.literals}

@@ -128,6 +128,24 @@ def test_readme_iso_spec_files(capsys, tmp_path):
     assert "b:    1,2" in out
 
 
+def test_iso_across_padic_precisions_is_unknown(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text('{"coeff": "qp(5;sqrt_p;16)", "sigma": "conjugate", '
+                 '"c": "2"}')
+    b.write_text('{"coeff": "qp(5;sqrt_p;32)", "sigma": "conjugate", '
+                 '"c": "2"}')
+    code, out, err = run_cli(capsys, ["iso", "--spec", str(a),
+                                      "--spec2", str(b)])
+    assert code == 0, err
+    assert "status:   unknown" in out
+    assert "precisions 16 and 32" in out
+    code, out, err = run_cli(capsys, ["iso", "--spec", str(a),
+                                      "--spec2", str(a)])
+    assert code == 0, err
+    assert "status:   yes" in out
+
+
 def test_readme_construct_quad(capsys):
     code, out, _ = run_cli(capsys, [
         "construct", "--coeff", "quad(2)", "--sigma", "conjugate",

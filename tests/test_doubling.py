@@ -10,6 +10,8 @@ from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               theorem_zero_divisor_witness,
                               zero_divisor_search, _field_grid)
 from dickson.fields import FrobeniusAut, make_field
+from dickson.linalg import kernel_basis
+from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
 
@@ -237,6 +239,24 @@ def test_search_infinite_inconclusive_budget():
 # ---------------------------------------------------------------------------
 # critical values and the constructed witnesses
 
+def test_search_over_every_finite_quaternion_algebra_finds_a_pair():
+    # a quaternary norm form over GF(p) is isotropic, so every quat(a,b;p)
+    # has a norm-zero pair and the scan needs no fallback
+    for p in (3, 5, 7):
+        for a in range(1, p):
+            for b in range(1, p):
+                B = QuaternionAlgebra(a, b, p=p)
+                z, w = B.find_zero_divisor()
+                assert not z.is_zero() and not w.is_zero()
+                assert (z * w).is_zero()
+                D = DicksonAlgebra(B, InnerAut(B.element(0, 1, 0, 0)),
+                                   B.one(), "left")
+                status, (x, y) = zero_divisor_search(D)
+                assert status == "witness"
+                assert not x.is_zero() and not y.is_zero()
+                assert D.mul(x, y).is_zero()
+
+
 def test_critical_set_equals_squares_for_frobenius_gf9():
     K = make_field(3, 2)
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
@@ -325,6 +345,60 @@ def test_nuclei_quaternion_left_variant():
         for _ in range(15):
             x, y = D.random_element(rng), D.random_element(rng)
             assert D.associator(x, w, y).is_zero()
+
+
+def _nuclei_from_products(D):
+    """The six nucleus bases from D.associator and D.commutator on basis
+    elements, without the structure tensor: for each pair of fixed basis
+    elements, one row per coordinate, one column per basis element in the
+    unknown's slot."""
+    basis = D.basis()
+    n = len(basis)
+    ops = D.coeff.base_ops()
+
+    def rows(product):
+        return [list(row) for j in range(n) for k in range(n)
+                for row in zip(*(D.coords(product(basis[i], basis[j],
+                                                  basis[k]))
+                                 for i in range(n)))]
+
+    left = rows(lambda w, x, y: D.associator(w, x, y))
+    middle = rows(lambda w, x, y: D.associator(x, w, y))
+    right = rows(lambda w, x, y: D.associator(x, y, w))
+    comm = [list(row) for j in range(n)
+            for row in zip(*(D.coords(D.commutator(w, basis[j]))
+                             for w in basis))]
+
+    def kernel(system):
+        return [D.from_coords(v).literal()
+                for v in kernel_basis(system, n, ops)]
+
+    return {"left": kernel(left), "middle": kernel(middle),
+            "right": kernel(right), "nucleus": kernel(left + middle + right),
+            "commuter": kernel(comm),
+            "center": kernel(left + middle + right + comm)}
+
+
+@pytest.mark.parametrize("doc", [
+    {"coeff": "gf(3,2)", "sigma": "frobenius:1", "c": "0,1"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3,1"},
+    {"coeff": "quat(-1,-1)", "sigma": "conjugation:1,1,0,0",
+     "c": "1,2,-1,3", "variant": "left"},
+    {"coeff": "quat(-1,-1)", "sigma": "conjugation:1,1,0,0",
+     "c": "1,2,-1,3", "variant": "middle"},
+    {"coeff": "quat(-1,-1)", "sigma": "conjugation:1,1,0,0",
+     "c": "1,2,-1,3", "variant": "right"},
+    {"coeff": "qp(5;sqrt_u;16)", "sigma": "conjugate", "c": "2,3"},
+])
+def test_nuclei_match_systems_built_from_products(doc):
+    D = algebra_from_document(doc)
+    report = compute_nuclei(D)
+    direct = _nuclei_from_products(D)
+    if D.coeff.kind == "padic":
+        # bounded precision: the two routes may pivot differently
+        assert report.dims == {k: len(v) for k, v in direct.items()}
+    else:
+        assert report.literals == direct
 
 
 def test_nucleus_contains_unit_always():
