@@ -32,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import FiniteField, FrobeniusAut
-from .linalg import FpOps, QOps, in_span, kernel_basis, rref
+from .linalg import (FpOps, QOps, _integer_tensor, in_span, kernel_basis,
+                     rref)
 from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt,
                      ext_is_square, ext_sqrt)
 from .quadratic import (QuadField, quad_is_square, rational_is_square,
@@ -629,11 +630,15 @@ def structure_constants(D):
 
 
 def _combine(ops, n, terms):
-    """The coordinate vector sum of s * row over the (s, row) terms."""
-    acc = [ops.zero] * n
+    """The coordinate vector sum of s * row over the (s, row) terms.  The
+    sum starts from the first term, so int rows give an int sum."""
+    acc = None
     for s, row in terms:
-        acc = [ops.add(a, ops.mul(s, t)) for a, t in zip(acc, row)]
-    return acc
+        if acc is None:
+            acc = [ops.mul(s, t) for t in row]
+        else:
+            acc = [ops.add(a, ops.mul(s, t)) for a, t in zip(acc, row)]
+    return [ops.zero] * n if acc is None else acc
 
 
 def mul_by_constants(D, table, x, y):
@@ -661,11 +666,13 @@ def compute_nuclei(D):
     or third slot; the commuting system reads [e_i, e_j] off the tensor.
     Rows come key by key in a fixed order, since over Q_p the pivot choice
     of rref depends on it; the kernels themselves are canonical in the row
-    space.
+    space.  Over Q the tensor is scaled to ints by one common denominator
+    first, so the contraction and the system rows are int work; scaling a
+    system does not change its kernel.
     """
     dim = D.dim
     ops = D.coeff.base_ops()
-    P = structure_constants(D)
+    P = _integer_tensor(structure_constants(D), ops)
     idx = range(dim)
     # Pt[k][m] is the coordinate row of e_m e_k, for right-factor contractions.
     Pt = [[P[m][k] for m in idx] for k in idx]

@@ -1,14 +1,25 @@
 """Exact dense linear algebra over a pluggable scalar field.
 
-Everything here is plain Gaussian elimination on lists of lists.  The
-scalar type is abstracted behind a small ops object so the same solver
+The scalar type is abstracted behind a small ops object so the same solver
 serves GF(p) (ints mod p), the rationals (fractions.Fraction) and
 bounded-precision p-adic numbers.  Matrices are small throughout the
 package (nucleus systems top out at a few hundred rows and eight
-columns), so no attempt is made to be clever.
+columns).
+
+Over GF(p) and Q_p, rref is plain Gauss-Jordan elimination on lists of
+lists through the ops object; over Q_p the pivot choice is the ops'
+(lowest valuation), and it depends on the row order.  Over Q, rref is
+fraction-free: each row is cleared of denominators and divided by the gcd
+of its entries, rows are eliminated by cross-multiplication on ints (in
+the spirit of E. H. Bareiss, Math. Comp. 22 (1968) 565-578), and each
+pivot row is divided by its pivot only once, at the end.  The reduced
+row echelon form of a row space is unique, so both routes give the same
+rows and pivots; only the Q route avoids normalising a Fraction per
+scalar operation.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FpOps:
@@ -56,6 +67,9 @@ class QOps:
     new value.  Whenever a Fraction is involved the early result is
     equal to, and of the same type as, what plain arithmetic gives; pure
     int operands take the plain path.
+
+    rref does not go through these methods: given a QOps it eliminates on
+    integer rows (see the module docstring) and writes Fractions back.
     """
 
     zero = Fraction(0)
@@ -99,7 +113,17 @@ class QOps:
 
 
 def rref(rows, ops):
-    """Reduced row echelon form in place; returns the pivot column list."""
+    """Reduced row echelon form in place; returns the pivot column list.
+
+    The pivot rows come first, in pivot order, followed by zero rows.
+    """
+    if isinstance(ops, QOps):
+        return _rref_integer(rows)
+    return _rref_loop(rows, ops)
+
+
+def _rref_loop(rows, ops):
+    """Gauss-Jordan elimination through the scalar ops."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -125,6 +149,74 @@ def rref(rows, ops):
         if r == len(rows):
             break
     return pivots
+
+
+def _primitive(row):
+    """The integer multiple of a row of ints and Fractions whose entries
+    are coprime; None for a zero row."""
+    den = lcm(*(x.denominator for x in row))
+    if den == 1:
+        row = [x.numerator for x in row]
+    else:
+        row = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*row)
+    if not g:
+        return None
+    return row if g == 1 else [x // g for x in row]
+
+
+def _clear(v, prow, col):
+    """Row v with column col cleared by cross-multiplication with the
+    pivot row prow, made primitive again."""
+    f = v[col]
+    if not f:
+        return v
+    pv = prow[col]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    v = [a * x - b * y for x, y in zip(v, prow)]
+    g = gcd(*v)
+    return v if g < 2 else [x // g for x in v]   # g is 0 when v vanished
+
+
+def _rref_integer(rows):
+    """rref over Q on primitive integer rows: every other row is cleared
+    of each pivot column, rows that vanish are dropped, and each pivot row
+    is divided by its pivot once at the end."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    live = [v for v in map(_primitive, rows) if v is not None]
+    pivots, done = [], []
+    for col in range(ncols):
+        if not live:
+            break
+        cands = [v for v in live if v[col]]
+        if not cands:
+            continue
+        # the smallest pivot keeps the cross-multiplied entries small
+        prow = min(cands, key=lambda v: abs(v[col]))
+        done = [_clear(v, prow, col) for v in done]
+        live = [w for w in (_clear(v, prow, col) for v in live if v is not prow)
+                if any(w)]
+        pivots.append(col)
+        done.append(prow)
+    zero, one = QOps.zero, QOps.one
+    reduced = [[(one if x == v[c] else Fraction(x, v[c])) if x else zero
+                for x in v] for c, v in zip(pivots, done)]
+    rows[:] = reduced + [[zero] * ncols for _ in range(len(rows) - len(reduced))]
+    return pivots
+
+
+def _integer_tensor(tensor, ops):
+    """A 3-index tensor of ints and Fractions times one common multiple of
+    its denominators, as ints, when ops is a QOps; otherwise the tensor
+    itself.  Kernels of linear systems read off it are unchanged."""
+    if not isinstance(ops, QOps):
+        return tensor
+    den = lcm(*(x.denominator for m in tensor for row in m for x in row))
+    return [[[x.numerator * (den // x.denominator) for x in row] for row in m]
+            for m in tensor]
 
 
 def rank(rows, ops):

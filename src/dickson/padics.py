@@ -223,7 +223,10 @@ class PadicNumber:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not PadicNumber or other.ctx is not self.ctx:
@@ -473,7 +476,10 @@ class PadicExtElement:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not PadicExtElement or other.ext is not self.ext:

@@ -15,7 +15,7 @@ finite set of places where either argument is a non-unit.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .reports import DIVISION, NOT_DIVISION, DivisionVerdict, certify
 
@@ -188,8 +188,19 @@ class QuadField:
         return "Q(sqrt(%d))" % self.a
 
 
+def _integer_coords(z):
+    """(x, y, d): the coordinates of z as x/d and y/d on ints."""
+    x, dx = z.x.as_integer_ratio()
+    y, dy = z.y.as_integer_ratio()
+    if dx == dy:
+        return x, y, dx
+    d = lcm(dx, dy)
+    return x * (d // dx), y * (d // dy), d
+
+
 class QuadElement:
-    """x + y sqrt(a) with rational x, y."""
+    """x + y sqrt(a) with rational x, y; products are taken on integer
+    coordinates over one denominator per factor."""
 
     __slots__ = ("field", "x", "y")
 
@@ -222,7 +233,10 @@ class QuadElement:
         return self.field.element(self.x - other.x, self.y - other.y)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return self.field.element(-self.x, -self.y)
@@ -231,9 +245,12 @@ class QuadElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a = self.field.a
-        return self.field.element(self.x * other.x + a * self.y * other.y,
-                                  self.x * other.y + self.y * other.x)
+        x1, y1, d1 = _integer_coords(self)
+        x2, y2, d2 = _integer_coords(other)
+        d = d1 * d2
+        return QuadElement(self.field,
+                           Fraction(x1 * x2 + self.field.a * y1 * y2, d),
+                           Fraction(x1 * y2 + y1 * x2, d))
 
     __rmul__ = __mul__
 
@@ -266,6 +283,9 @@ class QuadElement:
                 and other.x == self.x and other.y == self.y)
 
     def __hash__(self):
+        # a rational element equals that rational, so it hashes as one
+        if self.y == 0:
+            return hash(self.x)
         return hash((self.field.a, self.x, self.y))
 
     def __repr__(self):

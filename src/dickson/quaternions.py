@@ -6,6 +6,12 @@ always split; it is still constructible here so that division analyses
 of its doubling can be watched failing, with inversion signaling the
 norm-zero elements.
 
+One integer formula multiplies over both bases.  Over Q the coordinates
+of each factor and a, b are written as integers over common
+denominators, the 16 coordinate products are taken on ints and each
+coordinate of the product becomes a Fraction once; over GF(p) every
+denominator is 1 and the coordinates are reduced mod p instead.
+
 Inner automorphisms x -> m^-1 x m are the only automorphism witnesses
 this package handles on quaternions (Skolem-Noether says that is no
 restriction over a field).  Witnesses that differ by a central factor
@@ -13,6 +19,7 @@ give the same map, so comparisons go through a scaled canonical form.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import FpOps, QOps, kernel_basis
 from .quadratic import rational_is_square, rational_sqrt
@@ -40,6 +47,10 @@ class QuaternionAlgebra:
             if self.a == 0 or self.b == 0:
                 raise ValueError("a and b must be nonzero mod p")
             self.ops = FpOps(p)
+        # a = na/da and b = nb/db, premultiplied as the product needs them
+        na, da = self.a.as_integer_ratio()
+        nb, db = self.b.as_integer_ratio()
+        self._ab = (na, da, nb, db, da * db, na * db, nb * da, na * nb)
 
     def scalar(self, v):
         if self.p is None:
@@ -109,6 +120,22 @@ class QuaternionAlgebra:
         return "(%s, %s | %s)" % (self.a, self.b, base)
 
 
+def _ratio(n, d):
+    return Fraction(n, d) if n else QOps.zero
+
+
+def _integer_coords(q):
+    """(x, y, z, w, d): the coordinates of q as x/d, ..., w/d on ints."""
+    x, dx = q.x.as_integer_ratio()
+    y, dy = q.y.as_integer_ratio()
+    z, dz = q.z.as_integer_ratio()
+    w, dw = q.w.as_integer_ratio()
+    if dx == dy == dz == dw:
+        return x, y, z, w, dx
+    d = lcm(dx, dy, dz, dw)
+    return x * (d // dx), y * (d // dy), z * (d // dz), w * (d // dw), d
+
+
 class Quaternion:
     __slots__ = ("alg", "x", "y", "z", "w")
 
@@ -150,30 +177,30 @@ class Quaternion:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        o = self.alg.ops
-        a, b = self.alg.a, self.alg.b
-        x1, y1, z1, w1 = self.coords()
-        x2, y2, z2, w2 = other.coords()
-
-        def m(u, v):
-            return o.mul(u, v)
-
-        ab = m(a, b)
-        x = o.sub(o.add(m(x1, x2), o.add(m(a, m(y1, y2)), m(b, m(z1, z2)))),
-                  m(ab, m(w1, w2)))
-        y = o.add(o.add(m(x1, y2), m(y1, x2)),
-                  o.sub(m(b, m(w1, z2)), m(b, m(z1, w2))))
-        z = o.add(o.add(m(x1, z2), m(z1, x2)),
-                  o.sub(m(a, m(y1, w2)), m(a, m(w1, y2))))
-        w = o.add(o.add(m(x1, w2), m(w1, x2)),
-                  o.sub(m(y1, z2), m(z1, y2)))
-        return Quaternion(self.alg, x, y, z, w)
+        alg = self.alg
+        na, da, nb, db, dadb, nadb, nbda, nanb = alg._ab
+        x1, y1, z1, w1, d1 = _integer_coords(self)
+        x2, y2, z2, w2, d2 = _integer_coords(other)
+        # the coordinates of the product times d1*d2 and da*db, db, da, 1
+        x = x1 * x2 * dadb + nadb * y1 * y2 + nbda * z1 * z2 - nanb * w1 * w2
+        y = (x1 * y2 + y1 * x2) * db + nb * (w1 * z2 - z1 * w2)
+        z = (x1 * z2 + z1 * x2) * da + na * (y1 * w2 - w1 * y2)
+        w = x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2
+        p = alg.p
+        if p is not None:
+            return Quaternion(alg, x % p, y % p, z % p, w % p)
+        d = d1 * d2
+        return Quaternion(alg, _ratio(x, d * dadb), _ratio(y, d * db),
+                          _ratio(z, d * da), _ratio(w, d))
 
     __rmul__ = __mul__
 
@@ -220,6 +247,9 @@ class Quaternion:
         return all(o.eq(s, t) for s, t in zip(self.coords(), other.coords()))
 
     def __hash__(self):
+        # a central quaternion equals its scalar, so it hashes as one
+        if self.is_central():
+            return hash(self.x)
         return hash((self.alg.a, self.alg.b, self.alg.p, tuple(self.coords())))
 
     def __repr__(self):

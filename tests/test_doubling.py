@@ -389,6 +389,8 @@ def _nuclei_from_products(D):
     {"coeff": "quat(-1,-1)", "sigma": "conjugation:1,1,0,0",
      "c": "1,2,-1,3", "variant": "right"},
     {"coeff": "qp(5;sqrt_u;16)", "sigma": "conjugate", "c": "2,3"},
+    {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
+     "c": "1/2,2,-1/3,3/4", "variant": "middle"},
 ])
 def test_nuclei_match_systems_built_from_products(doc):
     D = algebra_from_document(doc)
