@@ -15,7 +15,9 @@ the spirit of E. H. Bareiss, Math. Comp. 22 (1968) 565-578), and each
 pivot row is divided by its pivot only once, at the end.  The reduced
 row echelon form of a row space is unique, so both routes give the same
 rows and pivots; only the Q route avoids normalising a Fraction per
-scalar operation.
+scalar operation.  A caller that builds Q systems from a tensor clears
+its denominators once with _integer_tensor; scaling a system does not
+change its kernel.
 """
 
 from fractions import Fraction
