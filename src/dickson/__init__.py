@@ -14,8 +14,8 @@ from .analysis import (aut_bounds_check, census, division_decide,
                        oracle_automorphisms, subgroups, verify_automorphism,
                        verify_isomorphism, wene_inner_check)
 from .fields import FiniteField, FrobeniusAut, make_field
-from .quadratic import QuadField, cyclic_division_decision_quad
-from .padics import PadicContext, PadicQuadExt, padic_example_division_check
+from .quadratic import QuadField
+from .padics import PadicContext, PadicQuadExt
 from .quaternions import InnerAut, QuaternionAlgebra
 from .parsing import (DescriptionError, algebra_from_document, load_document,
                       parse_coefficient, parse_element, parse_sigma)
@@ -34,8 +34,8 @@ __all__ = [
     "oracle_automorphisms", "subgroups", "verify_automorphism",
     "verify_isomorphism", "wene_inner_check",
     "FiniteField", "FrobeniusAut", "make_field",
-    "QuadField", "cyclic_division_decision_quad",
-    "PadicContext", "PadicQuadExt", "padic_example_division_check",
+    "QuadField",
+    "PadicContext", "PadicQuadExt",
     "InnerAut", "QuaternionAlgebra",
     "DescriptionError", "algebra_from_document", "load_document",
     "parse_coefficient", "parse_element", "parse_sigma",

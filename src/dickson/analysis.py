@@ -16,20 +16,20 @@ the multiplication table alone, so the structured enumeration can be
 cross-checked against it.
 """
 
-import itertools
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from .doubling import (DicksonAlgebra, FieldCoefficients, _field_grid,
-                       annihilating, compute_nuclei, critical_constants,
-                       search_cap, square_root_pair, zero_divisor_search)
+from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
+                       _field_grid, _norm_zero_pair, compute_nuclei,
+                       critical_constants, search_cap, zero_divisor_search)
 from .fields import FrobeniusAut, make_field
 from .linalg import FpOps, kernel_basis, rank, solve
 from .padics import padic_is_square
-from .quadratic import (QuadField, cyclic_division_decision_quad,
-                        is_norm_from_quadfield, rational_is_square)
+from .quadratic import (QuadField, find_norm_preimage,
+                        is_norm_from_quadfield, rational_is_square,
+                        rational_sqrt)
 from .reports import (DIVISION, NOT_DIVISION, UNKNOWN, AutGroupReport,
                       CensusReport, DivisionVerdict, IsoVerdict,
                       SubgroupReport, WeneReport)
@@ -73,48 +73,6 @@ def _division_finite(D):
               "critical-value set and quadratic character agree" % D.size() ** 2)
 
 
-def _division_identity_sigma(D):
-    """sigma = id turns the doubling into B[X]/(X^2 - c) for commutative B:
-    division exactly when c is not a square."""
-    ok, root = D.coeff.is_square(D.c)
-    if ok:
-        pair = square_root_pair(D, root)
-        return DivisionVerdict(NOT_DIVISION, method="square-root-witness",
-                               witness=pair, witness_literal=_pair_literal(pair),
-                               notes="sigma is the identity and c is a square")
-    return DivisionVerdict(DIVISION, method="irreducible-quadratic",
-                           notes="sigma is the identity and c is not a square, "
-                                 "so the doubling is the field B(sqrt(c))")
-
-
-def _division_quad(D):
-    verdict = cyclic_division_decision_quad(D.c, variant=D.variant)
-    if verdict.witness is not None:
-        (u1, v1), (u2, v2) = verdict.witness
-        pair = annihilating(D, (D.element(u1, v1), D.element(u2, v2)))
-        verdict.witness = pair
-        verdict.witness_literal = _pair_literal(pair)
-    return verdict
-
-
-def _division_padic(D):
-    norm_c = D.c.norm()
-    if not padic_is_square(norm_c):
-        return DivisionVerdict(
-            DIVISION, method="norm-criterion",
-            notes="the norm of c down to Q_p is not a square, so c misses "
-                  "every critical value (those have square norm)")
-    ok, root = D.coeff.is_square(D.c)
-    if ok:
-        pair = square_root_pair(D, root)
-        return DivisionVerdict(NOT_DIVISION, method="square-root-witness",
-                               witness=pair, witness_literal=_pair_literal(pair))
-    return DivisionVerdict(
-        UNKNOWN, method="norm-criterion",
-        notes="the norm of c is a square but c itself is not; the sufficient "
-              "tests implemented here do not decide this case")
-
-
 def _quat_is_split(B):
     """Exact splitness of a rational quaternion algebra via the norm test
     for b against Q(sqrt(a))."""
@@ -124,79 +82,136 @@ def _quat_is_split(B):
     return is_norm_from_quadfield(b, QuadField(a))
 
 
-def _quat_zero_divisor(B, bound=12):
-    """Small search for a nonzero quaternion of norm zero."""
-    rng = range(-bound, bound + 1)
-    for x, y in itertools.product(range(0, bound + 1), rng):
-        for z, w in itertools.product(rng, rng):
-            if x == 0 and y == 0 and z == 0 and w == 0:
-                continue
-            q = B.element(Fraction(x), Fraction(y), Fraction(z), Fraction(w))
-            if q.norm() == 0:
-                return q
-    return None
+def _norm_preimage_pair(D, nu):
+    """Over Q(sqrt a) with c = nu * w, N(w) = 1 and nu a norm: the pair of
+    the critical triple (nu, y, t) with w = y / conj(y) (Hilbert 90) and
+    N(t) = nu, or None when the bounded preimage search misses."""
+    K = D.coeff.K
+    t = find_norm_preimage(K, nu)
+    if t is None:
+        return None
+    w = D.c * K.element(1 / nu, 0)
+    y = K.root() if w == K.element(-1, 0) else K.one() + w
+    return _critical_pair(D, K.element(nu, 0), y, t)
 
 
-def _division_quat(D):
-    A = D.coeff
-    B = A.B
-    if A.is_finite():
-        zd = B.find_zero_divisor()
-        z, w = zd
-        pair = annihilating(D, (D.element(z, A.zero()),
-                                D.element(w, A.zero())))
-        return DivisionVerdict(NOT_DIVISION, method="split-coefficients",
-                               witness=pair, witness_literal=_pair_literal(pair),
-                               notes="finite quaternion algebras always split")
-    if _quat_is_split(B):
-        q = _quat_zero_divisor(B)
-        if q is not None:
-            pair = annihilating(D, (D.element(q, A.zero()),
-                                    D.element(q.conjugate(), A.zero())))
-            return DivisionVerdict(NOT_DIVISION, method="split-coefficients",
-                                   witness=pair, witness_literal=_pair_literal(pair),
-                                   notes="the coefficient algebra splits "
-                                         "(Hilbert symbols all +1)")
-        return DivisionVerdict(NOT_DIVISION, method="split-coefficients",
-                               notes="the coefficient algebra splits (Hilbert "
-                                     "symbols), though no small norm-zero "
-                                     "element was found by the bounded search")
-    n_c = D.c.norm()
-    if not rational_is_square(Fraction(n_c)):
-        return DivisionVerdict(
-            DIVISION, method="norm-criterion",
-            notes="coefficients are a division algebra and the reduced norm "
-                  "of c is not a rational square, so c misses every critical "
-                  "value (those have square reduced norm)")
-    ok, m = A.is_square(D.c)
-    if ok:
-        pair = square_root_pair(D, m)
-        return DivisionVerdict(NOT_DIVISION, method="square-root-witness",
-                               witness=pair, witness_literal=_pair_literal(pair))
-    if ok is False:
-        return DivisionVerdict(
-            UNKNOWN, method="norm-criterion",
-            notes="the reduced norm of c is a square but c has no square "
-                  "root in the coefficients; not decided by the implemented "
-                  "criteria")
-    return DivisionVerdict(
-        UNKNOWN, method="norm-criterion",
-        notes="the reduced norm of c is a square and squareness of c itself "
-              "was not decided (central case without a certificate)")
+_ID_SQUARE = ("square-root-witness", "sigma is the identity and c is a square")
+_ID_FIELD = ("irreducible-quadratic", "sigma is the identity and c is not a "
+             "square, so the doubling is the field B(sqrt(c))")
+
+# The method and notes of each outcome of division_decide, per coefficient
+# kind; the notes are %-formatted with the facts the deciding step found.
+_DIVISION_ANSWERS = {
+    "quad": {
+        "id-square": _ID_SQUARE,
+        "id-nonsquare": _ID_FIELD,
+        "norm": ("norm-criterion", "N(c) = %(n)s is not a rational square"),
+        "no-norm": ("norm-criterion", "neither square root of N(c) = %(n)s "
+                    "is a norm from %(K)r"),
+        "not-division": ("norm-criterion",
+                         "N(c) = %(s)s^2 and %(nu)s is a norm"),
+    },
+    "padic": {
+        "id-square": _ID_SQUARE,
+        "id-nonsquare": _ID_FIELD,
+        "norm": ("norm-criterion", "the norm of c down to Q_p is not a "
+                 "square, so c misses every critical value (those have "
+                 "square norm)"),
+        "not-division": ("square-root-witness", ""),
+        "nonsquare": ("norm-criterion", "the norm of c is a square but c "
+                      "itself is not; the sufficient tests implemented here "
+                      "do not decide this case"),
+    },
+    "quat": {
+        "split-finite": ("split-coefficients",
+                         "finite quaternion algebras always split"),
+        "split": ("split-coefficients", "the coefficient algebra splits "
+                  "(Hilbert symbols all +1)"),
+        "split-unfound": ("split-coefficients", "the coefficient algebra "
+                          "splits (Hilbert symbols), though no small "
+                          "norm-zero element was found by the bounded "
+                          "search"),
+        "id-square": _ID_SQUARE,
+        "id-nonsquare": ("square-criterion", "sigma is the identity, so the "
+                         "critical values are the squares of the division "
+                         "algebra B, and c is not a square"),
+        "id-undecided": ("square-criterion", "sigma is the identity and "
+                         "squareness of c itself was not decided (central "
+                         "case without a certificate)"),
+        "norm": ("norm-criterion", "coefficients are a division algebra and "
+                 "the reduced norm of c is not a rational square, so c "
+                 "misses every critical value (those have square reduced "
+                 "norm)"),
+        "not-division": ("square-root-witness", ""),
+        "nonsquare": ("norm-criterion", "the reduced norm of c is a square "
+                      "but c has no square root in the coefficients; not "
+                      "decided by the implemented criteria"),
+        "undecided": ("norm-criterion", "the reduced norm of c is a square "
+                      "and squareness of c itself was not decided (central "
+                      "case without a certificate)"),
+    },
+}
 
 
 def division_decide(D):
-    """Three-valued division verdict with method and witness."""
+    """Three-valued division verdict with method and witness.
+
+    GF(p^n) coefficients are scanned exhaustively.  Every other kind runs
+    the division theorem's criteria in one ordered pass; from step 2 on the
+    coefficients are a division algebra, so D has zero divisors exactly
+    when c is a critical value c(r, s, t):
+      1. split quaternion coefficients give a norm-zero pair;
+      2. sigma = id: the critical values are the squares of B;
+      3. every critical value has a square norm;
+      4. over Q(sqrt a), N(c) = s^2 with neither s nor -s a norm proves
+         division (the converse holds there too);
+      5. a witness is the theorem pair of a critical triple, (sqrt c, 1, 1)
+         or over Q(sqrt a) the triple from a norm preimage;
+      6. anything else is unknown.
+    """
     A = D.coeff
     if A.kind == "field":
         return _division_finite(D)
+    answers = _DIVISION_ANSWERS[A.kind]
+
+    def answer(status, outcome, pair=None, **facts):
+        method, notes = answers[outcome]
+        return DivisionVerdict(
+            status, method=method, notes=notes % facts, witness=pair,
+            witness_literal=None if pair is None else _pair_literal(pair))
+
+    if A.kind == "quat" and (A.is_finite() or _quat_is_split(A.B)):
+        pair = _norm_zero_pair(D)
+        outcome = ("split-finite" if A.is_finite()
+                   else "split-unfound" if pair is None else "split")
+        return answer(NOT_DIVISION, outcome, pair)
     if D.sigma_is_id:
-        return _division_identity_sigma(D)
+        ok, root = A.is_square(D.c)
+        if ok:
+            return answer(NOT_DIVISION, "id-square",
+                          _critical_pair(D, root, A.one(), A.one()))
+        if ok is None:
+            return answer(UNKNOWN, "id-undecided")
+        return answer(DIVISION, "id-nonsquare")
+    n = D.c.norm()
+    if not (padic_is_square(n) if A.kind == "padic"
+            else rational_is_square(n)):
+        return answer(DIVISION, "norm", n=n)
+    facts = {}
     if A.kind == "quad":
-        return _division_quad(D)
-    if A.kind == "padic":
-        return _division_padic(D)
-    return _division_quat(D)
+        s = rational_sqrt(n)
+        hits = [nu for nu in (s, -s) if is_norm_from_quadfield(nu, A.K)]
+        if not hits:
+            return answer(DIVISION, "no-norm", n=n, K=A.K)
+        facts = {"s": s, "nu": hits[0]}
+    ok, root = A.is_square(D.c)
+    if ok:
+        return answer(NOT_DIVISION, "not-division",
+                      _critical_pair(D, root, A.one(), A.one()), **facts)
+    if A.kind == "quad":
+        return answer(NOT_DIVISION, "not-division",
+                      _norm_preimage_pair(D, hits[0]), **facts)
+    return answer(UNKNOWN, "nonsquare" if ok is False else "undecided")
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +449,9 @@ def group_structure(D, report):
                        structure_detail=base_detail + "; order is not twice "
                        "the number of tau values", labeling=dict(base_label))
 
-    def tau_order(t):
-        k, cur = 1, t
-        while not A.auto_is_identity(cur):
-            cur = A.auto_compose(t, cur)
-            k += 1
-        return k
-
     gen = None
     for t in taus:
-        if tau_order(t) == m:
+        if A.auto_order(t) == m:
             gen = t
             break
     if gen is None:

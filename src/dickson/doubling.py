@@ -745,24 +745,37 @@ def annihilating(D, pair):
     return pair
 
 
-def square_root_pair(D, root):
-    """(root, 1) and (-root, 1), which annihilate when root^2 = c."""
+def _norm_zero_pair(D):
+    """(z, 0), (conj z, 0) for a nonzero quaternion coefficient z of norm
+    zero, checked to annihilate; None when the bounded search over Q finds
+    no such z."""
     A = D.coeff
-    return annihilating(D, (D.element(root, A.one()),
-                            D.element(-root, A.one())))
+    found = A.B.find_zero_divisor()
+    if found is None:
+        return None
+    z, w = found
+    return annihilating(D, (D.element(z, A.zero()), D.element(w, A.zero())))
 
 
-def zero_divisor_search(D, budget=None, rng=None):
+def _critical_pair(D, r, s, t):
+    """The theorem pair of the triple (r, s, t) in D itself, once c is
+    certified to be its critical value."""
+    certify(critical_value(D, r, s, t) == D.c,
+            "c is the critical value of the triple")
+    pair, _ = theorem_zero_divisor_witness(D, r, s, t)
+    return pair
+
+
+def zero_divisor_search(D):
     """Look for nonzero x, y with x*y = 0.
 
     Finite field coefficients: exhaustive over all ordered pairs (refusing
     above the pair cap), deterministic, returning the lexicographically
-    first witness or the proof that none exists; budget is ignored.  Finite
-    quaternion coefficients split, so a norm-zero pair of the coefficient
-    algebra is the witness.  Infinite coefficients: the constructive
-    square-root witness is attempted, then up to `budget` random pairs
-    drawn from `rng`; absence of a witness is reported as inconclusive,
-    never as a proof.
+    first witness or the proof that none exists.  Finite quaternion
+    coefficients split, so a norm-zero pair of the coefficient algebra is
+    the witness.  Infinite coefficients: when c has a square root r, the
+    theorem pair of the critical triple (r, 1, 1); otherwise the search is
+    inconclusive, never a proof.
 
     Returns (status, pair) with status one of "witness", "none",
     "inconclusive".
@@ -785,18 +798,10 @@ def zero_divisor_search(D, budget=None, rng=None):
         return "witness", annihilating(D, pair)
     if A.is_finite():
         # a quaternion algebra over GF(p) splits: its norm form is isotropic
-        z, w = A.B.find_zero_divisor()
-        pair = (D.element(z, A.zero()), D.element(w, A.zero()))
-        return "witness", annihilating(D, pair)
+        return "witness", _norm_zero_pair(D)
     ok, root = A.is_square(D.c)
     if ok:
-        return "witness", square_root_pair(D, root)
-    if budget and rng is not None:
-        for _ in range(budget):
-            x = D.random_element(rng)
-            y = D.random_element(rng)
-            if not x.is_zero() and not y.is_zero() and D.mul(x, y).is_zero():
-                return "witness", (x, y)
+        return "witness", _critical_pair(D, root, A.one(), A.one())
     return "inconclusive", None
 
 

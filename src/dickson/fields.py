@@ -20,6 +20,8 @@ import itertools
 from functools import lru_cache
 from math import gcd
 
+from .linalg import FpOps, kernel_basis
+
 
 class FieldError(ValueError):
     pass
@@ -124,26 +126,6 @@ def _is_irreducible(m, p):
     return power == _pmod(x, m, p)
 
 
-class PrimeField:
-    """The prime field GF(p); mostly a validated tag plus int arithmetic."""
-
-    def __init__(self, p):
-        if not isinstance(p, int) or not 2 <= p < 2**31:
-            raise FieldError("characteristic must be an int in [2, 2^31)")
-        if not is_prime(p):
-            raise FieldError("%d is not prime" % p)
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return "PrimeField(%d)" % self.p
-
-
 class FieldElement:
     """An element of a FiniteField, a tuple of n coefficients (ascending)."""
 
@@ -242,10 +224,12 @@ class FiniteField:
     """GF(p^n) = GF(p)[X] / (modulus)."""
 
     def __init__(self, p, n, modulus=None):
-        base = PrimeField(p)
+        if not isinstance(p, int) or not 2 <= p < 2**31:
+            raise FieldError("characteristic must be an int in [2, 2^31)")
+        if not is_prime(p):
+            raise FieldError("%d is not prime" % p)
         if not isinstance(n, int) or n < 1:
             raise FieldError("degree must be a positive int")
-        self.base = base
         self.p = p
         self.n = n
         self.order = p ** n
@@ -421,8 +405,6 @@ class FrobeniusAut:
         GF(p)-basis of the fixed subspace inside the parent; the kernel of
         (tau - id) is computed by exact linear algebra over GF(p).
         """
-        from .linalg import FpOps, kernel_basis
-
         K = self.field
         g = gcd(self.k, K.n)
         sub = FiniteField(K.p, g)

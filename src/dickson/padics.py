@@ -21,7 +21,6 @@ square theory is different there.
 from fractions import Fraction
 
 from .fields import FiniteField, is_prime
-from .reports import DIVISION, UNKNOWN, DivisionVerdict
 
 
 DEFAULT_PRECISION = 32
@@ -599,31 +598,6 @@ def ext_sqrt(z):
         raise RuntimeError("extension root does not square back; "
                            "this is a bug, not a property of the input")
     return root
-
-
-def padic_example_division_check(p, ext, y):
-    """For p = 1 mod 4, the doubling of Q_p(alpha) by c = y*alpha is a
-    division algebra: N(c) = -y^2 alpha^2 has odd interaction with the
-    non-square alpha^2 while -1 and y^2 are squares.  This computes the
-    norm and applies the norm criterion rather than trusting the argument.
-    """
-    if not isinstance(ext, PadicQuadExt) or ext.ctx.p != p:
-        raise ValueError("the extension is not over Q_%d" % p)
-    if ext.ctx.p % 4 != 1:
-        raise ValueError("this check is stated for p = 1 mod 4")
-    if not isinstance(y, PadicNumber):
-        y = ext.ctx.from_fraction(Fraction(y))
-    if y.is_zero():
-        raise ValueError("y must be nonzero")
-    c = ext.element(ext.ctx.zero(), y)
-    n = c.norm()
-    if not padic_is_square(n):
-        return DivisionVerdict(
-            DIVISION, method="norm-criterion",
-            notes="N(y*alpha) has square class %s in Q_%d"
-                  % (square_class(n), ext.ctx.p))
-    return DivisionVerdict(UNKNOWN, method="norm-criterion",
-                           notes="norm criterion did not apply")
 
 
 class PadicOps:

@@ -29,7 +29,8 @@ from fractions import Fraction
 from .doubling import (DicksonAlgebra, FieldCoefficients, PadicCoefficients,
                        QuadCoefficients, QuatCoefficients)
 from .fields import FieldError, FrobeniusAut, make_field
-from .padics import DEFAULT_PRECISION, PadicContext, PadicQuadExt
+from .padics import (DEFAULT_PRECISION, PadicContext, PadicNumber,
+                     PadicQuadExt)
 from .quadratic import QuadField
 from .quaternions import InnerAut, QuaternionAlgebra
 
@@ -174,8 +175,8 @@ def parse_element(coeff, text):
         for part in parts:
             if ":" in part:
                 v, _, u = part.partition(":")
-                comps.append(PadicNumberFromParts(ctx, _int(v, "valuation"),
-                                                  _int(u, "unit part")))
+                comps.append(_padic_from_parts(ctx, _int(v, "valuation"),
+                                               _int(u, "unit part")))
             else:
                 comps.append(ctx.from_fraction(_rational(part)))
         while len(comps) < 2:
@@ -189,8 +190,7 @@ def parse_element(coeff, text):
     return coeff.B.element(*[_rational(x) for x in parts])
 
 
-def PadicNumberFromParts(ctx, val, unit):
-    from .padics import PadicNumber
+def _padic_from_parts(ctx, val, unit):
     try:
         return PadicNumber(ctx, val, unit, ctx.N)
     except ValueError as exc:

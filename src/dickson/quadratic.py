@@ -7,17 +7,17 @@ positive denominator, always reduced, which is exactly the contract this
 package needs.  Radicands are normalized to squarefree integers, so
 Q(sqrt(8/9)) and Q(sqrt(2)) construct the same field.
 
-The division decision for a doubled quadratic field lives here as
-cyclic_division_decision_quad: the doubling of K = Q(sqrt(a)) by c fails to be
-division exactly when N(c) = s^2 for a rational s such that s or -s is a
-norm from K.  Norm membership is decided by Hilbert symbols over the
-finite set of places where either argument is a non-unit.
+The division criterion for a doubled quadratic field uses these: the
+doubling of K = Q(sqrt(a)) by c fails to be division exactly when
+N(c) = s^2 for a rational s such that s or -s is a norm from K.  Norm
+membership is decided by Hilbert symbols over the finite set of places
+where either argument is a non-unit.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .reports import DIVISION, NOT_DIVISION, DivisionVerdict, certify
+from .reports import certify
 
 
 def _as_fraction(x):
@@ -376,62 +376,3 @@ def find_norm_preimage(field, s, bound=60):
                 if t.norm() == s:
                     return t
     return None
-
-
-def cyclic_division_decision_quad(c, variant="commutative"):
-    """Decide whether doubling Q(sqrt(a)) by c gives a division algebra.
-
-    Division holds iff there is no rational s with N(c) = s^2 and s or -s
-    a norm from the field.  When the answer is negative the verdict tries
-    to carry an explicit zero-divisor pair: immediately when c is a square
-    in the field (pair (r,1), (-r,1) for r = sqrt(c)), else through a
-    bounded search for a norm preimage feeding the critical identity
-    c = r^2 * w * N(t)^-1 with w = c/nu of norm 1.
-    """
-    K = c.field
-    if c.is_zero():
-        raise ValueError("c must be nonzero")
-    n = c.norm()
-    s = rational_sqrt(n)
-    if s is None:
-        return DivisionVerdict(
-            DIVISION, method="norm-criterion",
-            notes="N(c) = %s is not a rational square" % n)
-    hits = [sgn * s for sgn in (1, -1)
-            if s != 0 and is_norm_from_quadfield(sgn * s, K)]
-    if not hits:
-        return DivisionVerdict(
-            DIVISION, method="norm-criterion",
-            notes="neither square root of N(c) = %s is a norm from %r" % (n, K))
-    witness = witness_literal = None
-    ok, r = quad_is_square(c)
-    if ok:
-        pair = ((r, K.one()), (-r, K.one()))
-    else:
-        pair = None
-        nu = hits[0]
-        t = find_norm_preimage(K, nu)
-        if t is not None:
-            w = c * K.element(Fraction(1, 1) / nu, 0)
-            if w == K.element(-1, 0):
-                y_el = K.root()
-            else:
-                y_el = K.one() + w
-            r_el = K.element(nu, 0)
-            # critical triple (r, y, t): c = r^2 * (y/conj(y)) * N(t)^-1
-            pair = ((r_el, t), (-(r_el * y_el) * t.inv(), y_el))
-    if pair is not None:
-        (u1, v1), (u2, v2) = pair
-        first = u1 * u2 + c * (v1 * v2).conjugate()
-        second = u1 * v2 + v1 * u2
-        certify(first.is_zero() and second.is_zero(),
-                "the witness pair annihilates")
-        witness, witness_literal = pair, _render_pair(pair)
-    return DivisionVerdict(
-        NOT_DIVISION, method="norm-criterion",
-        witness=witness, witness_literal=witness_literal,
-        notes="N(c) = %s^2 and %s is a norm" % (s, hits[0]))
-
-
-def _render_pair(pair):
-    return [[u.literal(), v.literal()] for (u, v) in pair]

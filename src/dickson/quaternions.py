@@ -18,9 +18,11 @@ restriction over a field).  Witnesses that differ by a central factor
 give the same map, so comparisons go through a scaled canonical form.
 """
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
+from .fields import is_prime
 from .linalg import FpOps, QOps, kernel_basis
 from .quadratic import rational_is_square, rational_sqrt
 from .reports import certify
@@ -39,7 +41,6 @@ class QuaternionAlgebra:
                 raise ValueError("a and b must be nonzero")
             self.ops = QOps()
         else:
-            from .fields import is_prime
             if not is_prime(p) or p == 2:
                 raise ValueError("base must be Q or GF(p) for an odd prime p")
             self.a = a % p
@@ -83,16 +84,22 @@ class QuaternionAlgebra:
         """All p^4 elements (finite base only), lexicographic coordinates."""
         if self.p is None:
             raise ValueError("Q-quaternions are not enumerable")
-        import itertools
         for x, y, z, w in itertools.product(range(self.p), repeat=4):
             yield self.element(x, y, z, w)
 
     def find_zero_divisor(self):
-        """Over GF(p): a pair (z, conj z) with z * conj z = 0; None over Q."""
+        """A pair (z, conj z) with z * conj z = 0 for a nonzero z of norm
+        zero: the first one in enumeration order over GF(p), the first one
+        with integer coordinates in [-12, 12] (x >= 0) over Q, or None when
+        that bounded search finds none."""
         if self.p is None:
-            return None
-        for z in self.elements():
-            if not z.is_zero() and z.norm() == self.ops.zero:
+            span = range(-12, 13)
+            candidates = (self.element(*v) for v in
+                          itertools.product(range(13), span, span, span))
+        else:
+            candidates = self.elements()
+        for z in candidates:
+            if not z.is_zero() and self.ops.is_zero(z.norm()):
                 return z, z.conjugate()
         return None
 

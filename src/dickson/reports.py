@@ -9,7 +9,7 @@ Records keep native algebra elements where useful for re-verification,
 plus pre-rendered literals so they serialize deterministically.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 
 DIVISION = "proved-division"
@@ -122,7 +122,7 @@ class IsoVerdict:
     witness: dict | None = None
 
     def to_dict(self):
-        return {"status": self.status, "reason": self.reason, "witness": self.witness}
+        return asdict(self)
 
 
 @dataclass
@@ -135,14 +135,7 @@ class WeneReport:
     images: list                # literals of the grouped map on a basis
 
     def to_dict(self):
-        return {
-            "left_inverse": self.left_inverse,
-            "grouped_map_is_sigma_pair": self.grouped_map_is_sigma_pair,
-            "sigma_fixes_c": self.sigma_fixes_c,
-            "consistent": self.consistent,
-            "in_automorphism_group": self.in_automorphism_group,
-            "images": self.images,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -155,11 +148,4 @@ class CensusReport:
     classes_including_id: int = 0
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "n": self.n,
-            "entries": self.entries,
-            "classes": self.classes,
-            "classes_excluding_id": self.classes_excluding_id,
-            "classes_including_id": self.classes_including_id,
-        }
+        return asdict(self)

@@ -150,6 +150,55 @@ def test_division_split_quaternions_give_witness():
     assert D.mul(x, y).is_zero()
 
 
+def test_identity_sigma_over_finite_quaternions_is_split():
+    # c = 1 is a square; the split check runs before the sigma = id one
+    for p in (3, 5, 7):
+        for a in range(1, p):
+            for b in range(1, p):
+                B = QuaternionAlgebra(a, b, p=p)
+                for variant in ("left", "middle", "right"):
+                    D = DicksonAlgebra(B, "id", B.one(), variant,
+                                       allow_identity=True)
+                    v = division_decide(D)
+                    assert v.status == "proved-not-division"
+                    assert v.method == "split-coefficients"
+                    x, y = v.witness
+                    assert not x.is_zero() and not y.is_zero()
+                    assert D.mul(x, y).is_zero()
+
+
+def test_identity_sigma_over_split_rational_quaternions():
+    B = QuaternionAlgebra(1, 1)
+    for variant in ("left", "middle", "right"):
+        D = DicksonAlgebra(B, "id", B.element(2, 0, 0, 0), variant,
+                           allow_identity=True)
+        v = division_decide(D)
+        assert v.status == "proved-not-division"
+        x, y = v.witness
+        assert D.mul(x, y).is_zero()
+
+
+def test_identity_sigma_central_square_is_never_division():
+    # -2 = (i + j)^2 in (-1,-1 | Q), a square the central test cannot see
+    B = QuaternionAlgebra(-1, -1)
+    m = B.element(0, 1, 1, 0)
+    assert m * m == B.element(-2, 0, 0, 0)
+    for variant in ("left", "middle", "right"):
+        D = DicksonAlgebra(B, "id", B.element(-2, 0, 0, 0), variant,
+                           allow_identity=True)
+        assert division_decide(D).status != "proved-division"
+
+
+def test_identity_sigma_nonsquare_over_division_quaternions():
+    # N(i) = -2 is not a rational square, so i is no square in (2,3 | Q)
+    B = QuaternionAlgebra(2, 3)
+    for variant in ("left", "middle", "right"):
+        D = DicksonAlgebra(B, "id", B.i(), variant, allow_identity=True)
+        v = division_decide(D)
+        assert v.status == "proved-division"
+        assert "field" not in v.notes
+
+
 # Witness and root checks must hold under ``python -O`` too: plant a wrong
 # square root at each check and expect RuntimeError, not a wrong answer.
 _WRONG_WITNESS_SCRIPT = textwrap.dedent("""
@@ -179,11 +228,10 @@ _WRONG_WITNESS_SCRIPT = textwrap.dedent("""
         B.element(2, 0, 0, 0)))
     quadratic.rational_sqrt = quaternions.rational_sqrt = real
 
-    square = lambda self, x: (True, x.field.one())
-    quadratic.quad_is_square = lambda z: square(None, z)
+    doubling.QuadCoefficients.is_square = lambda self, x: (True,
+                                                           x.field.one())
     attempt("quad-pair", lambda: division_decide(algebra_from_document(
         {"coeff": "quad(2)", "sigma": "conjugate", "c": "11,6"})))
-    doubling.QuadCoefficients.is_square = square
     attempt("root-pair", lambda: division_decide(algebra_from_document(
         {"coeff": "quad(2)", "sigma": "id", "c": "2,0",
          "allow_identity": True})))

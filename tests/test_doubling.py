@@ -229,10 +229,10 @@ def test_search_infinite_square_c_constructive():
     assert D.mul(pair[0], pair[1]).is_zero()
 
 
-def test_search_infinite_inconclusive_budget():
+def test_search_infinite_inconclusive_without_square_root():
     Q = QuadField(2)
     D = DicksonAlgebra(Q, "conjugate", Q.root())
-    status, pair = zero_divisor_search(D, budget=50, rng=random.Random(2))
+    status, pair = zero_divisor_search(D)
     assert status == "inconclusive" and pair is None
 
 

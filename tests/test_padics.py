@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 import dickson
+from dickson.analysis import division_decide
+from dickson.doubling import DicksonAlgebra
 from dickson.padics import (PadicContext, PadicNumber, PadicQuadExt,
                             PrecisionError, ext_is_square, ext_sqrt,
-                            padic_example_division_check, padic_is_square,
-                            padic_sqrt, square_class)
+                            padic_is_square, padic_sqrt, square_class)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +387,19 @@ def test_ext_alpha_is_not_a_square_in_ramified_extension():
 # the worked division example
 
 def test_division_example_sqrt5():
+    # for p = 1 mod 4, N(y*alpha) = -y^2 alpha^2 is not a square in Q_p:
+    # -1 and y^2 are squares and alpha^2 is not
     ctx = PadicContext(5)
-    K = PadicQuadExt(ctx, "sqrt_p")
-    verdict = padic_example_division_check(5, K, ctx.one())
-    assert verdict.status == "proved-division"
-    with pytest.raises(ValueError):
-        padic_example_division_check(7, K, ctx.one())
+    for kind in ("sqrt_p", "sqrt_u", "sqrt_up"):
+        K = PadicQuadExt(ctx, kind)
+        for y in (1, 2, Fraction(3, 5)):
+            c = K.element(ctx.zero(), ctx.from_fraction(y))
+            verdict = division_decide(DicksonAlgebra(K, "conjugate", c))
+            assert verdict.status == "proved-division"
 
 
 def test_division_example_rejects_zero_y():
     ctx = PadicContext(5)
     K = PadicQuadExt(ctx, "sqrt_p")
     with pytest.raises(ValueError):
-        padic_example_division_check(5, K, ctx.zero())
+        DicksonAlgebra(K, "conjugate", K.element(ctx.zero(), ctx.zero()))

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dickson.quadratic import (QuadField, cyclic_division_decision_quad,
-                               find_norm_preimage, hilbert_symbol,
+from dickson.analysis import division_decide
+from dickson.doubling import DicksonAlgebra
+from dickson.quadratic import (QuadField, find_norm_preimage, hilbert_symbol,
                                is_norm_from_quadfield, legendre,
                                prime_factors, quad_is_square,
                                rational_is_square, rational_sqrt,
@@ -151,16 +152,19 @@ def test_norm_preimage_random_roundtrip():
 # ---------------------------------------------------------------------------
 # the division decision for doubled quadratic fields
 
-def _assert_annihilates(c, pair):
-    (u, v), (x, y) = pair
-    first = u * x + c * (v * y).conjugate()
-    second = u * y + v * x
-    assert first.is_zero() and second.is_zero()
+def _decide(c):
+    D = DicksonAlgebra(c.field, "conjugate", c)
+    return D, division_decide(D)
+
+
+def _assert_annihilates(D, pair):
+    x, y = pair
+    assert D.mul(x, y).is_zero()
 
 
 def test_division_decision_sqrt2_is_division():
     K = QuadField(2)
-    verdict = cyclic_division_decision_quad(K.root())
+    _, verdict = _decide(K.root())
     assert verdict.status == "proved-division"
     assert verdict.witness is None
 
@@ -168,15 +172,15 @@ def test_division_decision_sqrt2_is_division():
 def test_division_decision_square_c_gives_zero_divisor():
     K = QuadField(2)
     c = K.element(2, 0)            # (sqrt2)^2
-    verdict = cyclic_division_decision_quad(c)
+    D, verdict = _decide(c)
     assert verdict.status == "proved-not-division"
-    _assert_annihilates(c, verdict.witness)
+    _assert_annihilates(D, verdict.witness)
 
 
 def test_division_decision_irrational_norm_is_division():
     K = QuadField(2)
     # N(3 + sqrt2) = 7 is not a rational square, so the criterion fires
-    verdict = cyclic_division_decision_quad(K.element(3, 1))
+    _, verdict = _decide(K.element(3, 1))
     assert verdict.status == "proved-division"
 
 
@@ -188,22 +192,21 @@ def test_division_decision_nonsquare_c_with_norm_square():
     c = K.element(-3, -2)
     ok, _ = quad_is_square(c)
     assert not ok
-    verdict = cyclic_division_decision_quad(c)
+    D, verdict = _decide(c)
     assert verdict.status == "proved-not-division"
-    _assert_annihilates(c, verdict.witness)
+    _assert_annihilates(D, verdict.witness)
     # c = -1 drives the same branch through its w = -1 special case
     c = K.element(-1, 0)
-    verdict = cyclic_division_decision_quad(c)
+    D, verdict = _decide(c)
     assert verdict.status == "proved-not-division"
-    _assert_annihilates(c, verdict.witness)
+    _assert_annihilates(D, verdict.witness)
 
 
 def test_division_decision_rational_c_both_ways():
     K = QuadField(2)
     # c = 3: N(c) = 9 but neither 3 nor -3 is of the form x^2 - 2 y^2
-    assert cyclic_division_decision_quad(K.element(3, 0)).status == \
-        "proved-division"
+    assert _decide(K.element(3, 0))[1].status == "proved-division"
     # c = 7 = N(3 + sqrt2): a norm, so the doubling has zero divisors
-    verdict = cyclic_division_decision_quad(K.element(7, 0))
+    D, verdict = _decide(K.element(7, 0))
     assert verdict.status == "proved-not-division"
-    _assert_annihilates(K.element(7, 0), verdict.witness)
+    _assert_annihilates(D, verdict.witness)
