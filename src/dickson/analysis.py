@@ -17,19 +17,18 @@ cross-checked against it.
 """
 
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
 from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
-                       _field_grid, _norm_zero_pair, compute_nuclei,
-                       critical_constants, search_cap, zero_divisor_search)
+                       _field_grid, _norm_zero_pair, _quat_is_split,
+                       compute_nuclei, critical_constants, search_cap,
+                       zero_divisor_search)
 from .fields import FrobeniusAut, make_field
 from .linalg import FpOps, kernel_basis, rank, solve
 from .padics import padic_is_square
-from .quadratic import (QuadField, find_norm_preimage,
-                        is_norm_from_quadfield, rational_is_square,
-                        rational_sqrt)
+from .quadratic import (find_norm_preimage, is_norm_from_quadfield,
+                        rational_is_square, rational_sqrt)
 from .reports import (DIVISION, NOT_DIVISION, UNKNOWN, AutGroupReport,
                       CensusReport, DivisionVerdict, IsoVerdict,
                       SubgroupReport, WeneReport)
@@ -71,15 +70,6 @@ def _division_finite(D):
         DIVISION, method="exhaustive-scan",
         notes="no annihilating pair among all %d ordered pairs; "
               "critical-value set and quadratic character agree" % D.size() ** 2)
-
-
-def _quat_is_split(B):
-    """Exact splitness of a rational quaternion algebra via the norm test
-    for b against Q(sqrt(a))."""
-    a, b = Fraction(B.a), Fraction(B.b)
-    if rational_is_square(a) or rational_is_square(b):
-        return True
-    return is_norm_from_quadfield(b, QuadField(a))
 
 
 def _norm_preimage_pair(D, nu):
@@ -180,7 +170,7 @@ def division_decide(D):
             status, method=method, notes=notes % facts, witness=pair,
             witness_literal=None if pair is None else _pair_literal(pair))
 
-    if A.kind == "quat" and (A.is_finite() or _quat_is_split(A.B)):
+    if A.kind == "quat" and _quat_is_split(A.B):
         pair = _norm_zero_pair(D)
         outcome = ("split-finite" if A.is_finite()
                    else "split-unfound" if pair is None else "split")

@@ -36,8 +36,8 @@ from .linalg import (FpOps, QOps, _integer_tensor, in_span, kernel_basis,
                      rref)
 from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt,
                      ext_is_square, ext_sqrt)
-from .quadratic import (QuadField, quad_is_square, rational_is_square,
-                        rational_sqrt)
+from .quadratic import (QuadField, is_norm_from_quadfield, quad_is_square,
+                        rational_is_square, rational_sqrt)
 from .quaternions import InnerAut, QuaternionAlgebra, quat_is_square
 from .reports import NucleusReport, certify
 
@@ -494,7 +494,7 @@ class DicksonElement:
         return self.u == other.u and self.v == other.v
 
     def __hash__(self):
-        return hash((id(self.alg), str(self.literal())))
+        return hash((self.u, self.v))
 
     def is_zero(self):
         return self.u.is_zero() and self.v.is_zero()
@@ -745,6 +745,17 @@ def annihilating(D, pair):
     return pair
 
 
+def _quat_is_split(B):
+    """Exact splitness of a quaternion algebra: always over GF(p), and over
+    Q by the norm test for b against Q(sqrt(a))."""
+    if B.p is not None:
+        return True
+    a, b = Fraction(B.a), Fraction(B.b)
+    if rational_is_square(a) or rational_is_square(b):
+        return True
+    return is_norm_from_quadfield(b, QuadField(a))
+
+
 def _norm_zero_pair(D):
     """(z, 0), (conj z, 0) for a nonzero quaternion coefficient z of norm
     zero, checked to annihilate; None when the bounded search over Q finds
@@ -771,11 +782,12 @@ def zero_divisor_search(D):
 
     Finite field coefficients: exhaustive over all ordered pairs (refusing
     above the pair cap), deterministic, returning the lexicographically
-    first witness or the proof that none exists.  Finite quaternion
-    coefficients split, so a norm-zero pair of the coefficient algebra is
-    the witness.  Infinite coefficients: when c has a square root r, the
-    theorem pair of the critical triple (r, 1, 1); otherwise the search is
-    inconclusive, never a proof.
+    first witness or the proof that none exists.  Split quaternion
+    coefficients (every finite one, and some over Q) give a norm-zero pair
+    of the coefficient algebra, when the bounded search over Q finds one.
+    Otherwise, when c has a square root r, the witness is the theorem pair
+    of the critical triple (r, 1, 1); else the search is inconclusive,
+    never a proof.
 
     Returns (status, pair) with status one of "witness", "none",
     "inconclusive".
@@ -796,9 +808,10 @@ def zero_divisor_search(D):
         i, j = hits[0]
         pair = (D.element_at(int(i)), D.element_at(int(j)))
         return "witness", annihilating(D, pair)
-    if A.is_finite():
-        # a quaternion algebra over GF(p) splits: its norm form is isotropic
-        return "witness", _norm_zero_pair(D)
+    if A.kind == "quat" and _quat_is_split(A.B):
+        pair = _norm_zero_pair(D)
+        if pair is not None:
+            return "witness", pair
     ok, root = A.is_square(D.c)
     if ok:
         return "witness", _critical_pair(D, root, A.one(), A.one())

@@ -19,8 +19,9 @@ even though most of the analysis layer requires odd characteristic.
 import itertools
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
-from .linalg import FpOps, kernel_basis
+from .linalg import Element, FpOps, kernel_basis
 
 
 class FieldError(ValueError):
@@ -126,10 +127,12 @@ def _is_irreducible(m, p):
     return power == _pmod(x, m, p)
 
 
-class FieldElement:
+class FieldElement(Element):
     """An element of a FiniteField, a tuple of n coefficients (ascending)."""
 
     __slots__ = ("field", "coeffs")
+    parent = property(attrgetter("field"))
+    _scalars = (int,)
 
     def __init__(self, field, coeffs):
         self.field = field
@@ -138,34 +141,20 @@ class FieldElement:
             raise FieldError("expected %d coefficients, got %d"
                              % (field.n, len(self.coeffs)))
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("elements from different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
+    def _lift(self, s):
+        return self.field.from_int(s)
+
+    def _key(self):
+        return self.coeffs
+
+    def _scalar(self):
+        return None if any(self.coeffs[1:]) else self.coeffs[0]
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return FieldElement(self.field, [-a for a in self.coeffs])
@@ -177,14 +166,6 @@ class FieldElement:
         K = self.field
         prod = _pmod(_pmul(list(self.coeffs), list(other.coeffs), K.p), K._modulus, K.p)
         return K._from_poly(prod)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
 
     def __pow__(self, e):
         K = self.field
@@ -201,16 +182,6 @@ class FieldElement:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return (isinstance(other, FieldElement)
-                and other.field == self.field
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.n, self.field._mod_key, self.coeffs))
 
     def __repr__(self):
         return "<%s in GF(%d^%d)>" % (self.literal(), self.field.p, self.field.n)

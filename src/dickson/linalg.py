@@ -18,10 +18,81 @@ rows and pivots; only the Q route avoids normalising a Fraction per
 scalar operation.  A caller that builds Q systems from a tensor clears
 its denominators once with _integer_tensor; scaling a system does not
 change its kernel.
+
+Element, the operator protocol of the coefficient element kinds, lives
+here too, so every element module can import it without a cycle.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+class Element:
+    """Coercion, the reflected and derived operators, equality and hashing
+    of the five coefficient element kinds, written once.
+
+    A kind defines its arithmetic on operands of its own parent (__add__,
+    __neg__, __mul__ after _coerce, and inv) and four hooks:
+        parent     the algebra the element lives in;
+        _lift(s)   the element equal to a scalar s of a type in _scalars;
+        _key()     canonical coordinates: elements of equal parents are
+                   equal exactly when their keys are;
+        _scalar()  the base scalar the element is, or None.
+    An element equals a scalar only when it is that base scalar in
+    canonical form, and then hashes as it.  Elements of different parents
+    compare unequal, and arithmetic on them raises ValueError.  A reflected
+    operand is always a scalar, which is central, so s * x is x * s.
+    """
+
+    __slots__ = ()
+    _scalars = (int, Fraction)
+
+    def _coerce(self, other):
+        """other as an element of self's parent, or NotImplemented."""
+        if type(other) is type(self):
+            if other.parent is self.parent or other.parent == self.parent:
+                return other
+            raise ValueError("elements of different algebras: %r and %r"
+                             % (self.parent, other.parent))
+        if isinstance(other, self._scalars):
+            return self._lift(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inv()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return ((other.parent is self.parent or other.parent == self.parent)
+                    and self._key() == other._key())
+        if isinstance(other, self._scalars):
+            return self._scalar() == other
+        return NotImplemented
+
+    def __hash__(self):
+        s = self._scalar()
+        return hash(self._key() if s is None else s)
 
 
 class FpOps:
@@ -51,9 +122,6 @@ class FpOps:
 
     def is_zero(self, a):
         return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
 
     def prefer_pivot(self, a, b):
         return False
@@ -105,9 +173,6 @@ class QOps:
 
     def is_zero(self, a):
         return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def prefer_pivot(self, a, b):
         # Pivot choice does not affect exactness over Q.

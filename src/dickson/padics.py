@@ -19,8 +19,10 @@ square theory is different there.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .fields import FiniteField, is_prime
+from .linalg import Element
 
 
 DEFAULT_PRECISION = 32
@@ -139,7 +141,11 @@ class PadicContext:
         return "Q_%d (prec %d)" % (self.p, self.N)
 
 
-class PadicNumber:
+class PadicNumber(Element):
+    """p^val * unit, the unit known to prec digits.  Its own _coerce
+    re-homes an operand from an equal but distinct context, and its own
+    __eq__ compares units only to the precision both operands know."""
+
     __slots__ = ("ctx", "val", "unit", "prec")
 
     def __init__(self, ctx, val, unit, prec):
@@ -207,8 +213,6 @@ class PadicNumber:
             s += 1
         return PadicNumber(ctx, v + s, raw, window - s)
 
-    __radd__ = __add__
-
     def __neg__(self):
         if not self.unit:
             return self
@@ -220,12 +224,6 @@ class PadicNumber:
             if other is NotImplemented:
                 return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         if type(other) is not PadicNumber or other.ctx is not self.ctx:
@@ -239,8 +237,6 @@ class PadicNumber:
         return PadicNumber(self.ctx, self.val + other.val,
                            self.unit * other.unit, prec)
 
-    __rmul__ = __mul__
-
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of p-adic zero")
@@ -248,15 +244,10 @@ class PadicNumber:
                            pow(self.unit, -1, self.ctx.powers[self.prec]),
                            self.prec)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_fraction(Fraction(other))
+            # a nonzero p-adic number is known only to its precision
+            return not self.unit and not other
         if not isinstance(other, PadicNumber) or (
                 other.ctx is not self.ctx and other.ctx != self.ctx):
             return NotImplemented
@@ -269,7 +260,7 @@ class PadicNumber:
 
     def __hash__(self):
         if self.is_zero():
-            return hash(("padic", self.ctx.p, 0))
+            return hash(0)
         return hash(("padic", self.ctx.p, self.val, self.unit % self.ctx.p))
 
     def __repr__(self):
@@ -397,16 +388,6 @@ class PadicQuadExt:
             return self.element(scalar, 0)
         return self.element(0, scalar)
 
-    def nonsquare_unit(self):
-        """A canonical non-square unit of the extension."""
-        if self.ramified:
-            return self.element(self.ctx.nonresidue(), 0)
-        R = self.residue_field()
-        for e in R.elements():
-            if not e.is_zero() and not R.is_square(e):
-                return self.element(e.coeffs[0], e.coeffs[1])
-        raise AssertionError("no non-square in the residue field")
-
     def random_element(self, rng):
         while True:
             x = rng.randrange(-99, 100)
@@ -432,24 +413,27 @@ class PadicQuadExt:
         return "Q_%d(%s)" % (self.ctx.p, self.kind)
 
 
-class PadicExtElement:
-    """x + y*alpha over a PadicQuadExt."""
+class PadicExtElement(Element):
+    """x + y*alpha over a PadicQuadExt; x and y are PadicNumbers, and
+    (x, 0) equals x."""
 
     __slots__ = ("ext", "x", "y")
+    parent = property(attrgetter("ext"))
+    _scalars = (int, Fraction, PadicNumber)
 
     def __init__(self, ext, x, y):
         self.ext = ext
         self.x = x
         self.y = y
 
-    def _coerce(self, other):
-        if isinstance(other, PadicExtElement):
-            if other.ext is not self.ext and other.ext != self.ext:
-                raise ValueError("elements of different extensions")
-            return other
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            return self.ext.element(other, 0)
-        return NotImplemented
+    def _lift(self, s):
+        return self.ext.element(s, 0)
+
+    def _key(self):
+        return self.x, self.y
+
+    def _scalar(self):
+        return self.x if self.y.is_zero() else None
 
     # As for PadicNumber, an operand of this very extension object skips
     # _coerce; the coordinates of such elements are PadicNumbers already,
@@ -462,8 +446,6 @@ class PadicExtElement:
                 return NotImplemented
         return PadicExtElement(self.ext, self.x + other.x, self.y + other.y)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return PadicExtElement(self.ext, -self.x, -self.y)
 
@@ -474,12 +456,6 @@ class PadicExtElement:
                 return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if type(other) is not PadicExtElement or other.ext is not self.ext:
             other = self._coerce(other)
@@ -488,8 +464,6 @@ class PadicExtElement:
         ext = self.ext
         x, y, ox, oy = self.x, self.y, other.x, other.y
         return PadicExtElement(ext, x * ox + ext.d * y * oy, x * oy + y * ox)
-
-    __rmul__ = __mul__
 
     def conjugate(self):
         return PadicExtElement(self.ext, self.x, -self.y)
@@ -505,20 +479,8 @@ class PadicExtElement:
         ni = n.inv()
         return self.ext.element(self.x * ni, -(self.y * ni))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
     def is_zero(self):
         return self.x.is_zero() and self.y.is_zero()
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
 
     def __repr__(self):
         return "(%r) + (%r)*alpha" % (self.x, self.y)
@@ -625,9 +587,6 @@ class PadicOps:
 
     def is_zero(self, a):
         return a.is_zero()
-
-    def eq(self, a, b):
-        return a == b
 
     def prefer_pivot(self, a, b):
         return a.val < b.val

@@ -16,7 +16,9 @@ where either argument is a non-unit.
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import attrgetter
 
+from .linalg import Element
 from .reports import certify
 
 
@@ -198,45 +200,32 @@ def _integer_coords(z):
     return x * (d // dx), y * (d // dy), d
 
 
-class QuadElement:
+class QuadElement(Element):
     """x + y sqrt(a) with rational x, y; products are taken on integer
     coordinates over one denominator per factor."""
 
     __slots__ = ("field", "x", "y")
+    parent = property(attrgetter("field"))
 
     def __init__(self, field, x, y):
         self.field = field
         self.x = _as_fraction(x)
         self.y = _as_fraction(y)
 
-    def _coerce(self, other):
-        if isinstance(other, QuadElement):
-            if other.field != self.field:
-                raise ValueError("elements of different quadratic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element(other, 0)
-        return NotImplemented
+    def _lift(self, s):
+        return self.field.element(s, 0)
+
+    def _key(self):
+        return self.x, self.y
+
+    def _scalar(self):
+        return None if self.y else self.x
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.field.element(self.x + other.x, self.y + other.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.field.element(self.x - other.x, self.y - other.y)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return self.field.element(-self.x, -self.y)
@@ -251,14 +240,6 @@ class QuadElement:
         return QuadElement(self.field,
                            Fraction(x1 * x2 + self.field.a * y1 * y2, d),
                            Fraction(x1 * y2 + y1 * x2, d))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
 
     def conjugate(self):
         return self.field.element(self.x, -self.y)
@@ -275,18 +256,6 @@ class QuadElement:
 
     def is_zero(self):
         return self.x == 0 and self.y == 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.element(other, 0)
-        return (isinstance(other, QuadElement) and other.field == self.field
-                and other.x == self.x and other.y == self.y)
-
-    def __hash__(self):
-        # a rational element equals that rational, so it hashes as one
-        if self.y == 0:
-            return hash(self.x)
-        return hash((self.field.a, self.x, self.y))
 
     def __repr__(self):
         return "(%s + %s*sqrt(%d))" % (self.x, self.y, self.field.a)

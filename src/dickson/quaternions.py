@@ -21,10 +21,11 @@ give the same map, so comparisons go through a scaled canonical form.
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .fields import is_prime
-from .linalg import FpOps, QOps, kernel_basis
-from .quadratic import rational_is_square, rational_sqrt
+from .linalg import Element, FpOps, QOps, kernel_basis
+from .quadratic import rational_sqrt
 from .reports import certify
 
 
@@ -143,8 +144,9 @@ def _integer_coords(q):
     return x * (d // dx), y * (d // dy), z * (d // dz), w * (d // dw), d
 
 
-class Quaternion:
+class Quaternion(Element):
     __slots__ = ("alg", "x", "y", "z", "w")
+    parent = property(attrgetter("alg"))
 
     def __init__(self, alg, x, y, z, w):
         self.alg = alg
@@ -153,14 +155,15 @@ class Quaternion:
     def coords(self):
         return [self.x, self.y, self.z, self.w]
 
-    def _coerce(self, other):
-        if isinstance(other, Quaternion):
-            if other.alg != self.alg:
-                raise ValueError("quaternions of different algebras")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.alg.element(other, 0, 0, 0)
-        return NotImplemented
+    def _lift(self, s):
+        return self.alg.element(s, 0, 0, 0)
+
+    def _key(self):
+        return self.x, self.y, self.z, self.w
+
+    def _scalar(self):
+        # coordinates are canonical: Fractions over Q, range(p) over GF(p)
+        return None if self.y or self.z or self.w else self.x
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -170,24 +173,10 @@ class Quaternion:
         return Quaternion(self.alg, o.add(self.x, other.x), o.add(self.y, other.y),
                           o.add(self.z, other.z), o.add(self.w, other.w))
 
-    __radd__ = __add__
-
     def __neg__(self):
         o = self.alg.ops
         return Quaternion(self.alg, o.neg(self.x), o.neg(self.y),
                           o.neg(self.z), o.neg(self.w))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -209,8 +198,6 @@ class Quaternion:
         return Quaternion(alg, _ratio(x, d * dadb), _ratio(y, d * db),
                           _ratio(z, d * da), _ratio(w, d))
 
-    __rmul__ = __mul__
-
     def conjugate(self):
         o = self.alg.ops
         return Quaternion(self.alg, self.x, o.neg(self.y), o.neg(self.z), o.neg(self.w))
@@ -223,9 +210,6 @@ class Quaternion:
             o.sub(o.mul(self.x, self.x), o.mul(a, o.mul(self.y, self.y))),
             o.sub(o.mul(o.mul(a, b), o.mul(self.w, self.w)),
                   o.mul(b, o.mul(self.z, self.z))))
-
-    def trace(self):
-        return self.alg.ops.add(self.x, self.x)
 
     def inv(self):
         """conj/N; on a split algebra norm-zero elements are the zero
@@ -244,20 +228,6 @@ class Quaternion:
     def is_central(self):
         o = self.alg.ops
         return all(o.is_zero(t) for t in (self.y, self.z, self.w))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.alg.element(other, 0, 0, 0)
-        if not isinstance(other, Quaternion) or other.alg != self.alg:
-            return NotImplemented
-        o = self.alg.ops
-        return all(o.eq(s, t) for s, t in zip(self.coords(), other.coords()))
-
-    def __hash__(self):
-        # a central quaternion equals its scalar, so it hashes as one
-        if self.is_central():
-            return hash(self.x)
-        return hash((self.alg.a, self.alg.b, self.alg.p, tuple(self.coords())))
 
     def __repr__(self):
         return "quat(%s, %s, %s, %s)" % tuple(self.coords())

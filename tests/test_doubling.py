@@ -236,6 +236,18 @@ def test_search_infinite_inconclusive_without_square_root():
     assert status == "inconclusive" and pair is None
 
 
+def test_search_over_split_rational_quaternions_finds_the_norm_zero_pair():
+    # c = j has no square root, but (1, 1 | Q) splits; division_decide
+    # proves the same algebra not division with a norm-zero pair
+    D = algebra_from_document({"coeff": "quat(1,1)",
+                               "sigma": "conjugation:0,1,0,0",
+                               "c": "0,0,1,0", "variant": "left"})
+    status, (x, y) = zero_divisor_search(D)
+    assert status == "witness"
+    assert not x.is_zero() and not y.is_zero()
+    assert D.mul(x, y).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # critical values and the constructed witnesses
 
