@@ -210,15 +210,13 @@ def division_decide(D):
 
 def _intertwines(D1, D2, tau):
     """tau after sigma1 equals sigma2 after tau, on a basis."""
-    A = D2.coeff
-    return all(A.apply_auto(tau, D1.sigma_apply(e))
-               == D2.sigma_apply(A.apply_auto(tau, e)) for e in A.basis())
+    return all(tau(D1.sigma(e)) == D2.sigma(tau(e)) for e in D2.coeff.basis())
 
 
 def _c_ratio(D1, D2, tau):
     """tau(c1) / c2: (u,v) -> (tau(u), tau(v) b) takes D1 onto D2 only when
     b is a root of it (sigma2(b)^2, or b^2 with b central)."""
-    return D2.coeff.apply_auto(tau, D1.c) * D2.c.inv()
+    return tau(D1.c) * D2.c.inv()
 
 
 def _j_member(D, tau):
@@ -227,12 +225,12 @@ def _j_member(D, tau):
     return D.coeff.square_root(_c_ratio(D, D, tau)) is not None
 
 
-def _closure_ok(A, group):
+def _closure_ok(group):
     for t1 in group:
         for t2 in group:
-            if A.auto_compose(t1, t2) not in group:
+            if t1.compose(t2) not in group:
                 return False
-        if A.auto_inverse(t1) not in group:
+        if t1.inverse() not in group:
             return False
     return True
 
@@ -247,9 +245,9 @@ def subgroups(D, taus=None):
     j = [t for t in auts if _j_member(D, t)]
     csig = [t for t in auts if _intertwines(D, D, t)]
     inter = [t for t in j if t in csig]
-    iso = [t for t in auts if A.apply_auto(t, D.c) == D.c]
-    closure = all(_closure_ok(A, g) for g in (j, csig, inter, iso))
-    labels = {t: A.auto_label(t) for t in auts}
+    iso = [t for t in auts if t(D.c) == D.c]
+    closure = all(_closure_ok(g) for g in (j, csig, inter, iso))
+    labels = {t: t.label for t in auts}
     return SubgroupReport(auts, j, csig, inter, iso, labels, closure)
 
 
@@ -259,16 +257,12 @@ def subgroups(D, taus=None):
 
 def apply_automorphism(D, desc, z):
     tau, b = desc
-    A = D.coeff
-    return D.element(A.apply_auto(tau, z.u), A.apply_auto(tau, z.v) * b)
+    return D.element(tau(z.u), tau(z.v) * b)
 
 
 def compose_descriptors(D, d1, d2):
     """d1 after d2."""
-    A = D.coeff
-    tau = A.auto_compose(d1[0], d2[0])
-    b = A.apply_auto(d1[0], d2[1]) * d1[1]
-    return (tau, b)
+    return (d1[0].compose(d2[0]), d1[0](d2[1]) * d1[1])
 
 
 def descriptor_eq(D, d1, d2):
@@ -363,7 +357,7 @@ def enumerate_automorphisms(D, taus=None):
                 complete = False
             row.append(idx)
         table.append(row)
-    labels = [{"tau": A.auto_label(t), "b": b.literal()} for t, b in elements]
+    labels = [{"tau": t.label, "b": b.literal()} for t, b in elements]
     return AutGroupReport(elements, labels, order, table,
                           "undetermined", "not analyzed", None, complete)
 
@@ -394,12 +388,11 @@ def _element_orders(table):
 def _orbit_product(D, tau, b):
     """b * tau(b) * tau^2(b) * ... over the full tau-orbit; always +1 or -1
     when (tau, b) is an automorphism descriptor."""
-    A = D.coeff
-    acc = A.one()
+    acc = D.coeff.one()
     cur = b
-    for _ in range(A.auto_order(tau)):
+    for _ in range(tau.order()):
         acc = acc * cur
-        cur = A.apply_auto(tau, cur)
+        cur = tau(cur)
     return acc
 
 
@@ -441,7 +434,7 @@ def group_structure(D, report):
 
     gen = None
     for t in taus:
-        if A.auto_order(t) == m:
+        if t.order() == m:
             gen = t
             break
     if gen is None:
@@ -462,7 +455,7 @@ def group_structure(D, report):
         b_gen = plus[0]
     else:
         if len(plus) == 0:
-            labeling = dict(base_label, generator=A.auto_label(gen),
+            labeling = dict(base_label, generator=gen.label,
                             orbit_products=prod_labels)
             return replace(report, structure="undetermined",
                            structure_detail=base_detail + "; even-order "
@@ -473,16 +466,16 @@ def group_structure(D, report):
 
     chain = {0: A.one()}
     for j in range(1, m):
-        chain[j] = A.apply_auto(gen, chain[j - 1]) * b_gen
+        chain[j] = gen(chain[j - 1]) * b_gen
 
     def power_of(t):
-        if A.auto_is_identity(t):
+        if t.is_identity():
             return 0
         cur = gen
         for j in range(1, m):
             if cur == t:
                 return j
-            cur = A.auto_compose(gen, cur)
+            cur = gen.compose(cur)
         raise RuntimeError("tau is not a power of the generator")
 
     assignment = []
@@ -497,7 +490,7 @@ def group_structure(D, report):
                            structure_detail=base_detail + "; a root is not "
                            "plus or minus the chained base root",
                            labeling=dict(base_label,
-                                         generator=A.auto_label(gen),
+                                         generator=gen.label,
                                          orbit_products=prod_labels))
         assignment.append((j, sign))
 
@@ -511,7 +504,7 @@ def group_structure(D, report):
                 is_hom = False
     labeling = dict(
         base_label,
-        generator=A.auto_label(gen),
+        generator=gen.label,
         orbit_products=prod_labels,
         assignments=[{"tau": report.labels[i]["tau"],
                       "b": report.labels[i]["b"],
@@ -651,11 +644,11 @@ def wene_inner_check(D):
         return D.mul(w, D.mul(z, lam))
 
     def sigma_pair(z):
-        return D.element(D.sigma_apply(z.u), D.sigma_apply(z.v))
+        return D.element(D.sigma(z.u), D.sigma(z.v))
 
     images = [grouped(e) for e in basis]
     matches = all(images[i] == sigma_pair(basis[i]) for i in range(D.dim))
-    fixes = D.sigma_apply(D.c) == D.c
+    fixes = D.sigma(D.c) == D.c
     consistent = matches == fixes
     member = None
     if matches:
@@ -751,7 +744,7 @@ def iso_test(D1, D2, taus=None):
             continue
         for b in _b_candidates(D1, D2, tau):
             if verify_isomorphism(D1, D2, tau, b):
-                return IsoVerdict("yes", matched, {"tau": A.auto_label(tau),
+                return IsoVerdict("yes", matched, {"tau": tau.label,
                                                    "b": b.literal()})
     return IsoVerdict(*missed)
 
@@ -786,7 +779,7 @@ def census(p, n, limit=27):
             D = DicksonAlgebra(coeff_cache, tau, c, "commutative",
                                allow_identity=True)
             verdict = division_decide(D)
-            entries.append({"sigma": "frobenius^%d" % k,
+            entries.append({"sigma": tau.label,
                             "c": c.literal(),
                             "division": verdict.status})
             algebras.append((k, c, D))
@@ -805,7 +798,7 @@ def census(p, n, limit=27):
                 raise RuntimeError("census expects decidable comparisons")
         if not placed:
             reps.append((k, c, D))
-            classes.append({"sigma": "frobenius^%d" % k,
+            classes.append({"sigma": D.sigma.label,
                             "representative_c": c.literal(),
                             "size": 1,
                             "members": [c.literal()]})

@@ -13,12 +13,14 @@ variant tag there and is the same code path as "left".  (1,0) is always a
 two-sided unit and (0,1)^2 = (c,0).
 
 Coefficient elements carry their own arithmetic (+, -, *, ==, inv(),
-is_zero(), literal()).  Each coefficient algebra is wrapped by a small
-adapter for what the elements cannot know: F-dimension, basis,
-coordinates, the automorphisms and their action, the per-kind facts of the
-(tau, b) searches, plus enumeration when finite.  Everything downstream
-(nuclei, zero-divisor scans, automorphism machinery) works through the
-elements and that one surface.
+is_zero(), literal()) and canonical coordinates (_key()), and every
+automorphism carries its own action (tau(x), compose, inverse,
+is_identity, order, label).  Each coefficient algebra is wrapped by a
+small adapter for what neither can know: which automorphisms the kind
+has, the per-kind facts of the (tau, b) searches, plus enumeration when
+finite.  Everything downstream (nuclei, zero-divisor scans, automorphism
+machinery) works through the elements, the automorphisms and that one
+surface.
 
 Nuclei, the commuting elements and the center are computed as kernels of
 exact F-linear systems, never assumed from theory.  The exhaustive
@@ -28,13 +30,14 @@ itself at 10^6 ordered pairs, and honors DICKSON_MAX_EXHAUSTIVE.
 
 import os
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .fields import FiniteField, FrobeniusAut
 from .linalg import (FpOps, QOps, _integer_tensor, in_span, kernel_basis,
                      rref)
-from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt,
+from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt, _mod_sqrt,
                      ext_is_square, ext_sqrt)
 from .quadratic import (QuadField, is_norm_from_quadfield, quad_is_square,
                         rational_is_square, rational_sqrt)
@@ -54,14 +57,59 @@ def search_cap():
 # coefficient adapters
 
 
+class NamedAut:
+    """An automorphism named by a word: "id" on every kind but the finite
+    fields, and "conjugate", x -> x.conjugate(), on a quadratic extension.
+    Like FrobeniusAut and InnerAut it carries its own action, composition,
+    inverse, order and label."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label):
+        self.label = label
+
+    def __call__(self, x):
+        return x if self is IDENTITY else x.conjugate()
+
+    def compose(self, other):
+        """self after other."""
+        return IDENTITY if self is other else CONJUGATE
+
+    def inverse(self):
+        return self
+
+    def is_identity(self):
+        return self is IDENTITY
+
+    def order(self):
+        return 1 if self is IDENTITY else 2
+
+    def __repr__(self):
+        return self.label
+
+
+IDENTITY, CONJUGATE = NamedAut("id"), NamedAut("conjugate")
+
+
 class _Coefficients:
     """The adapter surface, with the defaults of the commutative kinds;
-    QuatCoefficients overrides what differs for quaternions."""
+    QuatCoefficients overrides what differs for quaternions.  Dimension,
+    basis, coordinates and sort order come from the canonical key
+    x._key(), the coordinates of x over the base field; a kind adds the
+    facts that are not linear algebra: its automorphisms, those of the
+    (tau, b) searches and enumeration when finite."""
 
     commutative = True
     # True when automorphisms() lists only the conjugations a caller
     # supplied, so a search over it is not exhaustive
     witness_relative = False
+    # the raw algebra class the kind wraps
+    algebra = None
+
+    def __init__(self, K):
+        if not isinstance(K, self.algebra):
+            raise TypeError("expected a %s" % self.algebra.__name__)
+        self.K = K
 
     def zero(self):
         return self.K.zero()
@@ -69,12 +117,23 @@ class _Coefficients:
     def one(self):
         return self.K.one()
 
+    @cached_property
+    def dim(self):
+        return len(self.one()._key())
+
+    def basis(self):
+        n = self.dim
+        return [self.from_coords([0] * j + [1] + [0] * (n - 1 - j))
+                for j in range(n)]
+
+    def coords(self, x):
+        return list(x._key())
+
+    def sort_key(self, x):
+        return x._key()
+
     def is_invertible(self, x):
         return not x.is_zero()
-
-    def auto_compose(self, t1, t2):
-        """t1 after t2."""
-        return t1.compose(t2)
 
     def square_root(self, t):
         """Some r with r^2 = t, or None."""
@@ -88,7 +147,7 @@ class _Coefficients:
         r = self.square_root(t)
         if r is None:
             return []
-        b = self.apply_auto(self.auto_inverse(sigma), r)
+        b = sigma.inverse()(r)
         return [b, -b]
 
 
@@ -96,11 +155,10 @@ class FieldCoefficients(_Coefficients):
     """GF(p^n) over F = GF(p)."""
 
     kind = "field"
+    algebra = FiniteField
 
     def __init__(self, K):
-        if not isinstance(K, FiniteField):
-            raise TypeError("expected a FiniteField")
-        self.K = K
+        super().__init__(K)
         self._tables = None
         self._sig_perm = {}
         self._critical = {}
@@ -108,52 +166,22 @@ class FieldCoefficients(_Coefficients):
     def base_ops(self):
         return FpOps(self.K.p)
 
-    @property
-    def dim(self):
-        return self.K.n
-
-    def basis(self):
-        K = self.K
-        return [K.element([0] * j + [1] + [0] * (K.n - 1 - j)) for j in range(K.n)]
-
-    def coords(self, x):
-        return list(x.coeffs)
-
     def from_coords(self, vec):
         return self.K.element(list(vec))
 
-    def check_auto(self, desc):
+    def automorphism(self, desc):
+        """desc itself, once it is checked to be a Frobenius power of K."""
         if not isinstance(desc, FrobeniusAut) or desc.field != self.K:
             raise ValueError("sigma must be a Frobenius power of the same field")
-
-    def apply_auto(self, desc, x):
-        return desc(x)
-
-    def auto_inverse(self, desc):
-        return desc.inverse()
-
-    def auto_is_identity(self, desc):
-        return desc.k == 0
-
-    def auto_label(self, desc):
-        return "frobenius^%d" % desc.k
+        return desc
 
     def automorphisms(self, taus=None):
         """All of Aut(GF(p^n)); the search over it is exhaustive."""
         return self.K.automorphisms()
 
-    def auto_order(self, desc):
-        return desc.order()
-
-    def sort_key(self, x):
-        return tuple(x.coeffs)
-
     def b_candidates(self, t, sigma):
         """As for every kind, but in sort_key order."""
         return sorted(super().b_candidates(t, sigma), key=self.sort_key)
-
-    def norm(self, x):
-        return self.K.norm(x)
 
     def is_square(self, x):
         if x.is_zero():
@@ -213,56 +241,21 @@ class FieldCoefficients(_Coefficients):
 
 class _QuadraticCoefficients(_Coefficients):
     """A quadratic extension x + y*alpha of the base, with basis 1, alpha
-    and conjugation as its one non-trivial automorphism, named "conjugate"."""
-
-    algebra = None
-
-    def __init__(self, K):
-        if not isinstance(K, self.algebra):
-            raise TypeError("expected a %s" % self.algebra.__name__)
-        self.K = K
-
-    @property
-    def dim(self):
-        return 2
-
-    def basis(self):
-        return [self.K.one(), self.K.root()]
-
-    def coords(self, x):
-        return [x.x, x.y]
+    and conjugation as its one non-trivial automorphism."""
 
     def from_coords(self, vec):
         return self.K.element(vec[0], vec[1])
 
-    def check_auto(self, desc):
-        if desc not in ("id", "conjugate"):
-            raise ValueError('sigma must be "id" or "conjugate"')
-
-    def apply_auto(self, desc, x):
-        return x.conjugate() if desc == "conjugate" else x
-
-    def auto_inverse(self, desc):
-        return desc
-
-    def auto_is_identity(self, desc):
-        return desc == "id"
-
-    def auto_label(self, desc):
-        return desc
+    def automorphism(self, desc):
+        """IDENTITY or CONJUGATE, given as itself or by its label."""
+        for aut in (IDENTITY, CONJUGATE):
+            if desc is aut or desc == aut.label:
+                return aut
+        raise ValueError('sigma must be "id" or "conjugate"')
 
     def automorphisms(self, taus=None):
         """Both automorphisms; the search over them is exhaustive."""
-        return ["id", "conjugate"]
-
-    def auto_compose(self, t1, t2):
-        return "id" if t1 == t2 else "conjugate"
-
-    def auto_order(self, desc):
-        return 1 if desc == "id" else 2
-
-    def norm(self, x):
-        return x.norm()
+        return [IDENTITY, CONJUGATE]
 
     def is_finite(self):
         return False
@@ -276,9 +269,6 @@ class QuadCoefficients(_QuadraticCoefficients):
 
     def base_ops(self):
         return QOps()
-
-    def sort_key(self, x):
-        return (x.x, x.y)
 
     def is_square(self, x):
         return quad_is_square(x)
@@ -301,6 +291,7 @@ class PadicCoefficients(_QuadraticCoefficients):
         return PadicOps(self.K.ctx)
 
     def sort_key(self, x):
+        """p-adic numbers do not order; their (valuation, unit) pairs do."""
         return (x.x.val, x.x.unit, x.y.val, x.y.unit)
 
     def is_square(self, x):
@@ -324,6 +315,7 @@ class QuatCoefficients(_Coefficients):
     """A quaternion algebra over Q or GF(p)."""
 
     kind = "quat"
+    algebra = QuaternionAlgebra
     commutative = False
     witness_relative = True
 
@@ -335,47 +327,28 @@ class QuatCoefficients(_Coefficients):
     def base_ops(self):
         return self.B.ops
 
-    @property
-    def dim(self):
-        return 4
-
-    def basis(self):
-        return self.B.basis()
-
-    def coords(self, x):
-        return x.coords()
-
-    def from_coords(self, vec):
-        return self.B.element(*vec)
-
     def zero(self):
         return self.B.zero()
 
     def one(self):
         return self.B.one()
 
+    def from_coords(self, vec):
+        return self.B.element(*vec)
+
     def is_invertible(self, x):
         return not self.B.ops.is_zero(x.norm())
 
-    def check_auto(self, desc):
-        if isinstance(desc, InnerAut):
-            if desc.alg != self.B:
-                raise ValueError("witness from a different algebra")
-            return
-        if desc != "id":
+    def automorphism(self, desc):
+        """IDENTITY for "id", else desc once it is checked to be a
+        conjugation of B."""
+        if desc is IDENTITY or desc == "id":
+            return IDENTITY
+        if not isinstance(desc, InnerAut):
             raise ValueError('sigma must be an InnerAut or "id"')
-
-    def apply_auto(self, desc, x):
-        return x if desc == "id" else desc(x)
-
-    def auto_inverse(self, desc):
-        return desc if desc == "id" else desc.inverse()
-
-    def auto_is_identity(self, desc):
-        return True if desc == "id" else desc.is_identity()
-
-    def auto_label(self, desc):
-        return "id" if desc == "id" else "conj-by(%s)" % desc.witness.literal()
+        if desc.alg != self.B:
+            raise ValueError("witness from a different algebra")
+        return desc
 
     def automorphisms(self, taus=None):
         """Witness-relative: the supplied conjugations ("id" included) as
@@ -386,47 +359,32 @@ class QuatCoefficients(_Coefficients):
                              "conjugations for the subgroup computation")
         ident = InnerAut(self.B.one())
         out = []
-        for t in taus:
-            t = ident if t == "id" else t
-            self.check_auto(t)
+        for t in map(self.automorphism, taus):
+            t = ident if t is IDENTITY else t
             if t not in out:
                 out.append(t)
         if ident not in out:
             out.insert(0, ident)
         return out
 
-    def auto_order(self, desc):
-        raise ValueError("orbit products are for commutative coefficients")
-
-    def sort_key(self, x):
-        return tuple(x.coords())
-
     def square_root(self, t):
         """A central square root of the central element t taken inside the
-        base field, or None."""
+        base field (over GF(p) the smaller residue), or None."""
         if not t.is_central():
             return None
-        s = t.x
-        if self.B.p is None:
-            s = Fraction(s)
-            if not rational_is_square(s):
-                return None
-            return self.B.element(rational_sqrt(s), 0, 0, 0)
         p = self.B.p
-        s = s % p
-        if s == 0 or pow(s, (p - 1) // 2, p) != 1:
-            return None
-        r = next(r for r in range(1, p) if (r * r) % p == s)
-        return self.B.element(r, 0, 0, 0)
+        if p is None:
+            r = rational_sqrt(t.x)
+        else:
+            r = _mod_sqrt(t.x, p)
+            r = min(r, p - r) if r else None
+        return None if r is None else self.B.element(r, 0, 0, 0)
 
     def b_candidates(self, t, sigma):
         """Both central b with b^2 = t, as [b0, -b0], or [] (sigma fixes
         central elements)."""
         b = self.square_root(t)
         return [] if b is None else [b, -b]
-
-    def norm(self, x):
-        return x.norm()
 
     def is_square(self, x):
         return quat_is_square(x)
@@ -453,14 +411,10 @@ def coefficients_for(obj):
     """Wrap a raw algebra in its adapter (idempotent on adapters)."""
     if isinstance(obj, _Coefficients):
         return obj
-    if isinstance(obj, FiniteField):
-        return FieldCoefficients(obj)
-    if isinstance(obj, QuadField):
-        return QuadCoefficients(obj)
-    if isinstance(obj, PadicQuadExt):
-        return PadicCoefficients(obj)
-    if isinstance(obj, QuaternionAlgebra):
-        return QuatCoefficients(obj)
+    for kind in (FieldCoefficients, QuadCoefficients, PadicCoefficients,
+                 QuatCoefficients):
+        if isinstance(obj, kind.algebra):
+            return kind(obj)
     raise TypeError("no coefficient adapter for %r" % (obj,))
 
 
@@ -516,8 +470,8 @@ class DicksonAlgebra:
         if variant == "commutative" and not self.coeff.commutative:
             raise ValueError("commutative variant needs a commutative "
                              "coefficient algebra; use left/middle/right")
-        self.coeff.check_auto(sigma)
-        if self.coeff.auto_is_identity(sigma) and not allow_identity:
+        sigma = self.coeff.automorphism(sigma)
+        if sigma.is_identity() and not allow_identity:
             raise ValueError("sigma is the identity; pass allow_identity=True "
                              "to construct the degenerate doubling anyway")
         if c.is_zero():
@@ -525,7 +479,7 @@ class DicksonAlgebra:
         self.sigma = sigma
         self.c = c
         self.variant = variant
-        self.sigma_is_id = self.coeff.auto_is_identity(sigma)
+        self.sigma_is_id = sigma.is_identity()
 
     # -- elements -----------------------------------------------------------
 
@@ -559,14 +513,11 @@ class DicksonAlgebra:
         return self.element(self.coeff.from_coords(vec[:m]),
                             self.coeff.from_coords(vec[m:]))
 
-    def sigma_apply(self, x):
-        return self.coeff.apply_auto(self.sigma, x)
-
     # -- product ------------------------------------------------------------
 
     def mul(self, lhs, rhs):
         u, v, x, y = lhs.u, lhs.v, rhs.u, rhs.v
-        sig = self.sigma_apply
+        sig = self.sigma
         second = u * y + v * x
         if self.variant in ("commutative", "left"):
             extra = self.c * sig(v * y)
@@ -611,7 +562,7 @@ class DicksonAlgebra:
         return {
             "coefficient": self.coeff.describe(),
             "kind": self.coeff.kind,
-            "sigma": self.coeff.auto_label(self.sigma),
+            "sigma": self.sigma.label,
             "c": self.c.literal(),
             "variant": self.variant,
             "dimension_over_base": self.dim,
@@ -828,7 +779,7 @@ def critical_constants(D):
     crit = A._critical.get(D.sigma.k)
     if crit is None:
         K = A.K
-        sig = D.sigma_apply
+        sig = D.sigma
         units = [x for x in K.elements() if not x.is_zero()]
         squares = {r * r for r in units}
         s_part = {s * sig(s).inv() for s in units}
@@ -846,7 +797,7 @@ def critical_value(D, r, s, t):
     for name, val in (("r", r), ("s", s), ("t", t)):
         if not A.is_invertible(val):
             raise ValueError("%s is not invertible" % name)
-    sig = D.sigma_apply
+    sig = D.sigma
     ti, si = t.inv(), s.inv()
     if D.variant == "commutative":
         return r * r * s * sig(s.inv()) * ti * sig(ti)
@@ -918,7 +869,7 @@ def doubled_subfield_check(D, k_basis):
 
     k_closed = all(in_k(x * y) for x in k_basis for y in k_basis)
     k_commutative = all(x * y == y * x for x in k_basis for y in k_basis)
-    sigma_stable = all(in_k(D.sigma_apply(b)) for b in k_basis)
+    sigma_stable = all(in_k(D.sigma(b)) for b in k_basis)
     c_in_k = in_k(D.c)
 
     doubled = ([D.element(b, A.zero()) for b in k_basis]
@@ -929,7 +880,7 @@ def doubled_subfield_check(D, k_basis):
     for x in doubled:
         for y in doubled:
             got = D.mul(x, y)
-            want_first = x.u * y.u + D.c * D.sigma_apply(x.v * y.v)
+            want_first = x.u * y.u + D.c * D.sigma(x.v * y.v)
             want_second = x.u * y.v + x.v * y.u
             if not (got.u == want_first and got.v == want_second):
                 induced_matches = False

@@ -42,6 +42,22 @@ def is_prime(p):
     return True
 
 
+def prime_factors(n):
+    """Sorted prime factors of a nonzero integer, by trial division."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p); polynomials are lists, ascending degree
 
@@ -359,6 +375,10 @@ class FrobeniusAut:
     def order(self):
         return self.field.n // gcd(self.k, self.field.n)
 
+    @property
+    def label(self):
+        return "frobenius^%d" % self.k
+
     def __eq__(self, other):
         return (isinstance(other, FrobeniusAut)
                 and other.field == self.field and other.k == self.k)
@@ -392,19 +412,9 @@ class FrobeniusAut:
 
 def _x_is_primitive(m, p):
     """True when X generates the multiplicative group of GF(p)[X]/(m)."""
-    n = len(m) - 1
-    order = p ** n - 1
-    rest, factors = order, []
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            factors.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        factors.append(rest)
-    return all(_ppowmod([0, 1], order // r, m, p) != [1] for r in factors)
+    order = p ** (len(m) - 1) - 1
+    return all(_ppowmod([0, 1], order // r, m, p) != [1]
+               for r in prime_factors(order))
 
 
 @lru_cache(maxsize=None)

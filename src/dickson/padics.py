@@ -298,6 +298,11 @@ def padic_is_square(z):
     return pow(z.residue(), (z.ctx.p - 1) // 2, z.ctx.p) == 1
 
 
+# the class modulo squares, by (odd valuation, square unit residue)
+_SQUARE_CLASSES = {(False, True): "1", (False, False): "u",
+                   (True, True): "pi", (True, False): "upi"}
+
+
 def square_class(z):
     """The class of z modulo squares: one of "1", "u", "pi", "upi".
     Accepts a PadicNumber or a quadratic-extension element."""
@@ -305,10 +310,8 @@ def square_class(z):
         return ext_square_class(z)
     if z.is_zero():
         raise ValueError("zero has no square class")
-    odd = z.val % 2 == 1
     unit_sq = pow(z.residue(), (z.ctx.p - 1) // 2, z.ctx.p) == 1
-    return {(False, True): "1", (False, False): "u",
-            (True, True): "pi", (True, False): "upi"}[(odd, unit_sq)]
+    return _SQUARE_CLASSES[(z.val % 2 == 1, unit_sq)]
 
 
 def padic_sqrt(z):
@@ -530,11 +533,8 @@ def ext_square_class(z):
     """Class of z modulo squares of the extension: "1", "u", "pi", "upi"."""
     if z.is_zero():
         raise ValueError("zero has no square class")
-    odd = z.val_pi() % 2 == 1
-    R = z.ext.residue_field()
-    unit_sq = R.is_square(z.unit_part().residue())
-    return {(False, True): "1", (False, False): "u",
-            (True, True): "pi", (True, False): "upi"}[(odd, unit_sq)]
+    unit_sq = z.ext.residue_field().is_square(z.unit_part().residue())
+    return _SQUARE_CLASSES[(z.val_pi() % 2 == 1, unit_sq)]
 
 
 def ext_sqrt(z):

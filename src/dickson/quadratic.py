@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import attrgetter
 
+from .fields import prime_factors
 from .linalg import Element
 from .reports import certify
 
@@ -47,22 +48,6 @@ def rational_sqrt(r):
     if not rational_is_square(r):
         return None
     return Fraction(isqrt(r.numerator), isqrt(r.denominator))
-
-
-def prime_factors(n):
-    """Sorted prime factors of a nonzero integer, by trial division."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def squarefree_part(n):

@@ -55,9 +55,14 @@ class QuaternionAlgebra:
         self._ab = (na, da, nb, db, da * db, na * db, nb * da, na * nb)
 
     def scalar(self, v):
+        """v as a coordinate: a Fraction over Q; over GF(p) the residue of
+        n/d = v, n * d^-1 mod p, which does not exist when p divides d."""
         if self.p is None:
             return Fraction(v)
-        return v % self.p
+        n, d = v.as_integer_ratio()
+        if d % self.p == 0:
+            raise ZeroDivisionError("%s has no residue mod %d" % (v, self.p))
+        return n * pow(d, -1, self.p) % self.p
 
     def element(self, x, y, z, w):
         return Quaternion(self, self.scalar(x), self.scalar(y),
@@ -249,9 +254,6 @@ class InnerAut:
     def __call__(self, q):
         return self._minv * q * self.witness
 
-    def apply(self, q):
-        return self(q)
-
     def compose(self, other):
         """self after other: witness product other.witness * ... note
         (mm')^-1 x (mm') applies m' last, so self-after-other has witness
@@ -263,6 +265,10 @@ class InnerAut:
 
     def is_identity(self):
         return self.witness.is_central()
+
+    @property
+    def label(self):
+        return "conj-by(%s)" % self.witness.literal()
 
     def canonical_witness(self):
         """Scale so the first nonzero coordinate is 1; witnesses equal up
@@ -282,7 +288,7 @@ class InnerAut:
         return hash((self.alg.a, self.alg.b, self.canonical_witness()))
 
     def __repr__(self):
-        return "conj-by(%s)" % self.witness.literal()
+        return self.label
 
 
 def fixed_subalgebra(aut):

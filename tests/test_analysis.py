@@ -414,6 +414,24 @@ def test_quaternion_autgroup_witness_relative():
         assert verify_automorphism(D, desc)
 
 
+def test_quaternion_identity_labels():
+    # sigma = id describes as "id"; inside a witness list the identity is
+    # the conjugation by 1
+    B = QuaternionAlgebra(2, 3)
+    sigma = InnerAut(B.element(0, 1, 0, 0))
+    D = DicksonAlgebra(B, "id", B.element(0, 0, 1, 0), "left",
+                       allow_identity=True)
+    assert D.describe()["sigma"] == "id"
+    assert subgroups(D, taus=["id", D.sigma]).to_dict()["aut"] == [
+        "conj-by(1,0,0,0)"]
+    D = DicksonAlgebra(B, sigma, B.element(2, 0, 0, 0), "left")
+    assert subgroups(D, taus=["id", sigma]).to_dict()["aut"] == [
+        "conj-by(1,0,0,0)", "conj-by(0,1,0,0)"]
+    rep = enumerate_automorphisms(D, taus=["id", sigma])
+    assert sorted({lab["tau"] for lab in rep.labels}) == [
+        "conj-by(0,1,0,0)", "conj-by(1,0,0,0)"]
+
+
 def test_quaternion_subgroups_need_witnesses():
     B = QuaternionAlgebra(2, 3)
     sigma = InnerAut(B.element(0, 1, 0, 0))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dickson import doubling
 from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               critical_constants, critical_value,
                               doubled_subfield_check, mul_by_constants,
@@ -50,6 +51,46 @@ def test_unknown_variant_rejected():
 
 # ---------------------------------------------------------------------------
 # product laws
+
+def test_adapters_keep_only_the_facts_of_their_kind():
+    # automorphisms act, compose and print themselves; dimension, basis
+    # and coordinates come from the element key on the base class, which
+    # p-adic coefficients leave only for their own sort order
+    interpreting = {"check_auto", "apply_auto", "auto_inverse", "auto_compose",
+                    "auto_is_identity", "auto_label", "auto_order", "norm"}
+    base = doubling._Coefficients
+    adapters = [cls for cls in vars(doubling).values()
+                if isinstance(cls, type) and issubclass(cls, base)]
+    assert len(adapters) == 6
+    for cls in adapters:
+        own = set(vars(cls))
+        assert not own & interpreting
+        assert ({"dim", "basis", "coords"} <= own) == (cls is base)
+        assert ("sort_key" in own) == (cls in (base, doubling.PadicCoefficients))
+    assert not hasattr(DicksonAlgebra, "sigma_apply")
+
+
+@pytest.mark.parametrize("doc", [
+    {"coeff": "gf(3,2)", "sigma": "frobenius:1", "c": "0,1"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "1,1"},
+    {"coeff": "qp(5;sqrt_p)", "sigma": "conjugate", "c": "2"},
+    {"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", "c": "0,1,1,0"},
+    {"coeff": "quat(1,2;5)", "sigma": "id", "c": "2,0,0,0",
+     "allow_identity": True},
+])
+def test_every_automorphism_carries_its_action(doc):
+    D = algebra_from_document(doc)
+    A = D.coeff
+    auts = [D.sigma] + A.automorphisms(["id", D.sigma])
+    if A.kind != "field":
+        auts.append(A.automorphism("id"))
+    for t in auts:
+        assert callable(t) and isinstance(t.label, str)
+        assert t.compose(t.inverse()).is_identity()
+        for e in A.basis():
+            assert t.inverse()(t(e)) == e
+            assert t.compose(t)(e) == t(t(e))
+
 
 def test_unit_and_adjoined_square():
     for variant in ("left", "middle", "right"):

@@ -179,6 +179,15 @@ def test_finite_quaternion_arithmetic_mod_p():
         assert z * z.inv() == B.one()
 
 
+def test_finite_quaternions_reduce_fraction_scalars():
+    # n/d is the residue n * d^-1 mod p, in sums and products alike
+    B = QuaternionAlgebra(1, 2, p=5)
+    assert B.one() + Fraction(1, 2) == B.element(4, 0, 0, 0)
+    assert B.one() * Fraction(1, 3) == B.element(2, 0, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        B.one() + Fraction(1, 5)
+
+
 def test_quaternion_invalid_parameters():
     with pytest.raises(ValueError):
         QuaternionAlgebra(0, 3)

@@ -1,0 +1,84 @@
+"""Write the answer to every benchmark question, for a same-answers check.
+
+Run from the root of a checkout:
+
+    python3 tools/answers.py OUT SEED [SEED ...]
+
+Every question that perfbench/workloads.py builds for the three workloads
+at each seed is asked through dickson.cli.main with --format json, with
+the program imported from ./src.  Finite-sweep questions run under the
+scan cap the benchmark client sets for them (GF49_PAIR_CAP).  OUT gets one
+JSON line per question: the question, the exit code, the envelope without
+its wall_time_s and anything written to stderr.
+
+A change keeps the answers when the files written from the two checkouts
+at the same seeds are byte-identical (`cmp parent.jsonl change.jsonl`).
+A change that is meant to alter answers differs here by design, so this
+is a check to run by hand, not a test.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+
+SRC = os.path.join(os.getcwd(), "src")
+PERFBENCH = os.path.join(os.getcwd(), "perfbench")
+CAP = "DICKSON_MAX_EXHAUSTIVE"
+
+
+def ask(main, argv):
+    """(exit code, envelope without wall_time_s or raw stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv + ["--format=json"])
+        except SystemExit as e:
+            rc = e.code
+        except Exception as e:  # a raising question is an answer too
+            rc = "%s: %s" % (type(e).__name__, e)
+    try:
+        envelope = json.loads(out.getvalue())
+    except ValueError:
+        envelope = out.getvalue()
+    else:
+        envelope.pop("wall_time_s", None)
+    return rc, envelope, err.getvalue()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", help="file to write, one JSON line per question")
+    ap.add_argument("seeds", nargs="+", type=int)
+    args = ap.parse_args()
+
+    sys.path[:0] = [SRC, PERFBENCH]
+    import dickson
+    import dickson.cli
+    import workloads
+    if not os.path.abspath(dickson.__file__).startswith(SRC + os.sep):
+        raise SystemExit("dickson was imported from %s, not from %s"
+                         % (dickson.__file__, SRC))
+
+    count = 0
+    with open(args.out, "w") as fh:
+        for workload in workloads.WORKLOADS:
+            if workload == "finite-sweep":
+                os.environ[CAP] = str(workloads.GF49_PAIR_CAP)
+            else:
+                os.environ.pop(CAP, None)
+            for seed in args.seeds:
+                for q in workloads.generate(workload, seed):
+                    rc, envelope, stderr = ask(dickson.cli.main, q["argv"])
+                    fh.write(json.dumps(
+                        {"workload": workload, "seed": seed, "id": q["id"],
+                         "argv": q["argv"], "rc": rc, "envelope": envelope,
+                         "stderr": stderr}, sort_keys=True) + "\n")
+                    count += 1
+    print("%d questions -> %s" % (count, args.out))
+
+
+if __name__ == "__main__":
+    main()
