@@ -31,7 +31,7 @@ from .quadratic import (find_norm_preimage, is_norm_from_quadfield,
                         rational_is_square, rational_sqrt)
 from .reports import (DIVISION, NOT_DIVISION, UNKNOWN, AutGroupReport,
                       CensusReport, DivisionVerdict, IsoVerdict,
-                      SubgroupReport, WeneReport)
+                      SubgroupReport, WeneReport, certify)
 
 
 def _pair_literal(pair):
@@ -226,13 +226,9 @@ def _j_member(D, tau):
 
 
 def _closure_ok(group):
-    for t1 in group:
-        for t2 in group:
-            if t1.compose(t2) not in group:
-                return False
-        if t1.inverse() not in group:
-            return False
-    return True
+    members = set(group)
+    return all(t1.compose(t2) in members for t1 in group for t2 in group) \
+        and all(t.inverse() in members for t in group)
 
 
 def subgroups(D, taus=None):
@@ -263,10 +259,6 @@ def apply_automorphism(D, desc, z):
 def compose_descriptors(D, d1, d2):
     """d1 after d2."""
     return (d1[0].compose(d2[0]), d1[0](d2[1]) * d1[1])
-
-
-def descriptor_eq(D, d1, d2):
-    return d1[0] == d2[0] and d1[1] == d2[1]
 
 
 def automorphism_images(D, desc):
@@ -312,54 +304,36 @@ def _b_candidates(D1, D2, tau):
     return D2.coeff.b_candidates(_c_ratio(D1, D2, tau), D2.sigma)
 
 
-def _b_roots(D, tau):
-    """Both solutions b of sigma(b)^2 = tau(c)/c (commutative coefficients)
-    or b^2 = tau(c)/c in the base field (quaternion coefficients), in
-    sort_key order."""
-    pair = _b_candidates(D, D, tau)
-    if not pair:
-        raise ValueError("tau is not in J(c)")
-    return sorted(pair, key=D.coeff.sort_key)
-
-
 def enumerate_automorphisms(D, taus=None):
     """All automorphisms of the doubled shape (tau, b), each re-verified.
 
     Finite field, quadratic and p-adic coefficients: the list is complete
     and has order exactly 2 |J(c) and C(sigma)|.  Quaternion coefficients:
-    complete relative to the supplied conjugation witnesses only.
+    complete relative to the supplied conjugation witnesses only.  The
+    report keeps the SubgroupReport it was built from.
     """
     A = D.coeff
     if A.kind == "field" and A.K.p == 2:
         raise ValueError("automorphism enumeration expects odd characteristic")
     sub = subgroups(D, taus)
-    elements = []
-    for tau in sub.intersection:
-        for b in _b_roots(D, tau):
-            desc = (tau, b)
-            verify_automorphism(D, desc)
-            elements.append(desc)
+    elements = [(tau, b) for tau in sub.intersection
+                for b in sorted(_b_candidates(D, D, tau), key=A.sort_key)]
+    for desc in elements:
+        verify_automorphism(D, desc)
     order = len(elements)
     if order != 2 * len(sub.intersection):
         raise RuntimeError("expected order 2 |J and C|, got %d" % order)
-    table = []
-    complete = not A.witness_relative
-    for d1 in elements:
-        row = []
-        for d2 in elements:
-            comp = compose_descriptors(D, d1, d2)
-            idx = None
-            for k, d in enumerate(elements):
-                if descriptor_eq(D, comp, d):
-                    idx = k
-                    break
-            if idx is None:
-                complete = False
-            row.append(idx)
-        table.append(row)
+    # descriptors are tuples of hashable parts, so each product is found by
+    # lookup; a product outside the list (witness-relative taus) is None
+    index = {}
+    for k, desc in enumerate(elements):
+        index.setdefault(desc, k)
+    table = [[index.get(compose_descriptors(D, d1, d2)) for d2 in elements]
+             for d1 in elements]
+    complete = not A.witness_relative and all(None not in row for row in table)
     labels = [{"tau": t.label, "b": b.literal()} for t, b in elements]
-    return AutGroupReport(elements, labels, order, table,
-                          "undetermined", "not analyzed", None, complete)
+    return AutGroupReport(elements, labels, order, table, "undetermined",
+                          "not analyzed", None, complete, sub)
 
 
 def _table_identity(table):
@@ -400,126 +374,85 @@ def group_structure(D, report):
     """Decide whether Aut splits as (J and C) x Z/2 along the orbit-product
     labeling, and say so honestly when the labeling does not apply.
 
+    With (gen, b_gen) chosen so that b_gen has orbit product +1, its m-th
+    power is (id, 1), and (id, -1) is central; so (j, s) ->
+    (gen, b_gen)^j o (id, s) is an isomorphism Z/m x Z/2 -> Aut for every
+    report enumerate_automorphisms builds.  The structure is "yes", or
+    "undetermined" when the table is incomplete, the tau group is not
+    cyclic or an even-order generator has orbit product -1 on both roots;
+    a labeling that fails is a program fault and raises.
+
     Returns a copy of the report with structure, structure_detail and
     labeling filled in.
     """
     A = D.coeff
-    if not report.complete or any(x is None for row in report.table for x in row):
+    if not report.complete:
         return replace(report, structure="undetermined",
                        structure_detail="composition table is incomplete")
     orders = _element_orders(report.table)
     cyclic = max(orders) == report.order
     base_detail = "element orders %s; cyclic=%s" % (sorted(orders), cyclic)
 
-    all_products = []
+    one = A.one()
+    signs = []
     for t, b in report.elements:
         pr = _orbit_product(D, t, b)
-        if pr == A.one():
-            all_products.append("+1")
-        elif pr == -A.one():
-            all_products.append("-1")
+        if pr == one:
+            signs.append("+1")
+        elif pr == -one:
+            signs.append("-1")
         else:
             raise RuntimeError("orbit product is not +1 or -1")
-    base_label = {"orbit_products_all": all_products}
+    base_label = {"orbit_products_all": signs}
 
-    taus = []
-    for t, _ in report.elements:
-        if t not in taus:
-            taus.append(t)
+    taus = list(dict.fromkeys(t for t, _ in report.elements))
     m = len(taus)
-    if report.order != 2 * m:
-        return replace(report, structure="no",
-                       structure_detail=base_detail + "; order is not twice "
-                       "the number of tau values", labeling=dict(base_label))
-
-    gen = None
-    for t in taus:
-        if t.order() == m:
-            gen = t
-            break
+    certify(report.order == 2 * m, "the order is twice the number of tau "
+            "values")
+    gen = next((t for t in taus if t.order() == m), None)
     if gen is None:
         return replace(report, structure="undetermined",
                        structure_detail=base_detail + "; the tau group is "
                        "not cyclic, the labeling argument does not apply",
-                       labeling=dict(base_label))
+                       labeling=base_label)
 
-    roots = [b for t, b in report.elements if t == gen]
-    products = [_orbit_product(D, gen, b) for b in roots]
-    plus = [b for b, pr in zip(roots, products) if pr == A.one()]
-    prod_labels = {b.literal(): ("+1" if pr == A.one() else "-1")
-                   for b, pr in zip(roots, products)}
-
-    if m % 2 == 1:
-        if len(plus) != 1:
-            raise RuntimeError("odd tau order must give exactly one +1 root")
-        b_gen = plus[0]
-    else:
-        if len(plus) == 0:
-            labeling = dict(base_label, generator=gen.label,
-                            orbit_products=prod_labels)
-            return replace(report, structure="undetermined",
-                           structure_detail=base_detail + "; even-order "
-                           "generator with orbit product -1 on both roots, "
-                           "the sign labeling has no consistent base point",
-                           labeling=labeling)
-        b_gen = min(plus, key=A.sort_key)
-
-    chain = {0: A.one()}
-    for j in range(1, m):
-        chain[j] = gen(chain[j - 1]) * b_gen
-
-    def power_of(t):
-        if t.is_identity():
-            return 0
-        cur = gen
-        for j in range(1, m):
-            if cur == t:
-                return j
-            cur = gen.compose(cur)
-        raise RuntimeError("tau is not a power of the generator")
-
-    assignment = []
-    for t, b in report.elements:
-        j = power_of(t)
-        if b == chain[j]:
-            sign = 1
-        elif b == -chain[j]:
-            sign = -1
-        else:
-            return replace(report, structure="no",
-                           structure_detail=base_detail + "; a root is not "
-                           "plus or minus the chained base root",
-                           labeling=dict(base_label,
-                                         generator=gen.label,
-                                         orbit_products=prod_labels))
-        assignment.append((j, sign))
-
-    is_hom = True
-    for i1, d1 in enumerate(report.elements):
-        for i2, d2 in enumerate(report.elements):
-            k = report.table[i1][i2]
-            j1, s1 = assignment[i1]
-            j2, s2 = assignment[i2]
-            if assignment[k] != ((j1 + j2) % m, s1 * s2):
-                is_hom = False
-    labeling = dict(
-        base_label,
-        generator=gen.label,
-        orbit_products=prod_labels,
-        assignments=[{"tau": report.labels[i]["tau"],
-                      "b": report.labels[i]["b"],
-                      "power": assignment[i][0],
-                      "sign": assignment[i][1]}
-                     for i in range(report.order)],
-    )
-    if is_hom:
-        return replace(report, structure="yes",
-                       structure_detail=base_detail + "; the orbit-product "
-                       "labeling is an isomorphism onto Z/%d x Z/2" % m,
+    roots = [(b, sign) for (t, b), sign in zip(report.elements, signs)
+             if t == gen]
+    labeling = dict(base_label, generator=gen.label,
+                    orbit_products={b.literal(): sign for b, sign in roots})
+    plus = [b for b, sign in roots if sign == "+1"]
+    certify(m % 2 == 0 or len(plus) == 1, "an odd-order generator has "
+            "exactly one root with orbit product +1")
+    if not plus:
+        return replace(report, structure="undetermined",
+                       structure_detail=base_detail + "; even-order "
+                       "generator with orbit product -1 on both roots, "
+                       "the sign labeling has no consistent base point",
                        labeling=labeling)
-    return replace(report, structure="no",
-                   structure_detail=base_detail + "; the labeling exists but "
-                   "fails to be a homomorphism", labeling=labeling)
+    step = (gen, min(plus, key=A.sort_key))
+
+    # the powers (gen, b_gen)^j for j = 1..m; the m-th is (id, 1), power 0
+    powers = [step]
+    for _ in range(m - 1):
+        powers.append(compose_descriptors(D, step, powers[-1]))
+    position = {}
+    for j, (t, b) in enumerate(powers, 1):
+        position[(t, b)] = (j % m, 1)
+        position[(t, -b)] = (j % m, -1)
+    assignment = [position.get(desc) for desc in report.elements]
+    certify(None not in assignment, "every root is plus or minus the "
+            "chained base root")
+    certify(all(assignment[report.table[i1][i2]] == ((j1 + j2) % m, s1 * s2)
+                for i1, (j1, s1) in enumerate(assignment)
+                for i2, (j2, s2) in enumerate(assignment)),
+            "the orbit-product labeling is a homomorphism")
+    labeling["assignments"] = [
+        dict(report.labels[i], power=j, sign=s)
+        for i, (j, s) in enumerate(assignment)]
+    return replace(report, structure="yes",
+                   structure_detail=base_detail + "; the orbit-product "
+                   "labeling is an isomorphism onto Z/%d x Z/2" % m,
+                   labeling=labeling)
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +588,13 @@ def wene_inner_check(D):
         desc = (D.sigma, A.one())
         verify_automorphism(D, desc)
         rep = enumerate_automorphisms(D)
-        member = any(descriptor_eq(D, desc, d) for d in rep.elements)
+        member = desc in rep.elements
     return WeneReport(w.literal(), matches, fixes, consistent, member,
                       [im.literal() for im in images])
 
 
 # ---------------------------------------------------------------------------
 # isomorphism
-
-
-def _same_field(K1, K2):
-    return (K1.p, K1.n, tuple(K1.modulus)) == (K2.p, K2.n, tuple(K2.modulus))
 
 
 def verify_isomorphism(D1, D2, tau, b):
@@ -681,7 +610,7 @@ def _iso_prelude(D1, D2):
     A1, A2 = D1.coeff, D2.coeff
     if A1.kind != A2.kind:
         return IsoVerdict("no", "coefficient algebras have different kinds")
-    if A1.kind == "field" and not _same_field(A1.K, A2.K):
+    if A1.kind == "field" and A1.K != A2.K:
         if (A1.K.p, A1.K.n) != (A2.K.p, A2.K.n):
             return IsoVerdict("no", "coefficient fields have different "
                                     "orders")
@@ -697,8 +626,7 @@ def _iso_prelude(D1, D2):
         return IsoVerdict("unknown", "the same p-adic extension at precisions "
                           "%d and %d; comparing across precisions is not "
                           "implemented" % (A1.K.ctx.N, A2.K.ctx.N))
-    if A1.kind == "quat" and ((A1.B.a, A1.B.b, A1.B.p)
-                              != (A2.B.a, A2.B.b, A2.B.p)):
+    if A1.kind == "quat" and A1.B != A2.B:
         return IsoVerdict("unknown", "different quaternion presentations; "
                           "identifying them is out of scope")
     if A1.kind == "quat" or D1.sigma_is_id != D2.sigma_is_id:
@@ -767,43 +695,33 @@ def census(p, n, limit=27):
         raise ValueError("census is sized for p^n <= %d; pass a larger "
                          "limit explicitly to go bigger" % limit)
     K = make_field(p, n)
-    coeff_cache = FieldCoefficients(K)
+    coeff = FieldCoefficients(K)
     nonsquares = [c for c in K.elements()
                   if not c.is_zero() and not K.is_square(c)]
-    sigmas = list(range(n))
     entries = []
-    algebras = []
-    for k in sigmas:
-        tau = FrobeniusAut(K, k)
+    classes = []              # (representative algebra, class record)
+    for k in range(n):
+        sigma = FrobeniusAut(K, k)
         for c in nonsquares:
-            D = DicksonAlgebra(coeff_cache, tau, c, "commutative",
+            D = DicksonAlgebra(coeff, sigma, c, "commutative",
                                allow_identity=True)
-            verdict = division_decide(D)
-            entries.append({"sigma": tau.label,
-                            "c": c.literal(),
-                            "division": verdict.status})
-            algebras.append((k, c, D))
-    reps = []
-    classes = []
-    for k, c, D in algebras:
-        placed = False
-        for ci, (rk, rc, rD) in enumerate(reps):
-            verdict = iso_test(rD, D)
-            if verdict.status == "yes":
-                classes[ci]["size"] += 1
-                classes[ci]["members"].append(c.literal())
-                placed = True
-                break
-            if verdict.status != "no":
-                raise RuntimeError("census expects decidable comparisons")
-        if not placed:
-            reps.append((k, c, D))
-            classes.append({"sigma": D.sigma.label,
-                            "representative_c": c.literal(),
-                            "size": 1,
-                            "members": [c.literal()]})
-    excluding = sum(1 for (k, _, _) in reps if k != 0)
-    return CensusReport(p, n, entries, classes, excluding, len(reps))
+            entries.append({"sigma": sigma.label, "c": c.literal(),
+                            "division": division_decide(D).status})
+            for rD, record in classes:
+                status = iso_test(rD, D).status
+                if status == "yes":
+                    record["size"] += 1
+                    record["members"].append(c.literal())
+                    break
+                if status != "no":
+                    raise RuntimeError("census expects decidable comparisons")
+            else:
+                classes.append((D, {"sigma": sigma.label,
+                                    "representative_c": c.literal(),
+                                    "size": 1, "members": [c.literal()]}))
+    excluding = sum(1 for rD, _ in classes if not rD.sigma_is_id)
+    return CensusReport(p, n, entries, [record for _, record in classes],
+                        excluding, len(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -811,10 +729,11 @@ def census(p, n, limit=27):
 
 
 def aut_bounds_check(D, taus=None):
-    """2 |C(sigma) and isotropy(c)| <= |Aut| <= 2 |C(sigma)|, all three
-    numbers computed independently."""
-    sub = subgroups(D, taus)
+    """2 |C(sigma) and isotropy(c)| <= |Aut| <= 2 |C(sigma)|, the order
+    counted from the verified elements and the bounds read off the
+    subgroups the enumeration was built from."""
     rep = enumerate_automorphisms(D, taus)
+    sub = rep.subgroups
     iso_and_c = [t for t in sub.isotropy if t in sub.c_sigma]
     lower = 2 * len(iso_and_c)
     upper = 2 * len(sub.c_sigma)

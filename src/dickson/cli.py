@@ -28,8 +28,7 @@ import time
 
 from . import __version__
 from .analysis import (census, division_decide, enumerate_automorphisms,
-                       group_structure, iso_test, subgroups,
-                       wene_inner_check)
+                       group_structure, iso_test, wene_inner_check)
 from .doubling import (compute_nuclei, mul_by_constants,
                        structure_constants, theorem_zero_divisor_witness)
 from .parsing import (DescriptionError, algebra_from_document, load_document,
@@ -74,12 +73,17 @@ def _document(args):
 
 
 def _taus(D, args):
-    raw = getattr(args, "tau", None)
-    if not raw:
+    if not D.coeff.witness_relative:
+        if args.tau:
+            raise DescriptionError(
+                "--tau is for quaternion coefficients only; the automorphism "
+                "search over %s is exhaustive" % D.coeff.describe())
+        return None
+    if not args.tau:
         # quaternion automorphisms are witness-relative: default to id and
         # the chosen sigma, as the --tau help says
-        return ["id", D.sigma] if D.coeff.witness_relative else None
-    return [parse_sigma(D.coeff, t) for t in raw]
+        return ["id", D.sigma]
+    return [parse_sigma(D.coeff, t) for t in args.tau]
 
 
 # argparse reads a token that starts with "-" and holds a comma, such as
@@ -160,11 +164,9 @@ def _run_division(args):
 def _run_autgroup(args):
     doc = _document(args)
     D = algebra_from_document(doc)
-    taus = _taus(D, args)
-    report = enumerate_automorphisms(D, taus=taus)
-    report = group_structure(D, report)
+    report = group_structure(D, enumerate_automorphisms(D, _taus(D, args)))
     result = report.to_dict()
-    result["subgroups"] = subgroups(D, taus=taus).to_dict()
+    result["subgroups"] = report.subgroups.to_dict()
     return doc, result
 
 
@@ -294,8 +296,9 @@ def build_parser():
     _add_algebra_flags(sub)
     _add_common_flags(sub)
     sub.add_argument("--tau", action="append", metavar="DESC",
-                     help="candidate coefficient automorphism (repeatable); "
-                          "quaternion default is id and the chosen sigma")
+                     help="candidate coefficient automorphism (repeatable), "
+                          "quaternion coefficients only; default is id and "
+                          "the chosen sigma")
     sub.set_defaults(run=_run_autgroup)
 
     sub = subs.add_parser("iso", help="test two algebras for isomorphism")
@@ -350,9 +353,6 @@ def main(argv=None):
     started = time.monotonic()
     try:
         input_echo, result = args.run(args)
-    except DescriptionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

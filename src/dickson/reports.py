@@ -98,10 +98,11 @@ class AutGroupReport:
     labels: list              # printable ("tau": ..., "b": ...) per element
     order: int
     table: list               # composition table of indices
-    structure: str            # "yes" | "no" | "undetermined"
+    structure: str            # "yes" | "undetermined"
     structure_detail: str
     labeling: dict | None     # generator orbit products / chosen roots
     complete: bool            # False for witness-relative quaternion mode
+    subgroups: SubgroupReport  # the tau subgroups the elements come from
 
     def to_dict(self):
         return {

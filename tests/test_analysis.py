@@ -15,6 +15,7 @@ from dickson.analysis import (apply_automorphism, aut_bounds_check,
                               verify_isomorphism, wene_inner_check)
 from dickson.doubling import DicksonAlgebra
 from dickson.fields import FrobeniusAut, make_field
+from dickson.parsing import algebra_from_document
 from dickson.padics import PadicContext, PadicQuadExt
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
@@ -367,6 +368,16 @@ def test_group_structure_gf27_splits():
         == {(i, s) for i in range(3) for s in (1, -1)}
 
 
+def test_group_structure_failed_labeling_is_a_program_fault():
+    # the labeling of an enumerated group is an isomorphism by construction,
+    # so elements that disagree with their table raise instead of "no"
+    D = _gf(3, 3, [0, 1, 0])
+    rep = enumerate_automorphisms(D)
+    rep.elements[-2:] = rep.elements[:-3:-1]
+    with pytest.raises(RuntimeError, match="homomorphism"):
+        group_structure(D, rep)
+
+
 def test_group_structure_fixed_c_klein_four():
     # c in the prime field is sigma-fixed, both orbit products are +1 and
     # the labeling lands on the Klein four-group
@@ -385,6 +396,27 @@ def test_orbit_products_are_signs_everywhere():
         prods = rep.labeling["orbit_products_all"]
         assert len(prods) == rep.order
         assert all(s in ("+1", "-1") for s in prods)
+
+
+@pytest.mark.parametrize("doc", [
+    {"coeff": "gf(3,3)", "sigma": "frobenius:1", "c": "0,1,0"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3,1"},
+    {"coeff": "qp(5;sqrt_p)", "sigma": "conjugate", "c": "2"},
+    {"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", "c": "2,0,0,0",
+     "variant": "left"},
+    {"coeff": "quat(1,2;5)", "sigma": "conjugation:0,1,0,0", "c": "0,0,1,0",
+     "variant": "left"},
+])
+def test_enumeration_keeps_its_subgroups_and_a_latin_table(doc):
+    D = algebra_from_document(doc)
+    taus = ["id", D.sigma] if D.coeff.witness_relative else None
+    rep = enumerate_automorphisms(D, taus)
+    assert rep.subgroups.to_dict() == subgroups(D, taus).to_dict()
+    assert rep.complete == (not D.coeff.witness_relative)
+    if rep.complete:
+        everything = list(range(rep.order))
+        assert all(sorted(row) == everything for row in rep.table)
+        assert all(sorted(col) == everything for col in zip(*rep.table))
 
 
 # ---------------------------------------------------------------------------
@@ -591,5 +623,7 @@ def test_readme_library_snippet():
     D = DicksonAlgebra(K, phi, K.gen())
 
     assert division_decide(D).status == "proved-division"
-    assert enumerate_automorphisms(D).order == 4
+    aut = enumerate_automorphisms(D)
+    assert aut.order == 4
+    assert len(aut.subgroups.intersection) == 2
     assert compute_nuclei(D).dims["middle"] == 2

@@ -270,6 +270,20 @@ def test_autgroup_quaternion_default_taus_are_id_and_sigma(capsys):
     assert default == explicit
 
 
+@pytest.mark.parametrize("coeff, sigma, c", [
+    ("quad(2)", "conjugate", "1,1"),
+    ("gf(3,2)", "frobenius:1", "0,1"),
+])
+def test_autgroup_refuses_tau_over_commutative_kinds(capsys, coeff, sigma, c):
+    code, out, err = run_cli(capsys, [
+        "autgroup", "--coeff", coeff, "--sigma", sigma, "--c", c,
+        "--tau", "id"])
+    assert code == 2
+    assert out == ""
+    assert "quaternion coefficients only" in err
+    assert coeff.rstrip(")") in err and "exhaustive" in err
+
+
 def test_negative_element_literal_after_a_space(capsys):
     code, out, err = run_cli(capsys, [
         "division", "--coeff", "quad(2)", "--sigma", "conjugate",
