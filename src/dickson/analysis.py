@@ -18,8 +18,6 @@ cross-checked against it.
 
 from dataclasses import replace
 
-import numpy as np
-
 from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
                        _field_grid, _norm_zero_pair, _quat_is_split,
                        compute_nuclei, critical_constants, search_cap,
@@ -43,8 +41,9 @@ def _pair_literal(pair):
 
 
 def _division_finite(D):
-    """Exhaustive scan, cross-checked against the critical-value set and
-    against the quadratic character of c.  The three must agree."""
+    """The exhaustive rank test of zero_divisor_search (every left factor,
+    so every ordered pair), cross-checked against the critical-value set
+    and against the quadratic character of c.  The three must agree."""
     A = D.coeff
     K = A.K
     status, pair = zero_divisor_search(D)
@@ -146,7 +145,7 @@ _DIVISION_ANSWERS = {
 def division_decide(D):
     """Three-valued division verdict with method and witness.
 
-    GF(p^n) coefficients are scanned exhaustively.  Every other kind runs
+    GF(p^n) coefficients are searched exhaustively.  Every other kind runs
     the division theorem's criteria in one ordered pass; from step 2 on the
     coefficients are a division algebra, so D has zero divisors exactly
     when c is a critical value c(r, s, t):
@@ -473,6 +472,7 @@ def oracle_automorphisms(D):
     A = D.coeff
     if A.kind != "field":
         raise ValueError("the brute-force oracle works over finite fields")
+    import numpy as np
     K = A.K
     p, n, q = K.p, K.n, K.order
     size = q * q
@@ -686,9 +686,9 @@ def census(p, n, limit=27):
     the identity, partitioned into isomorphism classes by the exhaustive
     pairwise test.
 
-    Every instance is division (cross-checked by the full scan).  Classes
-    never mix sigma exponents.  Both class counts are reported: with and
-    without the degenerate sigma = id convention."""
+    Every instance is division (cross-checked by the exhaustive search).
+    Classes never mix sigma exponents.  Both class counts are reported:
+    with and without the degenerate sigma = id convention."""
     if p == 2:
         raise ValueError("the census is about odd characteristic")
     if p ** n > limit:

@@ -16,7 +16,7 @@ mathematical verdict (including "unknown"); input and validation
 problems exit with status 2 and a message on standard error.
 
 The environment variable DICKSON_MAX_EXHAUSTIVE overrides the default
-10^6-pair cap on exhaustive zero-divisor searches.
+cap of 10^6 left factors on the exhaustive zero-divisor search.
 """
 
 import argparse

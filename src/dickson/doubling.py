@@ -24,15 +24,17 @@ surface.
 
 Nuclei, the commuting elements and the center are computed as kernels of
 exact F-linear systems, never assumed from theory.  The exhaustive
-zero-divisor scan over finite coefficients is table driven (numpy), caps
-itself at 10^6 ordered pairs, and honors DICKSON_MAX_EXHAUSTIVE.
+zero-divisor search over finite fields is a rank test over GF(p): the
+doubled product is GF(p)-bilinear, so x has a right annihilator exactly
+when the matrix of left multiplication by x is singular.  It caps itself
+at 10^6 left factors and honors DICKSON_MAX_EXHAUSTIVE.  numpy is
+imported only by the index-table grid that the brute-force automorphism
+oracle reads, never on the decision path.
 """
 
 import os
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .fields import FiniteField, FrobeniusAut
 from .linalg import (FpOps, QOps, _integer_tensor, in_span, kernel_basis,
@@ -48,7 +50,9 @@ VARIANTS = ("commutative", "left", "middle", "right")
 
 
 def search_cap():
-    """Ordered-pair budget for exhaustive scans; env-overridable."""
+    """Budget for exhaustive searches, in left factors for the division
+    search and in ordered pairs for the automorphism oracle;
+    env-overridable."""
     v = os.environ.get("DICKSON_MAX_EXHAUSTIVE")
     return int(v) if v else 10**6
 
@@ -214,10 +218,11 @@ class FieldCoefficients(_Coefficients):
             return "gf(%d,1)" % K.p
         return "gf(%d,%d;%s)" % (K.p, K.n, ",".join(str(m) for m in K.modulus))
 
-    # table machinery for the numpy scans ----------------------------------
+    # index tables for the numpy grid of the automorphism oracle ----------
 
     def tables(self):
         if self._tables is None:
+            import numpy as np
             K = self.K
             q = K.order
             elems = list(K.elements())
@@ -232,6 +237,7 @@ class FieldCoefficients(_Coefficients):
 
     def sigma_perm(self, desc):
         if desc.k not in self._sig_perm:
+            import numpy as np
             K = self.K
             perm = np.array([K.element_index(desc(x)) for x in K.elements()],
                             dtype=np.int32)
@@ -668,6 +674,7 @@ def compute_nuclei(D):
 def _field_grid(D):
     """All component grids of the product table over a finite field, as
     numpy index arrays: FIRST[i, j], SECOND[i, j] for D elements i, j."""
+    import numpy as np
     A = D.coeff
     K = A.K
     q = K.order
@@ -728,36 +735,99 @@ def _critical_pair(D, r, s, t):
     return pair
 
 
+def _singular_mod_p(rows, p):
+    """Is the square matrix of ints in range(p) singular over GF(p)?
+
+    Forward elimination that drops each pivot column as it is cleared and
+    stops at the first column without a pivot; the rows are not changed.
+    """
+    rows = list(rows)
+    while rows:
+        for k, pivot in enumerate(rows):
+            if pivot[0]:
+                break
+        else:
+            return True
+        del rows[k]
+        inv = pow(pivot[0], -1, p)
+        rows = [[(a - f * b) % p for a, b in zip(row[1:], pivot[1:])]
+                if (f := row[0] * inv % p) else row[1:] for row in rows]
+    return False
+
+
+def _first_singular_left_factor(D):
+    """The index-first nonzero x of D whose left multiplication L_x is
+    singular over GF(p), as (coordinates of x, rows of L_x); None when
+    every L_x is invertible, that is, when D is division.
+
+    L_x[r][j] = sum_i x_i * table[i][j][r] mod p, from the structure
+    constants table[i][j] = coords(e_i e_j).  Since L_{lx} = l * L_x, only
+    the x whose first nonzero coordinate is 1 are tested, (q^2 - 1)/(p - 1)
+    of them.  D's index order is the lexicographic order of the
+    coordinates, and that x is the smallest member of its class {l x}, so
+    walking x in that order finds the index-first singular one.
+    """
+    p, m = D.coeff.K.p, D.dim
+    table = structure_constants(D)
+    # scaled[i][l]: l * T_i as one flat row-major list, where T_i[r][j] is
+    # the coordinate r of e_i e_j
+    scaled = [[[l * table[i][j][r] for r in range(m) for j in range(m)]
+               for l in range(p)] for i in range(m)]
+
+    def first(k, acc, x):
+        """The first singular x extending the prefix x (coordinates before
+        k), whose partial sum of scaled T_i is acc."""
+        if k == m:
+            rows = [[v % p for v in acc[r * m:(r + 1) * m]] for r in range(m)]
+            return (x, rows) if _singular_mod_p(rows, p) else None
+        for l in range(p):
+            step = [a + b for a, b in zip(acc, scaled[k][l])] if l else acc
+            found = first(k + 1, step, x + (l,))
+            if found:
+                return found
+        return None
+
+    for lead in reversed(range(m)):
+        found = first(lead + 1, scaled[lead][1], (0,) * lead + (1,))
+        if found:
+            return found
+    return None
+
+
 def zero_divisor_search(D):
     """Look for nonzero x, y with x*y = 0.
 
-    Finite field coefficients: exhaustive over all ordered pairs (refusing
-    above the pair cap), deterministic, returning the lexicographically
-    first witness or the proof that none exists.  Split quaternion
-    coefficients (every finite one, and some over Q) give a norm-zero pair
-    of the coefficient algebra, when the bounded search over Q finds one.
-    Otherwise, when c has a square root r, the witness is the theorem pair
-    of the critical triple (r, 1, 1); else the search is inconclusive,
-    never a proof.
+    Finite field coefficients: exhaustive and deterministic, refusing above
+    the cap on left factors.  The first left factor x with a singular left
+    multiplication over GF(p) (see _first_singular_left_factor) and the
+    smallest nonzero y in its kernel form the lexicographically first
+    annihilating pair; no singular x is the proof that none exists.
+    Split quaternion coefficients (every finite one, and some over Q) give
+    a norm-zero pair of the coefficient algebra, when the bounded search
+    over Q finds one.  Otherwise, when c has a square root r, the witness
+    is the theorem pair of the critical triple (r, 1, 1); else the search
+    is inconclusive, never a proof.
 
     Returns (status, pair) with status one of "witness", "none",
     "inconclusive".
     """
     A = D.coeff
     if A.kind == "field":
-        n_pairs = D.size() ** 2
-        if n_pairs > search_cap():
-            raise ValueError("exhaustive scan needs %d pairs, over the cap; "
-                             "set DICKSON_MAX_EXHAUSTIVE to override" % n_pairs)
-        first, second = _field_grid(D)
-        zero = (first == 0) & (second == 0)
-        zero[0, :] = False
-        zero[:, 0] = False
-        hits = np.argwhere(zero)
-        if len(hits) == 0:
+        n_left = D.size()
+        if n_left > search_cap():
+            raise ValueError("exhaustive search needs %d left factors, over "
+                             "the cap; set DICKSON_MAX_EXHAUSTIVE to override"
+                             % n_left)
+        found = _first_singular_left_factor(D)
+        if found is None:
             return "none", None
-        i, j = hits[0]
-        pair = (D.element_at(int(i)), D.element_at(int(j)))
+        x, rows = found
+        ops = FpOps(A.K.p)
+        # the last row of the kernel's rref has the latest leading position
+        # and leading entry 1: the smallest nonzero y with x*y = 0
+        kernel = kernel_basis(rows, D.dim, ops)
+        rref(kernel, ops)
+        pair = (D.from_coords(x), D.from_coords(kernel[-1]))
         return "witness", annihilating(D, pair)
     if A.kind == "quat" and _quat_is_split(A.B):
         pair = _norm_zero_pair(D)

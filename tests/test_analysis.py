@@ -245,6 +245,23 @@ _WRONG_WITNESS_SCRIPT = textwrap.dedent("""
 """)
 
 
+def test_division_gf343_under_the_default_cap(monkeypatch):
+    monkeypatch.delenv("DICKSON_MAX_EXHAUSTIVE", raising=False)
+    K = make_field(7, 3)
+    sigma = FrobeniusAut(K, 1)
+    nonsquare = next(c for c in K.elements()
+                     if not c.is_zero() and not K.is_square(c))
+    v = division_decide(DicksonAlgebra(K, sigma, nonsquare))
+    assert v.status == "proved-division"
+    assert "among all %d ordered pairs" % 343 ** 4 in v.notes
+    D = DicksonAlgebra(K, sigma, K.gen() * K.gen())
+    v = division_decide(D)
+    assert v.status == "proved-not-division"
+    x, y = v.witness
+    assert not x.is_zero() and not y.is_zero()
+    assert D.mul(x, y).is_zero()
+
+
 def test_witness_checks_run_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -566,6 +583,14 @@ def test_census_3_3():
 
 def test_census_5_2():
     rep = census(5, 2)
+    assert rep.classes_excluding_id == 1
+    assert rep.classes_including_id == 2
+
+
+def test_census_7_2_past_the_old_pair_cap():
+    # 2401^2 ordered pairs per doubling, over the default cap of 10^6 that
+    # once counted pairs; the cap now counts the 2401 left factors
+    rep = census(7, 2, limit=49)
     assert rep.classes_excluding_id == 1
     assert rep.classes_including_id == 2
 

@@ -317,6 +317,30 @@ def test_module_entry_point_version():
     assert proc.stdout.strip() == "0.1.0"
 
 
+def test_decision_path_runs_without_numpy():
+    """numpy is no runtime dependency: with it blocked, the CLI imports and
+    decides a GF(49) doubling, 2401^2 ordered pairs, under the default
+    cap, and nothing tries to load numpy."""
+    child = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None",
+        "import dickson.cli",
+        "rc = dickson.cli.main(['division', '--coeff', 'gf(7,2)',",
+        "                       '--sigma', 'frobenius:1', '--c', '0,1'])",
+        "sys.exit(rc if sys.modules['numpy'] is None else 3)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k != "DICKSON_MAX_EXHAUSTIVE"}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(env, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict:  proved-division" in proc.stdout
+    assert "no annihilating pair among all 5764801 ordered pairs" \
+        in proc.stdout
+
+
 def test_parser_reuse_leaks_no_state_between_calls(capsys):
     """main builds its parser once per process: an autgroup call with
     --tau must not change the answer of a later call without it."""

@@ -251,6 +251,48 @@ def test_search_witness_for_square_c_is_lex_first_and_real():
                 assert not D.mul(a, b).is_zero()
 
 
+@pytest.mark.parametrize("p, n, sample", [
+    (2, 2, None), (2, 3, None), (3, 2, None), (5, 2, 3), (3, 3, 3)])
+def test_rank_test_returns_the_grid_first_pair(p, n, sample):
+    """The witness of the rank test is the first hit of the full pair grid
+    in row-major order, and "none" comes exactly when the grid has no
+    hit: every unit c (a seeded sample of them over GF(25) and GF(27)),
+    every sigma including the identity, and the three variants."""
+    import numpy as np
+    K = make_field(p, n)
+    units = [c for c in K.elements() if not c.is_zero()]
+    if sample:
+        units = random.Random(p ** n).sample(units, sample)
+    for k in range(n):
+        for c in units:
+            for variant in ("left", "middle", "right"):
+                D = DicksonAlgebra(K, FrobeniusAut(K, k), c, variant,
+                                   allow_identity=True)
+                first, second = _field_grid(D)
+                zero = (first == 0) & (second == 0)
+                zero[0, :] = False
+                zero[:, 0] = False
+                hits = np.argwhere(zero)
+                status, pair = zero_divisor_search(D)
+                if len(hits) == 0:
+                    assert (status, pair) == ("none", None)
+                    continue
+                assert status == "witness"
+                assert (D.element_index(pair[0]), D.element_index(pair[1])) \
+                    == tuple(int(i) for i in hits[0])
+
+
+def test_search_cap_counts_left_factors(monkeypatch):
+    # GF(49) doubled has 2401 left factors and 2401^2 ordered pairs
+    K = make_field(7, 2)
+    D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
+    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "2400")
+    with pytest.raises(ValueError, match="2401 left factors"):
+        zero_divisor_search(D)
+    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "2401")
+    assert zero_divisor_search(D) == ("none", None)
+
+
 def test_search_cap_refuses_large_exhaustive(monkeypatch):
     K = make_field(3, 2)
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
