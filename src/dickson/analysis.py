@@ -472,81 +472,59 @@ def oracle_automorphisms(D):
     A = D.coeff
     if A.kind != "field":
         raise ValueError("the brute-force oracle works over finite fields")
-    import numpy as np
     K = A.K
     p, n, q = K.p, K.n, K.order
     size = q * q
     if size * size > search_cap():
         raise ValueError("oracle needs %d pairs, over the cap; set "
                          "DICKSON_MAX_EXHAUSTIVE to override" % (size * size))
-    first, second = _field_grid(D)
-    dmul = (first.astype(np.int64) * q + second).astype(np.int32)
+    dmul = _field_grid(D)
     _, add = A.tables()
-    us = np.repeat(np.arange(q, dtype=np.int32), q)
-    vs = np.tile(np.arange(q, dtype=np.int32), q)
-    dadd = (add[us[:, None], us[None, :]].astype(np.int64) * q
-            + add[vs[:, None], vs[None, :]]).astype(np.int32)
 
-    coords = []
-    for t in range(size):
-        xu = K.element_at(t // q)
-        xv = K.element_at(t % q)
-        coords.append(tuple(xu.coeffs) + tuple(xv.coeffs))
+    def dadd(s, t):
+        (su, sv), (tu, tv) = divmod(s, q), divmod(t, q)
+        return add[su][tu] * q + add[sv][tv]
+
+    coords = [tuple(K.element_at(t // q).coeffs)
+              + tuple(K.element_at(t % q).coeffs) for t in range(size)]
     dim = 2 * n
     unit_d = K.element_index(K.one()) * q
     scal_d = [K.element_index(K.element([s] + [0] * (n - 1))) * q
               for s in range(p)]
 
-    def combine(images, t):
+    def combine(cofs, images):
         acc = 0
-        for r, cr in enumerate(coords[t]):
+        for r, cr in enumerate(cofs):
             if cr:
-                acc = dadd[acc, dmul[scal_d[cr], images[r]]]
+                acc = dadd(acc, dmul[scal_d[cr]][images[r]])
         return acc
 
-    basis_d = [K.element_index(e) * q for e in
-               (K.element([0] * j + [1] + [0] * (n - 1 - j)) for j in range(n))]
-    basis_d += [K.element_index(e) for e in
-                (K.element([0] * j + [1] + [0] * (n - 1 - j)) for j in range(n))]
+    units = [K.element_index(K.element([0] * j + [1] + [0] * (n - 1 - j)))
+             for j in range(n)]
+    basis_d = [u * q for u in units] + units
 
-    mod = list(K.modulus)
-    c_cof = tuple(D.c.coeffs)
     ops = FpOps(p)
     found = []
     for a_img in range(size):
         pows = [unit_d]
         for _ in range(n):
-            pows.append(dmul[pows[-1], a_img])
-        val = 0
-        for i, mi in enumerate(mod):
-            if mi:
-                val = dadd[val, dmul[scal_d[mi], pows[i]]]
-        if val != 0:
+            pows.append(dmul[pows[-1]][a_img])
+        if combine(K.modulus, pows) != 0:
             continue
-        c_img = 0
-        for i, ci in enumerate(c_cof):
-            if ci:
-                c_img = dadd[c_img, dmul[scal_d[ci], pows[i]]]
+        c_img = combine(D.c.coeffs, pows)
         for b_img in range(size):
-            if dmul[b_img, b_img] != c_img:
+            if dmul[b_img][b_img] != c_img:
                 continue
-            images = [pows[r] for r in range(n)]
-            images += [dmul[b_img, pows[r]] for r in range(n)]
-            ok = True
-            for rs in range(dim):
-                for rt in range(dim):
-                    z = dmul[basis_d[rs], basis_d[rt]]
-                    if dmul[images[rs], images[rt]] != combine(images, z):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            images = pows[:n] + [dmul[b_img][pw] for pw in pows[:n]]
+            if not all(dmul[images[rs]][images[rt]]
+                       == combine(coords[dmul[basis_d[rs]][basis_d[rt]]],
+                                  images)
+                       for rs in range(dim) for rt in range(dim)):
                 continue
             rows = list(zip(*(coords[im] for im in images)))
             if rank(rows, ops) != dim:
                 continue
-            found.append(tuple(int(images[r]) for r in range(dim)))
+            found.append(tuple(images))
     return sorted(found)
 
 

@@ -27,9 +27,7 @@ exact F-linear systems, never assumed from theory.  The exhaustive
 zero-divisor search over finite fields is a rank test over GF(p): the
 doubled product is GF(p)-bilinear, so x has a right annihilator exactly
 when the matrix of left multiplication by x is singular.  It caps itself
-at 10^6 left factors and honors DICKSON_MAX_EXHAUSTIVE.  numpy is
-imported only by the index-table grid that the brute-force automorphism
-oracle reads, never on the decision path.
+at 10^6 left factors and honors DICKSON_MAX_EXHAUSTIVE.
 """
 
 import os
@@ -163,8 +161,6 @@ class FieldCoefficients(_Coefficients):
 
     def __init__(self, K):
         super().__init__(K)
-        self._tables = None
-        self._sig_perm = {}
         self._critical = {}
 
     def base_ops(self):
@@ -218,31 +214,13 @@ class FieldCoefficients(_Coefficients):
             return "gf(%d,1)" % K.p
         return "gf(%d,%d;%s)" % (K.p, K.n, ",".join(str(m) for m in K.modulus))
 
-    # index tables for the numpy grid of the automorphism oracle ----------
-
     def tables(self):
-        if self._tables is None:
-            import numpy as np
-            K = self.K
-            q = K.order
-            elems = list(K.elements())
-            mul = np.zeros((q, q), dtype=np.int32)
-            add = np.zeros((q, q), dtype=np.int32)
-            for i, x in enumerate(elems):
-                for j, y in enumerate(elems):
-                    mul[i, j] = K.element_index(x * y)
-                    add[i, j] = K.element_index(x + y)
-            self._tables = (mul, add)
-        return self._tables
-
-    def sigma_perm(self, desc):
-        if desc.k not in self._sig_perm:
-            import numpy as np
-            K = self.K
-            perm = np.array([K.element_index(desc(x)) for x in K.elements()],
-                            dtype=np.int32)
-            self._sig_perm[desc.k] = perm
-        return self._sig_perm[desc.k]
+        """The product and the sum of K as q x q lists of element indices,
+        for the automorphism oracle's product table."""
+        elems = list(self.K.elements())
+        index = self.K.element_index
+        return ([[index(x * y) for y in elems] for x in elems],
+                [[index(x + y) for y in elems] for x in elems])
 
 
 class _QuadraticCoefficients(_Coefficients):
@@ -672,29 +650,26 @@ def compute_nuclei(D):
 
 
 def _field_grid(D):
-    """All component grids of the product table over a finite field, as
-    numpy index arrays: FIRST[i, j], SECOND[i, j] for D elements i, j."""
-    import numpy as np
+    """The product table of a doubling over a finite field, built from the
+    field's index tables rather than D.mul: grid[i][j] is the index of
+    e_i * e_j, where (u, v) has index u*q + v."""
     A = D.coeff
     K = A.K
     q = K.order
     mul, add = A.tables()
-    sig = A.sigma_perm(D.sigma)
-    c_idx = K.element_index(D.c)
-    us = np.repeat(np.arange(q, dtype=np.int32), q)
-    vs = np.tile(np.arange(q, dtype=np.int32), q)
-    ux = mul[us[:, None], us[None, :]]
-    vy = mul[vs[:, None], vs[None, :]]
-    if D.variant in ("commutative", "left"):
-        extra = mul[c_idx][sig[vy]]
-    elif D.variant == "middle":
-        svc = mul[sig[vs], c_idx]
-        extra = mul[svc[:, None], sig[vs][None, :]]
-    else:
-        extra = mul[:, c_idx][sig[vy]]
-    first = add[ux, extra]
-    second = add[mul[us[:, None], vs[None, :]], mul[vs[:, None], us[None, :]]]
-    return first, second
+    sig = [K.element_index(D.sigma(x)) for x in K.elements()]
+    c = K.element_index(D.c)
+
+    def twist(v, y):
+        if D.variant == "middle":
+            return mul[mul[sig[v]][c]][sig[y]]
+        svy = sig[mul[v][y]]
+        return mul[svy][c] if D.variant == "right" else mul[c][svy]
+
+    tw = [[twist(v, y) for y in range(q)] for v in range(q)]
+    return [[add[mu[x]][tv[y]] * q + add[mu[y]][mv[x]]
+             for x in range(q) for y in range(q)]
+            for mu in mul for mv, tv in zip(mul, tw)]
 
 
 def annihilating(D, pair):

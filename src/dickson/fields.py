@@ -286,9 +286,6 @@ class FiniteField:
 
     # -- automorphisms ------------------------------------------------------
 
-    def frobenius(self, k=1):
-        return FrobeniusAut(self, k)
-
     def automorphisms(self):
         return [FrobeniusAut(self, k) for k in range(self.n)]
 

@@ -323,16 +323,19 @@ def test_enumerate_gf27_order_6():
 
 
 def test_enumeration_matches_oracle_gf9_and_gf25():
-    for p in (3, 5):
-        K = make_field(p, 2)
-        phi = FrobeniusAut(K, 1)
+    """Also over GF(27), where the oracle's generator satisfies a cubic,
+    with both non-trivial Frobenius powers."""
+    for p, n, ks in ((3, 2, (1,)), (5, 2, (1,)), (3, 3, (1, 2))):
+        K = make_field(p, n)
         nonsquares = [c for c in K.elements()
                       if not c.is_zero() and not K.is_square(c)]
-        for c in nonsquares[:2]:
-            D = DicksonAlgebra(K, phi, c)
-            rep = enumerate_automorphisms(D)
-            prints = sorted(automorphism_images(D, d) for d in rep.elements)
-            assert prints == oracle_automorphisms(D)
+        for k in ks:
+            for c in nonsquares[:2]:
+                D = DicksonAlgebra(K, FrobeniusAut(K, k), c)
+                rep = enumerate_automorphisms(D)
+                prints = sorted(automorphism_images(D, d)
+                                for d in rep.elements)
+                assert prints == oracle_automorphisms(D)
 
 
 def test_apply_and_compose_descriptors():

@@ -318,15 +318,25 @@ def test_module_entry_point_version():
 
 
 def test_decision_path_runs_without_numpy():
-    """numpy is no runtime dependency: with it blocked, the CLI imports and
-    decides a GF(49) doubling, 2401^2 ordered pairs, under the default
-    cap, and nothing tries to load numpy."""
+    """numpy is no dependency: with it blocked, the CLI imports and decides
+    a GF(49) doubling, 2401^2 ordered pairs, under the default cap, the
+    brute-force oracle agrees with the enumeration over GF(9), and nothing
+    tries to load numpy."""
     child = "\n".join([
         "import sys",
         "sys.modules['numpy'] = None",
         "import dickson.cli",
+        "from dickson.analysis import (automorphism_images,",
+        "    enumerate_automorphisms, oracle_automorphisms)",
+        "from dickson.parsing import algebra_from_document",
         "rc = dickson.cli.main(['division', '--coeff', 'gf(7,2)',",
         "                       '--sigma', 'frobenius:1', '--c', '0,1'])",
+        "D = algebra_from_document({'coeff': 'gf(3,2)',",
+        "                           'sigma': 'frobenius:1', 'c': '0,1'})",
+        "prints = sorted(automorphism_images(D, d)",
+        "                for d in enumerate_automorphisms(D).elements)",
+        "oracle = oracle_automorphisms(D)",
+        "print('oracle agrees:', oracle == prints, len(oracle))",
         "sys.exit(rc if sys.modules['numpy'] is None else 3)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
@@ -339,6 +349,7 @@ def test_decision_path_runs_without_numpy():
     assert "verdict:  proved-division" in proc.stdout
     assert "no annihilating pair among all 5764801 ordered pairs" \
         in proc.stdout
+    assert "oracle agrees: True 4" in proc.stdout
 
 
 def test_parser_reuse_leaks_no_state_between_calls(capsys):
