@@ -159,10 +159,6 @@ class FieldCoefficients(_Coefficients):
     kind = "field"
     algebra = FiniteField
 
-    def __init__(self, K):
-        super().__init__(K)
-        self._critical = {}
-
     def base_ops(self):
         return FpOps(self.K.p)
 
@@ -218,9 +214,8 @@ class FieldCoefficients(_Coefficients):
         """The product and the sum of K as q x q lists of element indices,
         for the automorphism oracle's product table."""
         elems = list(self.K.elements())
-        index = self.K.element_index
-        return ([[index(x * y) for y in elems] for x in elems],
-                [[index(x + y) for y in elems] for x in elems])
+        return ([[(x * y).index for y in elems] for x in elems],
+                [[(x + y).index for y in elems] for x in elems])
 
 
 class _QuadraticCoefficients(_Coefficients):
@@ -464,6 +459,7 @@ class DicksonAlgebra:
         self.c = c
         self.variant = variant
         self.sigma_is_id = sigma.is_identity()
+        self._memo = {}  # structure_constants and compute_nuclei, once
 
     # -- elements -----------------------------------------------------------
 
@@ -559,9 +555,12 @@ class DicksonAlgebra:
 
 def structure_constants(D):
     """The F-tensor of basis products, built from the defining formula once;
-    contracting against it is a second way to multiply."""
-    basis = D.basis()
-    return [[D.coords(D.mul(x, y)) for y in basis] for x in basis]
+    contracting against it is a second way to multiply.  It is kept on D,
+    so callers must not change it."""
+    if "constants" not in D._memo:
+        basis = D.basis()
+        D._memo["constants"] = [[D.coords(D.mul(x, y)) for y in basis] for x in basis]
+    return D._memo["constants"]
 
 
 def _combine(ops, n, terms):
@@ -603,8 +602,11 @@ def compute_nuclei(D):
     of rref depends on it; the kernels themselves are canonical in the row
     space.  Over Q the tensor is scaled to ints by one common denominator
     first, so the contraction and the system rows are int work; scaling a
-    system does not change its kernel.
+    system does not change its kernel.  The report is kept on D, so
+    callers must not change it.
     """
+    if "nuclei" in D._memo:
+        return D._memo["nuclei"]
     dim = D.dim
     ops = D.coeff.base_ops()
     P = _integer_tensor(structure_constants(D), ops)
@@ -640,9 +642,10 @@ def compute_nuclei(D):
     comm = reduced(lambda i, j: [ops.sub(a, b)
                                  for a, b in zip(P[i][j], P[j][i])],
                    [(j,) for j in idx])
-    return NucleusReport(kernel(left), kernel(middle), kernel(right),
-                         kernel(left + middle + right), kernel(comm),
-                         kernel(left + middle + right + comm))
+    D._memo["nuclei"] = NucleusReport(kernel(left), kernel(middle), kernel(right),
+                                      kernel(left + middle + right), kernel(comm),
+                                      kernel(left + middle + right + comm))
+    return D._memo["nuclei"]
 
 
 # ---------------------------------------------------------------------------
@@ -816,23 +819,19 @@ def zero_divisor_search(D):
 
 def critical_constants(D):
     """The set of c-values for which the defining theorem hands out zero
-    divisors, enumerated exhaustively (finite commutative coefficients).
-    It depends on sigma alone and is kept per sigma on the adapter."""
+    divisors, enumerated exhaustively (finite commutative coefficients) on
+    logs to the field's primitive element g, where sigma(g^l) = g^(l p^k)."""
     A = D.coeff
     if A.kind != "field":
         raise ValueError("critical-set enumeration needs a finite field")
-    crit = A._critical.get(D.sigma.k)
-    if crit is None:
-        K = A.K
-        sig = D.sigma
-        units = [x for x in K.elements() if not x.is_zero()]
-        squares = {r * r for r in units}
-        s_part = {s * sig(s).inv() for s in units}
-        t_part = {(t * sig(t)).inv() for t in units}
-        stage = {a * b for a in squares for b in s_part}
-        crit = A._critical[D.sigma.k] = frozenset(a * b for a in stage
-                                                  for b in t_part)
-    return crit
+    K, m, f = A.K, A.K.order - 1, A.K.p ** D.sigma.k
+    logs = {0}
+    # the logs of r^2, of s / sigma(s) and of 1 / (t sigma(t))
+    for step in (2, 1 - f, -1 - f):
+        part = {l * step % m for l in range(m)}
+        logs = {(a + b) % m for a in logs for b in part}
+    g = K.primitive()
+    return frozenset(g ** e for e in logs)
 
 
 def critical_value(D, r, s, t):

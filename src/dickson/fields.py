@@ -1,8 +1,20 @@
-"""Finite fields GF(p^n) with explicit polynomial arithmetic.
+"""Finite fields GF(p^n), by index tables up to TABLE_BOUND elements.
 
 Elements are residue classes of GF(p)[X] modulo a monic irreducible
-polynomial of degree n, stored as coefficient tuples in ascending degree
-(so "1,0,1" is 1 + X^2).  When no modulus is supplied the field uses the
+polynomial of degree n, written as coefficient tuples in ascending degree
+(so "1,0,1" is 1 + X^2).  An element's index is its tuple read as a base-p
+numeral, first coefficient most significant: index order is tuple order.
+
+Up to TABLE_BOUND = 10^4 elements, arithmetic is lookup in O(q) index
+tables: discrete logs to a primitive element g, antilogs and Zech logs
+Z(k) = log(1 + g^k) (K. Huber, IEEE Trans. Inform. Theory 36 (1990)
+946-950), so g^i + g^j = g^(i + Z(j-i)) and a -> a^(p^k) multiplies the
+log by p^k.  The polynomial helpers build them on a field's first use, an
+lru_cache shares them between equal fields, and each field interns one
+FieldElement per value.  Above the bound, elements are multiplied as
+polynomials reduced by the modulus.
+
+When no modulus is supplied the field uses the
 lexicographically smallest monic irreducible of that degree, comparing
 coefficient tuples low degree first; this makes field objects canonical,
 so two calls to make_field(3, 2) are interchangeable.
@@ -143,10 +155,37 @@ def _is_irreducible(m, p):
     return power == _pmod(x, m, p)
 
 
-class FieldElement(Element):
-    """An element of a FiniteField, a tuple of n coefficients (ascending)."""
+TABLE_BOUND = 10**4
 
-    __slots__ = ("field", "coeffs")
+
+@lru_cache(maxsize=None)
+def _index_tables(p, n, modulus):
+    """(coeffs, neg, log, exp, zech) of GF(p)[X]/(modulus), q = p^n:
+    coeffs[i] is the tuple of index i and neg[i] the index of its negative;
+    log[i] is the log of index i to g (None for 0), exp[k] the index of g^k
+    for k < 2(q - 1), doubled so a sum of two logs needs no reduction, and
+    zech[k] = log(1 + g^k), None where 1 + g^k = 0."""
+    q = p ** n
+    coeffs = list(itertools.product(range(p), repeat=n))
+    index = {c: i for i, c in enumerate(coeffs)}
+    g = next(list(c) for c in coeffs[1:] if _is_primitive(list(c), modulus, p))
+    log, exp, power = [None] * q, [0] * (q - 1), [1]
+    for k in range(q - 1):
+        exp[k] = i = index[tuple(power) + (0,) * (n - len(power))]
+        log[i] = k
+        power = _pmod(_pmul(power, g, p), modulus, p)
+    w = p ** (n - 1)  # the weight of the constant coefficient in an index
+    zech = [log[i + w if coeffs[i][0] < p - 1 else i - (p - 1) * w] for i in exp]
+    neg = [index[tuple(-c % p for c in t)] for t in coeffs]
+    return coeffs, neg, log, exp + exp, zech
+
+
+class FieldElement(Element):
+    """An element of a FiniteField: its n ascending coefficients and its
+    index.  Up to TABLE_BOUND elements, one interned element per value,
+    whose arithmetic reads the field's index tables."""
+
+    __slots__ = ("field", "coeffs", "index")
     parent = property(attrgetter("field"))
     _scalars = (int,)
 
@@ -156,6 +195,7 @@ class FieldElement(Element):
         if len(self.coeffs) != field.n:
             raise FieldError("expected %d coefficients, got %d"
                              % (field.n, len(self.coeffs)))
+        self.index = sum(c * field.p ** k for k, c in enumerate(reversed(self.coeffs)))
 
     def _lift(self, s):
         return self.field.from_int(s)
@@ -166,29 +206,54 @@ class FieldElement(Element):
     def _scalar(self):
         return None if any(self.coeffs[1:]) else self.coeffs[0]
 
+    def _same(self, other):
+        """other as an element of self's field, or NotImplemented."""
+        if other.__class__ is FieldElement and other.field is self.field:
+            return other
+        return self._coerce(other)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._coerce(other)
+        other = self._same(other)
         if other is NotImplemented:
             return NotImplemented
         K = self.field
-        prod = _pmod(_pmul(list(self.coeffs), list(other.coeffs), K.p), K._modulus, K.p)
-        return K._from_poly(prod)
+        log = K._log or K._tables()
+        if log is None:
+            return FieldElement(K, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        i, j = self.index, other.index
+        if not (i and j):
+            return self if j == 0 else other
+        z = K._zech[log[j] - log[i]]
+        return K._elems[0 if z is None else K._exp[log[i] + z]]
+
+    def __neg__(self):
+        K = self.field
+        if (K._log or K._tables()) is None:
+            return FieldElement(K, [-a for a in self.coeffs])
+        return K._elems[K._neg[self.index]]
+
+    def __mul__(self, other):
+        other = self._same(other)
+        if other is NotImplemented:
+            return NotImplemented
+        K = self.field
+        log = K._log or K._tables()
+        if log is None:
+            prod = _pmod(_pmul(list(self.coeffs), list(other.coeffs), K.p), K._modulus, K.p)
+            return K._from_poly(prod)
+        i, j = self.index, other.index
+        return K._elems[K._exp[log[i] + log[j]] if i and j else 0]
 
     def __pow__(self, e):
         K = self.field
         if e < 0:
             return self.inv() ** (-e)
-        out = _ppowmod(list(self.coeffs), e, K._modulus, K.p)
-        return K._from_poly(out)
+        log = K._log or K._tables()
+        if log is None:
+            return K._from_poly(_ppowmod(list(self.coeffs), e, K._modulus, K.p))
+        if not self.index:
+            return K._elems[0 if e else K._exp[0]]
+        return K._elems[K._exp[log[self.index] * e % (K.order - 1)]]
 
     def inv(self):
         """Multiplicative inverse via a^(q-2); raises on zero."""
@@ -197,7 +262,7 @@ class FieldElement(Element):
         return self ** (self.field.order - 2)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.index
 
     def __repr__(self):
         return "<%s in GF(%d^%d)>" % (self.literal(), self.field.p, self.field.n)
@@ -230,14 +295,27 @@ class FiniteField:
                 raise FieldError("modulus is reducible over GF(%d)" % p)
         self._modulus = list(modulus)
         self._mod_key = tuple(modulus)
+        self._log = None
+
+    def _tables(self):
+        """The log table (None above TABLE_BOUND), bound on first use."""
+        if self._log is None and self.order <= TABLE_BOUND:
+            coeffs, self._neg, log, self._exp, self._zech = _index_tables(
+                self.p, self.n, self._mod_key)
+            self._elems = [FieldElement.__new__(FieldElement) for _ in coeffs]
+            for i, (a, c) in enumerate(zip(self._elems, coeffs)):
+                a.field, a.coeffs, a.index = self, c, i
+            self._log = log
+        return self._log
 
     # -- construction -------------------------------------------------------
 
     def element(self, coeffs):
-        return FieldElement(self, coeffs)
+        a = FieldElement(self, coeffs)
+        return a if self._tables() is None else self._elems[a.index]
 
     def from_int(self, a):
-        return FieldElement(self, [a] + [0] * (self.n - 1))
+        return self.element([a] + [0] * (self.n - 1))
 
     def _from_poly(self, poly):
         return FieldElement(self, list(poly) + [0] * (self.n - len(poly)))
@@ -254,6 +332,12 @@ class FiniteField:
             return self.one()
         return self.element([0, 1] + [0] * (self.n - 2))
 
+    def primitive(self):
+        """The base of the log tables: the first primitive element."""
+        if self._tables() is None:
+            raise FieldError("no index tables above order %d" % TABLE_BOUND)
+        return self._elems[self._exp[1]]
+
     @property
     def modulus(self):
         return tuple(self._modulus)
@@ -262,21 +346,20 @@ class FiniteField:
 
     def elements(self):
         """All p^n elements in lexicographic coefficient order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.n):
-            yield FieldElement(self, coeffs)
+        if self._tables() is None:
+            return map(self.element_at, range(self.order))
+        return iter(self._elems)
 
     def element_index(self, a):
-        idx = 0
-        for c in a.coeffs:
-            idx = idx * self.p + c
-        return idx
+        return a.index
 
     def element_at(self, idx):
-        coeffs = []
-        for _ in range(self.n):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return FieldElement(self, list(reversed(coeffs)))
+        if not 0 <= idx < self.order:
+            raise FieldError("index %d outside range(%d)" % (idx, self.order))
+        if self._tables() is None:
+            p = self.p
+            return FieldElement(self, [idx // p ** k % p for k in reversed(range(self.n))])
+        return self._elems[idx]
 
     def random_element(self, rng):
         return self.element_at(rng.randrange(self.order))
@@ -292,45 +375,42 @@ class FiniteField:
     # -- norms and squares --------------------------------------------------
 
     def norm(self, a):
-        """Norm down to GF(p): the product of the full Frobenius orbit."""
-        out = self.one()
-        for k in range(self.n):
-            out = out * (a ** (self.p ** k))
-        return out
+        """Norm down to GF(p): the product of the full Frobenius orbit,
+        a^(1 + p + ... + p^(n-1))."""
+        return a ** ((self.order - 1) // (self.p - 1))
 
     def norm_over(self, a, tau):
         """Norm to the fixed field of tau: the product over Gal generated
         by the Frobenius power tau."""
         if tau.field != self:
             raise FieldError("automorphism of a different field")
-        g = gcd(tau.k, self.n)
-        steps = self.n // g
-        out = self.one()
-        cur = a
-        for _ in range(steps):
-            out = out * cur
-            cur = tau(cur)
-        return out
+        steps = self.n // gcd(tau.k, self.n)
+        return a ** sum(self.p ** (tau.k * j) for j in range(steps))
 
     def is_square(self, a):
-        """Squareness in GF(q): a^((q-1)/2) = 1 for odd q; always true for q even."""
+        """Squareness in GF(q): an even log for odd q (a^((q-1)/2) = 1
+        above TABLE_BOUND); always true for q even."""
         if a.is_zero():
             raise FieldError("squareness of zero is not defined here")
         if self.order % 2 == 0:
             return True
-        return a ** ((self.order - 1) // 2) == self.one()
+        if self._tables() is None:
+            return a ** ((self.order - 1) // 2) == self.one()
+        return self._log[a.index] % 2 == 0
 
     def sqrt(self, a):
-        """Some square root by exhaustive scan (fields here stay below 10^4
-        elements, where a scan is the easiest thing to audit), or None.
-        The returned root is the one with lexicographically smaller
-        coefficient tuple among the two."""
-        if self.order > 10**4:
-            raise FieldError("square-root scan capped at order 10^4")
-        for r in self.elements():
-            if r * r == a:
-                return r
-        return None
+        """Some square root, or None.  Of the two roots +-r it returns the
+        one with the smaller index, the first that a scan in element order
+        meets.  Read off the log tables, so capped at TABLE_BOUND."""
+        self.primitive()
+        log, m = self._log[a.index], self.order - 1
+        if log is None:
+            return self._elems[0]
+        if log % 2 and self.p != 2:
+            return None
+        # (m + 1) / 2 halves an even log, and is 1 / 2 mod m when m is odd
+        r = self._exp[log * (m + 1) // 2 % m]
+        return self._elems[min(r, self._neg[r])]
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField) and other.p == self.p
@@ -353,7 +433,7 @@ class FrobeniusAut:
         self.k = k % field.n
 
     def __call__(self, a):
-        if a.field != self.field:
+        if a.field is not self.field and a.field != self.field:
             raise FieldError("element of a different field")
         return a ** (self.field.p ** self.k)
 
@@ -407,10 +487,10 @@ class FrobeniusAut:
         return sub, basis
 
 
-def _x_is_primitive(m, p):
-    """True when X generates the multiplicative group of GF(p)[X]/(m)."""
+def _is_primitive(f, m, p):
+    """True when f generates the multiplicative group of GF(p)[X]/(m)."""
     order = p ** (len(m) - 1) - 1
-    return all(_ppowmod([0, 1], order // r, m, p) != [1]
+    return all(_ppowmod(f, order // r, m, p) != [1]
                for r in prime_factors(order))
 
 
@@ -422,7 +502,7 @@ def _smallest_irreducible(p, n):
     adjoined generator is a non-square in the default field."""
     for tail in itertools.product(range(p), repeat=n):
         m = list(tail) + [1]
-        if _is_irreducible(m, p) and (n == 1 or _x_is_primitive(m, p)):
+        if _is_irreducible(m, p) and (n == 1 or _is_primitive([0, 1], m, p)):
             return m
     raise FieldError("no irreducible polynomial found (impossible)")
 

@@ -278,6 +278,15 @@ def test_rank_test_returns_the_grid_first_pair(p, n, sample):
                         D.element_index(pair[1])) == hit
 
 
+def test_element_at_refuses_indices_outside_the_doubling():
+    K = make_field(3, 2)
+    D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
+    assert D.element_index(D.element_at(80)) == 80
+    for bad in (81, 90, -1):
+        with pytest.raises(ValueError):
+            D.element_at(bad)
+
+
 def test_search_cap_counts_left_factors(monkeypatch):
     # GF(49) doubled has 2401 left factors and 2401^2 ordered pairs
     K = make_field(7, 2)
@@ -492,6 +501,17 @@ def test_nuclei_match_systems_built_from_products(doc):
         assert report.dims == {k: len(v) for k, v in direct.items()}
     else:
         assert report.literals == direct
+
+
+def test_constants_and_nuclei_are_computed_once_per_doubling(monkeypatch):
+    K = make_field(3, 2)
+    D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
+    report = compute_nuclei(D)
+    calls = []
+    monkeypatch.setattr(D, "mul", lambda x, y: calls.append(1))
+    assert compute_nuclei(D) is report
+    assert structure_constants(D) is structure_constants(D)
+    assert not calls
 
 
 def test_nucleus_contains_unit_always():

@@ -1,8 +1,12 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dickson.fields import FieldError, FrobeniusAut, make_field
+from dickson.fields import (TABLE_BOUND, FieldError, FrobeniusAut,
+                            _pmod, _pmul, _ppowmod, make_field)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,14 @@ def test_element_index_roundtrip():
     K = make_field(5, 2)
     for i in range(K.order):
         assert K.element_index(K.element_at(i)) == i
+
+
+def test_element_at_refuses_indices_outside_the_field():
+    for K in (make_field(3, 2), make_field(101, 2)):
+        assert K.element_at(K.order - 1).coeffs == (K.p - 1,) * K.n
+        for bad in (K.order, K.order + 1, -1):
+            with pytest.raises(FieldError):
+                K.element_at(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -186,3 +198,131 @@ def test_norm_over_intermediate_frobenius():
         na = K.norm_over(a, tau)
         assert na == a * tau(a)
         assert tau(na) == na
+
+
+# ---------------------------------------------------------------------------
+# index tables against the polynomial helpers
+#
+# Up to TABLE_BOUND elements the arithmetic reads discrete-log and Zech
+# tables; each operation is compared here with the polynomial product
+# reduced by the modulus, kept as the reference.  GF(9) uses the modulus
+# x^2 + 1, whose root X is not primitive; GF(97^2) sits at the bound and
+# GF(101^2) above it, where the field computes on polynomials itself.
+
+TABLE_FIELDS = [(2, 2, None), (2, 3, None), (3, 2, (1, 0, 1)), (5, 2, None),
+                (3, 3, None), (7, 2, None), (7, 3, None), (97, 2, None),
+                (101, 2, None)]
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@lru_cache(maxsize=None)
+def _field(spec):
+    return make_field(*spec)
+
+
+def _poly(a):
+    return list(a.coeffs)
+
+
+def _reference(K, poly):
+    """The element with the coefficients of poly reduced by the modulus."""
+    red = _pmod(poly, K.modulus, K.p)
+    return tuple(red) + (0,) * (K.n - len(red))
+
+
+@st.composite
+def field_elements(draw, count=2):
+    K = _field(draw(st.sampled_from(TABLE_FIELDS)))
+    idx = st.integers(0, K.order - 1)
+    return (K,) + tuple(K.element_at(draw(idx)) for _ in range(count))
+
+
+def test_the_bound_splits_the_sample():
+    assert _field((97, 2, None)).order <= TABLE_BOUND
+    assert _field((101, 2, None)).order > TABLE_BOUND
+    assert _field((3, 2, (1, 0, 1))).gen() ** 4 == 1
+
+
+@SETTINGS
+@given(field_elements())
+def test_sum_product_and_negative_match_polynomials(case):
+    K, a, b = case
+    p = K.p
+    assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+    assert (-a).coeffs == tuple(-x % p for x in a.coeffs)
+    assert (a * b).coeffs == _reference(K, _pmul(_poly(a), _poly(b), p))
+
+
+@SETTINGS
+@given(field_elements(count=1), st.integers(0, 40))
+def test_inverses_and_powers_match_polynomials(case, e):
+    K, a = case
+    assert (a ** e).coeffs == _reference(K, _ppowmod(_poly(a), e, K.modulus, K.p))
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+        return
+    inv = _ppowmod(_poly(a), K.order - 2, K.modulus, K.p)
+    assert a.inv().coeffs == _reference(K, inv)
+    assert (a ** -e).coeffs == _reference(K, _ppowmod(inv, e, K.modulus, K.p))
+
+
+@SETTINGS
+@given(field_elements(count=1))
+def test_every_frobenius_power_matches_polynomials(case):
+    K, a = case
+    for k in range(K.n):
+        want = _ppowmod(_poly(a), K.p ** k, K.modulus, K.p)
+        assert FrobeniusAut(K, k)(a).coeffs == _reference(K, want)
+
+
+@SETTINGS
+@given(field_elements(count=1))
+def test_squares_match_the_quadratic_character(case):
+    K, a = case
+    if a.is_zero():
+        return
+    half = _ppowmod(_poly(a), (K.order - 1) // 2, K.modulus, K.p)
+    assert K.is_square(a) == (K.p == 2 or half == [1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(field_elements(count=1))
+def test_sqrt_is_the_first_root_a_scan_meets(case):
+    K, a = case
+    if K.order > TABLE_BOUND:
+        with pytest.raises(FieldError):
+            K.sqrt(a)
+        return
+    want = next((r for r in K.elements()
+                 if _reference(K, _pmul(_poly(r), _poly(r), K.p)) == a.coeffs),
+                None)
+    assert K.sqrt(a) is want
+
+
+@SETTINGS
+@given(field_elements())
+def test_index_equality_and_hash_agree_with_coefficients(case):
+    K, a, b = case
+    i = K.element_index(a)
+    assert i == sum(c * K.p ** (K.n - 1 - j) for j, c in enumerate(a.coeffs))
+    assert K.element_at(i) == a and K.element_at(i).coeffs == a.coeffs
+    assert K.element(list(a.coeffs)) == a
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+    s = a.coeffs[0]
+    assert (a == s) == (not any(a.coeffs[1:]))
+    if a == s:
+        assert hash(a) == hash(s)
+    assert a != s + K.p
+
+
+def test_tables_are_shared_between_equal_fields_and_values_interned():
+    K1, K2 = make_field(5, 2), make_field(5, 2)
+    assert K1._log is None
+    x = K1.gen() * K1.gen()
+    assert K1._tables() is K2._tables()
+    assert x is K1.element(list(x.coeffs)) and x is K1.element_at(x.index)
+    assert [a.index for a in K1.elements()] == list(range(K1.order))
