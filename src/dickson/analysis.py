@@ -43,7 +43,9 @@ def _pair_literal(pair):
 def _division_finite(D):
     """The exhaustive rank test of zero_divisor_search (every left factor,
     so every ordered pair), cross-checked against the critical-value set
-    and against the quadratic character of c.  The three must agree."""
+    and, in odd characteristic, against the quadratic character of c; in
+    characteristic 2, where every c is a square, the scan must find zero
+    divisors.  The checks must agree, and the notes name the ones made."""
     A = D.coeff
     K = A.K
     status, pair = zero_divisor_search(D)
@@ -55,20 +57,22 @@ def _division_finite(D):
         if K.is_square(D.c) != (status == "witness"):
             raise RuntimeError("scan and quadratic character disagree; "
                                "this is a bug, not a property of the input")
+        agree = "critical-value set and quadratic character agree"
     else:
         if status != "witness":
             raise RuntimeError("characteristic 2 must always produce zero "
                                "divisors; scan says otherwise")
+        agree = ("critical-value set agrees; no quadratic-character test "
+                 "in characteristic 2")
     if status == "witness":
         return DivisionVerdict(
             NOT_DIVISION, method="exhaustive-scan",
             witness=pair, witness_literal=_pair_literal(pair),
-            notes="lexicographically first annihilating pair; critical-value "
-                  "set and quadratic character agree")
+            notes="lexicographically first annihilating pair; " + agree)
     return DivisionVerdict(
         DIVISION, method="exhaustive-scan",
-        notes="no annihilating pair among all %d ordered pairs; "
-              "critical-value set and quadratic character agree" % D.size() ** 2)
+        notes="no annihilating pair among all %d ordered pairs; %s"
+              % (D.size() ** 2, agree))
 
 
 def _norm_preimage_pair(D, nu):

@@ -26,8 +26,13 @@ Nuclei, the commuting elements and the center are computed as kernels of
 exact F-linear systems, never assumed from theory.  The exhaustive
 zero-divisor search over finite fields is a rank test over GF(p): the
 doubled product is GF(p)-bilinear, so x has a right annihilator exactly
-when the matrix of left multiplication by x is singular.  It caps itself
-at 10^6 left factors and honors DICKSON_MAX_EXHAUSTIVE.
+when the matrix of left multiplication by x is singular.  Each such
+2n x 2n matrix is one lane-packed int, entry (r, j) in the lane at bit
+(r * 2n + j) * W (linalg.PackedLayout), summed along the walk over x as
+an int; its lanes start at most 2n (p - 1)^2 and stay at most
+max(2n (p - 1)^2, (2p - 1)(p - 1)) during elimination, the bound the
+lane width is derived from.  The search caps itself at 10^6 left factors
+and honors DICKSON_MAX_EXHAUSTIVE.
 """
 
 import os
@@ -36,7 +41,7 @@ from functools import cached_property
 
 from .fields import FiniteField, FrobeniusAut
 from .linalg import (FpOps, QOps, _integer_tensor, in_span, kernel_basis,
-                     rref)
+                     packed_layout, packed_singular, rref)
 from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt, _mod_sqrt,
                      ext_is_square, ext_sqrt)
 from .quadratic import (QuadField, is_norm_from_quadfield, quad_is_square,
@@ -52,7 +57,12 @@ def search_cap():
     search and in ordered pairs for the automorphism oracle;
     env-overridable."""
     v = os.environ.get("DICKSON_MAX_EXHAUSTIVE")
-    return int(v) if v else 10**6
+    if not v:
+        return 10**6
+    if not v.strip().isdecimal():
+        raise ValueError("DICKSON_MAX_EXHAUSTIVE must be a nonnegative "
+                         "integer, not %r" % v)
+    return int(v)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +598,58 @@ def mul_by_constants(D, table, x, y):
 # nuclei
 
 
+def _int_associators(P, dim, ops):
+    """assoc[a][b][c], the coordinate row of (e_a e_b) e_c - e_a (e_b e_c),
+    and comm[a][b], that of e_a e_b - e_b e_a, from an int tensor P, on
+    plain ints: reduced mod p over GF(p), unreduced over Q (P scaled by
+    _integer_tensor).  For each pair (a, b), (e_a e_b) e_c for every c is
+    one combination of the flattened tables P[m]; for each (b, c),
+    e_a (e_b e_c) for every a is one of the flattened P[.][m]."""
+    idx = range(dim)
+    p = ops.p if isinstance(ops, FpOps) else None
+
+    def sub(u, v):
+        if p is None:
+            return [x - y for x, y in zip(u, v)]
+        return [(x - y) % p for x, y in zip(u, v)]
+
+    def comb(scalars, mats):
+        acc = [0] * (dim * dim)
+        for s, mat in zip(scalars, mats):
+            if s:
+                acc = [x + s * y for x, y in zip(acc, mat)]
+        return acc
+
+    # by_left[m]: e_m e_c in slot c; by_right[m]: e_a e_m in slot a
+    by_left = [[t for row in P[m] for t in row] for m in idx]
+    by_right = [[t for a in idx for t in P[a][m]] for m in idx]
+    cols = [slice(c * dim, (c + 1) * dim) for c in idx]
+    left = [[comb(P[a][b], by_left) for b in idx] for a in idx]
+    right = [[comb(P[b][c], by_right) for c in idx] for b in idx]
+    assoc = [[[sub(left[a][b][cols[c]], right[b][c][cols[a]]) for c in idx]
+              for b in idx] for a in idx]
+    comm = [[sub(P[a][b], P[b][a]) for b in idx] for a in idx]
+    return assoc, comm
+
+
+def _ops_associators(P, dim, ops):
+    """_int_associators through the scalar ops, for Q_p."""
+    idx = range(dim)
+    # Pt[k][m] is the coordinate row of e_m e_k, for right-factor contractions.
+    Pt = [[P[m][k] for m in idx] for k in idx]
+
+    def comb(scalars, rows):
+        return _combine(ops, dim, ((s, row) for s, row in zip(scalars, rows)
+                                   if not ops.is_zero(s)))
+
+    assoc = [[[[ops.sub(s, t) for s, t in zip(comb(P[a][b], Pt[c]),
+                                              comb(P[b][c], P[a]))]
+               for c in idx] for b in idx] for a in idx]
+    comm = [[[ops.sub(s, t) for s, t in zip(P[a][b], P[b][a])] for b in idx]
+            for a in idx]
+    return assoc, comm
+
+
 def compute_nuclei(D):
     """Left/middle/right nuclei, their intersection, the commuting elements
     and the center, each as the kernel of an exact linear system ranging
@@ -600,9 +662,10 @@ def compute_nuclei(D):
     or third slot; the commuting system reads [e_i, e_j] off the tensor.
     Rows come key by key in a fixed order, since over Q_p the pivot choice
     of rref depends on it; the kernels themselves are canonical in the row
-    space.  Over Q the tensor is scaled to ints by one common denominator
-    first, so the contraction and the system rows are int work; scaling a
-    system does not change its kernel.  The report is kept on D, so
+    space.  Over GF(p) and Q the contraction is plain int arithmetic
+    (_int_associators), the Q tensor first scaled to ints by one common
+    denominator, since scaling a system does not change its kernel; over
+    Q_p it goes through the scalar ops.  The report is kept on D, so
     callers must not change it.
     """
     if "nuclei" in D._memo:
@@ -611,24 +674,20 @@ def compute_nuclei(D):
     ops = D.coeff.base_ops()
     P = _integer_tensor(structure_constants(D), ops)
     idx = range(dim)
-    # Pt[k][m] is the coordinate row of e_m e_k, for right-factor contractions.
-    Pt = [[P[m][k] for m in idx] for k in idx]
+    if isinstance(ops, (FpOps, QOps)):
+        assoc, commutator = _int_associators(P, dim, ops)
+        nonzero = any
+    else:
+        assoc, commutator = _ops_associators(P, dim, ops)
 
-    def comb(scalars, rows):
-        return _combine(ops, dim, ((s, row) for s, row in zip(scalars, rows)
-                                   if not ops.is_zero(s)))
-
-    # assoc[a][b][c]: the coordinate row of (e_a e_b) e_c - e_a (e_b e_c)
-    assoc = [[[[ops.sub(s, t) for s, t in zip(comb(P[a][b], Pt[c]),
-                                              comb(P[b][c], P[a]))]
-               for c in idx] for b in idx] for a in idx]
+        def nonzero(row):
+            return any(not ops.is_zero(t) for t in row)
 
     def reduced(column, keys):
         """The reduced rows of sum_i w_i column(i, *key) = 0 over all keys:
         each key's nonzero coordinate rows, in coordinate order."""
         rows = [list(row) for key in keys
-                for row in zip(*(column(i, *key) for i in idx))
-                if any(not ops.is_zero(t) for t in row)]
+                for row in zip(*(column(i, *key) for i in idx)) if nonzero(row)]
         pivots = rref(rows, ops)
         return rows[:len(pivots)]
 
@@ -639,9 +698,7 @@ def compute_nuclei(D):
     left = reduced(lambda i, j, k: assoc[i][j][k], pairs)
     middle = reduced(lambda i, j, k: assoc[j][i][k], pairs)
     right = reduced(lambda i, j, k: assoc[j][k][i], pairs)
-    comm = reduced(lambda i, j: [ops.sub(a, b)
-                                 for a, b in zip(P[i][j], P[j][i])],
-                   [(j,) for j in idx])
+    comm = reduced(lambda i, j: commutator[i][j], [(j,) for j in idx])
     D._memo["nuclei"] = NucleusReport(kernel(left), kernel(middle), kernel(right),
                                       kernel(left + middle + right), kernel(comm),
                                       kernel(left + middle + right + comm))
@@ -713,30 +770,10 @@ def _critical_pair(D, r, s, t):
     return pair
 
 
-def _singular_mod_p(rows, p):
-    """Is the square matrix of ints in range(p) singular over GF(p)?
-
-    Forward elimination that drops each pivot column as it is cleared and
-    stops at the first column without a pivot; the rows are not changed.
-    """
-    rows = list(rows)
-    while rows:
-        for k, pivot in enumerate(rows):
-            if pivot[0]:
-                break
-        else:
-            return True
-        del rows[k]
-        inv = pow(pivot[0], -1, p)
-        rows = [[(a - f * b) % p for a, b in zip(row[1:], pivot[1:])]
-                if (f := row[0] * inv % p) else row[1:] for row in rows]
-    return False
-
-
 def _first_singular_left_factor(D):
     """The index-first nonzero x of D whose left multiplication L_x is
-    singular over GF(p), as (coordinates of x, rows of L_x); None when
-    every L_x is invertible, that is, when D is division.
+    singular over GF(p), as (coordinates of x, rows of L_x mod p); None
+    when every L_x is invertible, that is, when D is division.
 
     L_x[r][j] = sum_i x_i * table[i][j][r] mod p, from the structure
     constants table[i][j] = coords(e_i e_j).  Since L_{lx} = l * L_x, only
@@ -744,23 +781,30 @@ def _first_singular_left_factor(D):
     of them.  D's index order is the lexicographic order of the
     coordinates, and that x is the smallest member of its class {l x}, so
     walking x in that order finds the index-first singular one.
+
+    Each L_x is one lane-packed int (linalg.PackedLayout): entry (r, j)
+    is the lane at bit (r * m + j) * W for m = 2n.  Packing is linear, so
+    the walk keeps its partial sums of l * T_i, l in range(p), as ints,
+    one addition per step; a sum has lanes at most m (p - 1)^2, the top
+    the layout's lane width w is chosen for, and linalg.packed_singular
+    keeps every lane below 2^w while it eliminates.
     """
     p, m = D.coeff.K.p, D.dim
     table = structure_constants(D)
-    # scaled[i][l]: l * T_i as one flat row-major list, where T_i[r][j] is
-    # the coordinate r of e_i e_j
-    scaled = [[[l * table[i][j][r] for r in range(m) for j in range(m)]
-               for l in range(p)] for i in range(m)]
+    g = packed_layout(p, m, m, m * (p - 1) ** 2)
+    # scaled[i][l]: l * T_i packed, where T_i[r][j] is the coordinate r of
+    # e_i e_j
+    packed = [g.pack([[table[i][j][r] for j in range(m)] for r in range(m)])
+              for i in range(m)]
+    scaled = [[l * t for l in range(p)] for t in packed]
 
     def first(k, acc, x):
         """The first singular x extending the prefix x (coordinates before
         k), whose partial sum of scaled T_i is acc."""
         if k == m:
-            rows = [[v % p for v in acc[r * m:(r + 1) * m]] for r in range(m)]
-            return (x, rows) if _singular_mod_p(rows, p) else None
+            return (x, g.unpack(acc)) if packed_singular(acc, g) else None
         for l in range(p):
-            step = [a + b for a, b in zip(acc, scaled[k][l])] if l else acc
-            found = first(k + 1, step, x + (l,))
+            found = first(k + 1, acc + scaled[k][l], x + (l,))
             if found:
                 return found
         return None

@@ -6,24 +6,34 @@ bounded-precision p-adic numbers.  Matrices are small throughout the
 package (nucleus systems top out at a few hundred rows and eight
 columns).
 
-Over GF(p) and Q_p, rref is plain Gauss-Jordan elimination on lists of
-lists through the ops object; over Q_p the pivot choice is the ops'
-(lowest valuation), and it depends on the row order.  Over Q, rref is
-fraction-free: each row is cleared of denominators and divided by the gcd
-of its entries, rows are eliminated by cross-multiplication on ints (in
-the spirit of E. H. Bareiss, Math. Comp. 22 (1968) 565-578), and each
-pivot row is divided by its pivot only once, at the end.  The reduced
-row echelon form of a row space is unique, so both routes give the same
-rows and pivots; only the Q route avoids normalising a Fraction per
-scalar operation.  A caller that builds Q systems from a tensor clears
-its denominators once with _integer_tensor; scaling a system does not
-change its kernel.
+Over Q_p, rref is plain Gauss-Jordan elimination on lists of lists
+through the ops object; the pivot choice is the ops' (lowest valuation),
+and it depends on the row order.  Over Q, rref is fraction-free: each row
+is cleared of denominators and divided by the gcd of its entries, rows
+are eliminated by cross-multiplication on ints (in the spirit of
+E. H. Bareiss, Math. Comp. 22 (1968) 565-578), and each pivot row is
+divided by its pivot only once, at the end.  A caller that builds Q
+systems from a tensor clears its denominators once with _integer_tensor;
+scaling a system does not change its kernel.
+
+Over GF(p), rref eliminates on lane-packed ints: several residues share
+one word and the reduction mod p is delayed, the standard remedy for
+word-size prime fields (J.-G. Dumas, P. Giorgi and C. Pernet, ACM TOMS
+35 (2008)).  Here the word is one Python int holding the whole matrix,
+one lane of bits per entry (PackedLayout), and a column of elimination
+is a fixed number of big-int operations however many rows there are
+(packed_singular).  The exhaustive rank test of the doubling module
+packs its matrices of left multiplication the same way.
+
+The reduced row echelon form of a row space is unique, so every route
+gives the same rows and pivots as the generic loop through the ops.
 
 Element, the operator protocol of the coefficient element kinds, lives
 here too, so every element module can import it without a cycle.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 
@@ -183,14 +193,18 @@ def rref(rows, ops):
     """Reduced row echelon form in place; returns the pivot column list.
 
     The pivot rows come first, in pivot order, followed by zero rows.
+    Over GF(p) every entry comes back reduced into range(p).
     """
     if isinstance(ops, QOps):
         return _rref_integer(rows)
+    if isinstance(ops, FpOps):
+        return _rref_packed(rows, ops.p)
     return _rref_loop(rows, ops)
 
 
 def _rref_loop(rows, ops):
-    """Gauss-Jordan elimination through the scalar ops."""
+    """Gauss-Jordan elimination through the scalar ops; rref's route over
+    Q_p, and the reference the other routes are tested against."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -216,6 +230,141 @@ def _rref_loop(rows, ops):
         if r == len(rows):
             break
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# GF(p) elimination on lane-packed ints (see the module docstring)
+
+
+class PackedLayout:
+    """Where the entries of an nrows x ncols matrix over GF(p) sit in one
+    int.
+
+    Entry (r, j) is the lane at bit (r * ncols + j) * W, so row r is the
+    run of ncols lanes at bit r * S, S = ncols * W.  pack reduces the
+    entries mod p, so top is the largest lane a sum of packed matrices
+    can start with (p - 1 for a single one).  A lane holds values
+    below 2^w, where w is the bit length of max(top, (2p - 1)(p - 1)),
+    and the W - w bits above them stay free so one multiplication by
+    `magic` reduces every lane at once: for 0 <= x < 2^w,
+    floor(x * magic / 2^shift) = floor(x / p) (round-up division by an
+    invariant integer, Granlund and Montgomery, PLDI 1994), with
+    shift = w + bitlen(p), magic = ceil(2^shift / p) and W = w + shift,
+    so no lane's product reaches the next lane.
+    """
+
+    def __init__(self, p, nrows, ncols, top):
+        w = max(top, (2 * p - 1) * (p - 1)).bit_length()
+        self.p, self.nrows = p, nrows
+        self.shift = w + p.bit_length()
+        self.magic = -(-(1 << self.shift) // p)
+        self.W = W = w + self.shift
+        self.S = S = ncols * W
+        self.lane = (1 << w) - 1
+        self.lanes = _join([self.lane] * (nrows * ncols), W)
+        self.column = _join([self.lane] * nrows, S)
+        self.row = (1 << S) - 1
+        self.pones = _join([p] * nrows, S)
+
+    def pack(self, rows):
+        """The matrix of ints as one int, its entries reduced mod p."""
+        p = self.p
+        return _join([x % p for row in rows for x in row], self.W)
+
+    def unpack_row(self, v, scale=1):
+        """The lanes of one packed row times scale, reduced mod p."""
+        p, lane = self.p, self.lane
+        return [(v >> s & lane) * scale % p for s in range(0, self.S, self.W)]
+
+    def unpack(self, M):
+        """The rows of M, reduced mod p."""
+        return [self.unpack_row(M >> s & self.row)
+                for s in range(0, self.nrows * self.S, self.S)]
+
+
+def _join(values, width):
+    """values[i] in bits [i * width, (i + 1) * width) of one int, joined
+    pairwise so the work grows as n log n, not n^2."""
+    while len(values) > 1:
+        if len(values) % 2:
+            values = values + [0]
+        values = [a | b << width for a, b in zip(values[::2], values[1::2])]
+        width *= 2
+    return values[0] if values else 0
+
+
+@lru_cache(maxsize=256)
+def packed_layout(p, nrows, ncols, top):
+    """The PackedLayout of one shape, built once: its masks cost about as
+    much as eliminating a small matrix."""
+    return PackedLayout(p, nrows, ncols, top)
+
+
+def packed_singular(M, g):
+    """Is the square matrix M, packed by layout g, singular over GF(p)?
+
+    Forward elimination, one column at a time, each a fixed number of
+    big-int operations whatever the number of rows.  Every lane is
+    reduced (see PackedLayout); C, the column's lanes moved to the heads
+    of the rows, picks the pivot row P, the last row whose lane a is
+    nonzero, and M becomes a * M + (p - C) * P.  (p - C) has a multiplier
+    p - b in range(1, p + 1) at the head of each row, so the product is
+    the outer product of those multipliers with P: row r gains
+    (p - b_r) * P, and its lane in the column becomes
+    a * b_r + (p - b_r) * a = 0 mod p.  P itself becomes p * P, zero mod
+    p, so it leaves the elimination.  No lane goes negative, and none
+    exceeds (p - 1)^2 + p (p - 1) before the next reduction.  The first
+    column where no row is left with a nonzero lane proves M singular.
+    """
+    p, W, S = g.p, g.W, g.S
+    magic, shift, lanes = g.magic, g.shift, g.lanes
+    column, row, pones = g.column, g.row, g.pones
+    for col in range(0, S, W):
+        M -= p * (M * magic >> shift & lanes)
+        C = M >> col & column
+        if not C:
+            return True
+        off = (C.bit_length() - 1) // S * S
+        M = (C >> off) * M + (pones - C) * (M >> off & row)
+    return False
+
+
+def _rref_packed(rows, p):
+    """rref over GF(p): Gauss-Jordan on the packed matrix, with the column
+    step of packed_singular except that a pivot row stays.  Its
+    multiplier is 0, so it only scales by a, and it leaves the rows a
+    later pivot may come from; every other row, earlier pivot rows
+    included, is cleared of the column.  Each pivot row is divided by its
+    pivot lane at the end."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    g = packed_layout(p, len(rows), ncols, p - 1)
+    W, S = g.W, g.S
+    magic, shift, lanes = g.magic, g.shift, g.lanes
+    column, row, pones = g.column, g.row, g.pones
+    M = g.pack(rows)
+    live = column
+    found = []
+    for col in range(0, S, W):
+        M -= p * (M * magic >> shift & lanes)
+        C = M >> col & column
+        if not C & live:
+            continue
+        off = ((C & live).bit_length() - 1) // S * S
+        a = C >> off & g.lane
+        live ^= g.lane << off
+        found.append((col // W, off))
+        M = a * M + (pones - C - (p - a << off)) * (M >> off & row)
+    reduced = [g.unpack_row(M >> off & row,
+                            pow(M >> off + col * W & g.lane, -1, p))
+               for col, off in found]
+    rows[:] = reduced + [[0] * ncols for _ in range(len(rows) - len(reduced))]
+    return [col for col, _ in found]
+
+
+# ---------------------------------------------------------------------------
+# Q elimination on integer rows
 
 
 def _primitive(row):

@@ -41,6 +41,8 @@ def test_division_finite_three_way_agreement_every_c():
             D = DicksonAlgebra(K, phi, c)
             verdict = division_decide(D)
             assert verdict.is_division == (not K.is_square(c))
+            assert verdict.notes.endswith("critical-value set and quadratic "
+                                          "character agree")
             if not verdict.is_division:
                 x, y = verdict.witness
                 assert D.mul(x, y).is_zero()
@@ -56,6 +58,10 @@ def test_division_char2_never_division():
         v = division_decide(DicksonAlgebra(K, phi, c))
         assert v.status == "proved-not-division"
         assert v.witness is not None
+        # no quadratic character is compared in characteristic 2
+        assert v.notes == ("lexicographically first annihilating pair; "
+                           "critical-value set agrees; no quadratic-character "
+                           "test in characteristic 2")
 
 
 def test_division_identity_sigma_cases():

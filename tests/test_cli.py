@@ -233,6 +233,22 @@ def test_reducible_modulus_rejected(capsys):
     assert "reducible" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "1e6"])
+def test_bad_exhaustive_cap_is_refused(capsys, monkeypatch, value):
+    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", value)
+    for argv in (["division", "--coeff", "gf(3,2)", "--sigma", "frobenius:1",
+                  "--c", "0,1"],
+                 ["census", "--p", "3", "--n", "2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == ("error: DICKSON_MAX_EXHAUSTIVE must be a nonnegative "
+                       "integer, not %r\n" % value)
+    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "6561")
+    code, out, _ = run_cli(capsys, ["division", "--coeff", "gf(3,2)",
+                                    "--sigma", "frobenius:1", "--c", "0,1"])
+    assert code == 0 and "proved-division" in out
+
+
 def test_missing_spec_file(capsys):
     code, _, err = run_cli(capsys, [
         "division", "--spec", "/nonexistent/alg.json"])

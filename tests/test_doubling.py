@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dickson import doubling
+from dickson import doubling, linalg
 from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               critical_constants, critical_value,
                               doubled_subfield_check, mul_by_constants,
@@ -11,7 +11,7 @@ from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               theorem_zero_divisor_witness,
                               zero_divisor_search, _field_grid)
 from dickson.fields import FrobeniusAut, make_field
-from dickson.linalg import kernel_basis
+from dickson.linalg import FpOps, kernel_basis
 from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
@@ -278,6 +278,67 @@ def test_rank_test_returns_the_grid_first_pair(p, n, sample):
                         D.element_index(pair[1])) == hit
 
 
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
+def test_rank_test_finds_the_first_singular_left_multiplication(p, n,
+                                                                 monkeypatch):
+    """Against the definition, for every sigma (the identity included) and
+    every unit c: walking every nonzero x in index order, the first whose
+    full matrix L_x of left multiplication (columns the coordinates of
+    x e_j, from D.mul) has rank below 2n by linalg.rank, through the list
+    elimination, is the x the rank test returns, with rows L_x mod p; and
+    it returns None exactly when there is no such x."""
+    monkeypatch.setattr(linalg, "rref", linalg._rref_loop)
+    K = make_field(p, n)
+    ops = FpOps(p)
+    for k in range(n):
+        for c in K.elements():
+            if c.is_zero():
+                continue
+            D = DicksonAlgebra(K, FrobeniusAut(K, k), c, allow_identity=True)
+            m = D.dim
+            basis = D.basis()
+            # by_basis[i][r * m + j]: the coordinate r of e_i e_j
+            by_basis = [[t for row in zip(*(D.coords(D.mul(a, b))
+                                            for b in basis)) for t in row]
+                        for a in basis]
+            want = None
+            for t in range(1, D.size()):
+                x = D.coords(D.element_at(t))
+                flat = [0] * (m * m)
+                for xi, e in zip(x, by_basis):
+                    flat = [u + xi * v for u, v in zip(flat, e)]
+                L = [[v % p for v in flat[r * m:(r + 1) * m]] for r in range(m)]
+                if linalg.rank(L, ops) < m:
+                    want = (tuple(x), L)
+                    break
+            got = doubling._first_singular_left_factor(D)
+            assert (got if got is None else (tuple(got[0]), got[1])) == want
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_rank_test_lanes_hold_every_partial_sum(p, n, monkeypatch):
+    """The layout the rank test packs L_x with has room for the largest
+    lane any sum of l * T_i (l in range(p)) can reach, for every c."""
+    layouts = []
+
+    def spy(*args):
+        layouts.append(linalg.packed_layout(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(doubling, "packed_layout", spy)
+    K = make_field(p, n)
+    for c in K.elements():
+        if c.is_zero():
+            continue
+        D = DicksonAlgebra(K, FrobeniusAut(K, 1), c)
+        doubling._first_singular_left_factor(D)
+        table = structure_constants(D)
+        m = D.dim
+        largest = max(sum((p - 1) * table[i][j][r] for i in range(m))
+                      for j in range(m) for r in range(m))
+        assert largest <= layouts[-1].lane
+
+
 def test_element_at_refuses_indices_outside_the_doubling():
     K = make_field(3, 2)
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
@@ -489,6 +550,8 @@ def _nuclei_from_products(D):
     {"coeff": "quat(-1,-1)", "sigma": "conjugation:1,1,0,0",
      "c": "1,2,-1,3", "variant": "right"},
     {"coeff": "qp(5;sqrt_u;16)", "sigma": "conjugate", "c": "2,3"},
+    {"coeff": "quat(2,3;5)", "sigma": "conjugation:1,1,0,0",
+     "c": "1,2,4,3", "variant": "middle"},
     {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
      "c": "1/2,2,-1/3,3/4", "variant": "middle"},
 ])

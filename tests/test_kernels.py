@@ -1,11 +1,12 @@
 """The integer kernels against the scalar-ops formulas they replace.
 
 Quaternion and quadratic products and rational elimination run on ints
-over common denominators.  Each is compared here with the plain formula
-through the scalar ops, kept as the reference: values and types must
-agree exactly.
+over common denominators, and GF(p) elimination on lane-packed ints.
+Each is compared here with the plain formula through the scalar ops,
+kept as the reference: values and types must agree exactly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickson import linalg
-from dickson.linalg import FpOps, QOps, kernel_basis, rref, solve
+from dickson.linalg import (FpOps, QOps, PackedLayout, kernel_basis,
+                            packed_singular, rank, rref, solve)
 from dickson.padics import PadicContext, PadicOps
 from dickson.quadratic import QuadField
 from dickson.quaternions import QuaternionAlgebra
@@ -221,3 +223,118 @@ def test_integer_tensor_scales_rationals_and_passes_others_through():
     for ops in (FpOps(5), PadicOps(PadicContext(5))):
         assert linalg._integer_tensor(tensor, ops) is tensor
 
+
+# ---------------------------------------------------------------------------
+# GF(p) elimination on packed ints
+
+PRIMES = [2, 3, 5, 7, 31, 97, 101]
+
+
+@st.composite
+def prime_field_matrices(draw):
+    """Up to 512 rows (the GF(p)-quaternion nucleus systems) of up to 12
+    columns: combinations of a few random rows, so the rank is drawn too,
+    sparse or dense, with duplicate and zero rows, shuffled."""
+    p = draw(st.sampled_from(PRIMES))
+    ncols = draw(st.integers(1, 12))
+    nrows = draw(st.one_of(st.integers(1, 16), st.integers(17, 512)))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.2, 1.0]))
+    basis = [[rng.randrange(p) if rng.random() < density else 0
+              for _ in range(ncols)]
+             for _ in range(draw(st.integers(0, min(nrows, ncols))))]
+    rows = [[sum(rng.randrange(p) * b[j] for b in basis) % p
+             for j in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(list(rows[rng.randrange(len(rows))]))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append([0] * ncols)
+    rng.shuffle(rows)
+    return p, rows
+
+
+def _check_packed_rref(p, rows):
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    pivots = rref(got, FpOps(p))
+    assert pivots == linalg._rref_loop(want, FpOps(p))
+    assert got == want
+    assert all(type(t) is int and 0 <= t < p for row in got for t in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_field_matrices())
+def test_packed_rref_matches_generic_loop(case):
+    _check_packed_rref(*case)
+
+
+@SETTINGS
+@given(prime_field_matrices())
+def test_packed_kernel_and_rank_match_generic_loop(case):
+    p, rows = case
+    n = len(rows[0])
+    assert kernel_basis(rows, n, FpOps(p)) == _generic(kernel_basis, rows, n,
+                                                       FpOps(p))
+    assert rank(rows, FpOps(p)) == _generic(rank, rows, FpOps(p))
+
+
+@SETTINGS
+@given(prime_field_matrices(), st.randoms(use_true_random=False))
+def test_packed_rref_reduces_entries_outside_range_p(case, rng):
+    """Entries off by multiples of p, negative ones included (the fixed
+    field of a Frobenius power is the kernel of tau - id), give the rref
+    of the reduced matrix."""
+    p, rows = case
+    shifted = [[x + p * rng.randint(-3, 3) for x in row] for row in rows]
+    got, want = [list(r) for r in shifted], [list(r) for r in rows]
+    assert rref(got, FpOps(p)) == linalg._rref_loop(want, FpOps(p))
+    assert got == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_rref_at_the_lane_bound(p):
+    """Every entry p - 1; and a pivot row of p - 1 over rows that read 0 in
+    its column, which gain p times it and reach the lane bound
+    (p - 1)^2 + p (p - 1) before the next reduction."""
+    for nrows, ncols in ((1, 1), (2, 12), (512, 12)):
+        _check_packed_rref(p, [[p - 1] * ncols for _ in range(nrows)])
+        _check_packed_rref(p, [[p - 1] * ncols] + [[0] + [p - 1] * (ncols - 1)
+                                                    for _ in range(nrows)])
+    g = PackedLayout(p, 2, 12, p - 1)
+    assert (p - 1) ** 2 + p * (p - 1) <= g.lane
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_reduction_is_exact_below_the_lane_width(p):
+    """One multiplication reduces every lane mod p at once: exact for every
+    value a lane can hold, with no carry between neighbouring lanes."""
+    g = PackedLayout(p, 3, 4, 12 * (p - 1) ** 2)
+    xs = range(g.lane + 1)
+    assert all(x * g.magic >> g.shift == x // p for x in xs)
+    rng = random.Random(p)
+    for top in (g.lane, None):
+        vals = [top if top is not None else rng.choice(xs) for _ in range(12)]
+        M = linalg._join(vals, g.W)
+        M -= p * (M * g.magic >> g.shift & g.lanes)
+        assert M == linalg._join([x % p for x in vals], g.W)
+
+
+@SETTINGS
+@given(st.sampled_from(PRIMES), st.integers(1, 8),
+       st.randoms(use_true_random=False))
+def test_packed_singular_matches_rank(p, m, rng):
+    """packed_singular on sums of l_i * T_i, l_i in range(p), the way the
+    rank test builds L_x, so lanes start as high as m (p - 1)^2: singular
+    or not, against the rank of the list loop on the reduced sum."""
+    g = PackedLayout(p, m, m, m * (p - 1) ** 2)
+    mats = [[[rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(m)]
+             for _ in range(m)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.5:
+        # the last row of every T_i a multiple of the first: L_x is singular
+        for t in mats:
+            t[-1] = [2 * x for x in t[0]]
+    ls = [rng.choice([p - 1, rng.randrange(p)]) for _ in range(m)]
+    M = sum(l * g.pack(t) for l, t in zip(ls, mats))
+    want = [[sum(l * t[r][j] for l, t in zip(ls, mats)) % p for j in range(m)]
+            for r in range(m)]
+    assert g.unpack(M) == want
+    assert packed_singular(M, g) is (len(linalg._rref_loop(want, FpOps(p))) < m)
