@@ -22,7 +22,7 @@ from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
                        _field_grid, _norm_zero_pair, _quat_is_split,
                        compute_nuclei, critical_constants, search_cap,
                        zero_divisor_search)
-from .fields import FrobeniusAut, make_field
+from .fields import TABLE_BOUND, FrobeniusAut, make_field
 from .linalg import FpOps, kernel_basis, rank, solve
 from .padics import padic_is_square
 from .quadratic import (find_norm_preimage, is_norm_from_quadfield,
@@ -665,45 +665,73 @@ def iso_test(D1, D2, taus=None):
 
 def census(p, n, limit=27):
     """All doublings of GF(p^n) with non-square c, every sigma including
-    the identity, partitioned into isomorphism classes by the exhaustive
-    pairwise test.
+    the identity, partitioned into isomorphism classes by the isomorphism
+    theorem.
 
-    Every instance is division (cross-checked by the exhaustive search).
-    Classes never mix sigma exponents.  Both class counts are reported:
-    with and without the degenerate sigma = id convention."""
+    Every isomorphism has the shape (u,v) -> (tau(u), tau(v) b), so
+    D(K, sigma, c) and D(K, sigma, c') are isomorphic when
+    c = c' sigma(b)^2; over GF(p^n) the non-squares form one square class,
+    so the members that share a sigma form one class.  The report rests on:
+      * division: c is not in the critical-value set, computed once per
+        sigma, which agrees with the quadratic character; no rank walk;
+      * classes: the first non-square of each sigma is the representative,
+        and the exhaustive iso_test answers "no" between representatives
+        of different sigma (n(n-1)/2 tests);
+      * members: each is reached from its representative by (id, b), b
+        from _b_candidates, checked by verify_isomorphism.
+    An outcome the theorem rules out is a program fault and raises.  Both
+    class counts are reported: with and without the degenerate sigma = id
+    convention.
+
+    Sized for p^n <= limit and refused above fields.TABLE_BOUND, where the
+    field has no index tables; limit=81 and limit=125 answer in well under
+    a second."""
     if p == 2:
         raise ValueError("the census is about odd characteristic")
+    if p ** n > TABLE_BOUND:
+        raise ValueError("census needs the index tables of GF(p^n), which "
+                         "stop at p^n <= %d; GF(%d^%d) has %d elements"
+                         % (TABLE_BOUND, p, n, p ** n))
     if p ** n > limit:
         raise ValueError("census is sized for p^n <= %d; pass a larger "
                          "limit explicitly to go bigger" % limit)
     K = make_field(p, n)
     coeff = FieldCoefficients(K)
+    identity = FrobeniusAut(K, 0)
     nonsquares = [c for c in K.elements()
                   if not c.is_zero() and not K.is_square(c)]
     entries = []
-    classes = []              # (representative algebra, class record)
+    classes = []
+    reps = []
     for k in range(n):
         sigma = FrobeniusAut(K, k)
+        rep = DicksonAlgebra(coeff, sigma, nonsquares[0], "commutative",
+                             allow_identity=True)
+        for earlier in reps:
+            certify(iso_test(earlier, rep).status == "no",
+                    "doublings with different sigma are not isomorphic")
+        reps.append(rep)
+        critical = critical_constants(rep)
         for c in nonsquares:
+            # c is a non-square, so by the quadratic character D is
+            # division; the critical-value set must agree
+            if c in critical:
+                raise RuntimeError("critical-value set and quadratic "
+                                   "character disagree; this is a bug, not "
+                                   "a property of the input")
+            entries.append({"sigma": sigma.label, "c": c.literal(),
+                            "division": DIVISION})
             D = DicksonAlgebra(coeff, sigma, c, "commutative",
                                allow_identity=True)
-            entries.append({"sigma": sigma.label, "c": c.literal(),
-                            "division": division_decide(D).status})
-            for rD, record in classes:
-                status = iso_test(rD, D).status
-                if status == "yes":
-                    record["size"] += 1
-                    record["members"].append(c.literal())
-                    break
-                if status != "no":
-                    raise RuntimeError("census expects decidable comparisons")
-            else:
-                classes.append((D, {"sigma": sigma.label,
-                                    "representative_c": c.literal(),
-                                    "size": 1, "members": [c.literal()]}))
-    excluding = sum(1 for rD, _ in classes if not rD.sigma_is_id)
-    return CensusReport(p, n, entries, [record for _, record in classes],
-                        excluding, len(classes))
+            certify(any(verify_isomorphism(rep, D, identity, b)
+                        for b in _b_candidates(rep, D, identity)),
+                    "some (id, b) maps the representative onto c = %s"
+                    % c.literal())
+        members = [c.literal() for c in nonsquares]
+        classes.append({"sigma": sigma.label, "representative_c": members[0],
+                        "size": len(members), "members": members})
+    excluding = sum(1 for rep in reps if not rep.sigma_is_id)
+    return CensusReport(p, n, entries, classes, excluding, len(classes))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ is a plain aligned rendering of the same payload.
 
 Exit status is 0 whenever the analysis completed, whatever the
 mathematical verdict (including "unknown"); input and validation
-problems exit with status 2 and a message on standard error.
+problems exit with status 2 and a message on standard error.  A reader
+that closes the pipe before the report is written (dickson ... | head)
+ends the run quietly with status 1.
 
 The environment variable DICKSON_MAX_EXHAUSTIVE overrides the default
 cap of 10^6 left factors on the exhaustive zero-divisor search.
@@ -21,6 +23,7 @@ cap of 10^6 left factors on the exhaustive zero-divisor search.
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -29,8 +32,9 @@ import time
 from . import __version__
 from .analysis import (census, division_decide, enumerate_automorphisms,
                        group_structure, iso_test, wene_inner_check)
-from .doubling import (compute_nuclei, mul_by_constants,
+from .doubling import (compute_nuclei, mul_by_constants, search_cap,
                        structure_constants, theorem_zero_divisor_witness)
+from .fields import TABLE_BOUND
 from .parsing import (DescriptionError, algebra_from_document, load_document,
                       parse_element, parse_sigma)
 
@@ -182,6 +186,9 @@ def _run_iso(args):
 
 
 def _run_census(args):
+    # the census applies no cap, but a malformed one is refused here as by
+    # the commands that do
+    search_cap()
     report = census(args.p, args.n, limit=args.limit)
     return {"p": args.p, "n": args.n}, report.to_dict()
 
@@ -313,7 +320,9 @@ def build_parser():
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--limit", type=int, default=27,
-                     help="largest p^n accepted (default 27)")
+                     help="largest p^n accepted (default 27); never more "
+                          "than %d, where the field index tables stop"
+                          % TABLE_BOUND)
     _add_common_flags(sub)
     sub.set_defaults(run=_run_census)
 
@@ -356,7 +365,14 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(args.command, input_echo, result, args.format, started)
+    try:
+        _emit(args.command, input_echo, result, args.format, started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (dickson ... | head); point
+        # stdout at devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

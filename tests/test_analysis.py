@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -7,15 +9,16 @@ import textwrap
 import pytest
 
 import dickson
+from dickson import analysis, doubling
 from dickson.analysis import (apply_automorphism, aut_bounds_check,
                               automorphism_images, census, compose_descriptors,
                               division_decide, enumerate_automorphisms,
                               group_structure, iso_test, oracle_automorphisms,
                               subgroups, verify_automorphism,
                               verify_isomorphism, wene_inner_check)
-from dickson.doubling import DicksonAlgebra
+from dickson.doubling import DicksonAlgebra, FieldCoefficients
 from dickson.fields import FrobeniusAut, make_field
-from dickson.parsing import algebra_from_document
+from dickson.parsing import algebra_from_document, parse_element
 from dickson.padics import PadicContext, PadicQuadExt
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
@@ -611,7 +614,74 @@ def test_census_guards():
         census(4, 2)
     with pytest.raises(ValueError):
         census(5, 3)
+    # no index tables above fields.TABLE_BOUND, whatever the limit
+    with pytest.raises(ValueError, match=r"p\^n <= 10000"):
+        census(101, 2, limit=20000)
     census(5, 2, limit=25)
+
+
+# sha256 of json.dumps(census(p, n, limit).to_dict(), sort_keys=True), from
+# the census that proved every member division by a rank walk and joined it
+# to a class by pairwise iso_test
+CENSUS_DIGESTS = {
+    (3, 4, 81): "b32ea776e2b50a3c8ee68313a22b31b27b61d31ccf362ae3c1cbbf0830473aee",
+    (5, 3, 125): "c9d00db9e73274554794eb64ae3bd57bf99544cf8a65c97d943920d26a49cb17",
+}
+
+
+@pytest.mark.parametrize("p, n, limit", sorted(CENSUS_DIGESTS))
+def test_census_pinned_reports(p, n, limit):
+    rep = census(p, n, limit=limit)
+    payload = json.dumps(rep.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == CENSUS_DIGESTS[p, n, limit]
+    K = make_field(p, n)
+    nonsquares = [c.literal() for c in K.elements()
+                  if not c.is_zero() and not K.is_square(c)]
+    assert [cl["sigma"] for cl in rep.classes] == [
+        "frobenius^%d" % k for k in range(n)]
+    assert all(cl["members"] == nonsquares for cl in rep.classes)
+    assert (rep.classes_excluding_id, rep.classes_including_id) == (n - 1, n)
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
+def test_census_division_column_matches_rank_walk(p, n):
+    """The census reads division off the critical-value set; the rank walk
+    of division_decide is the independent oracle here."""
+    K = make_field(p, n)
+    coeff = FieldCoefficients(K)
+    sigmas = {s.label: s for s in K.automorphisms()}
+    entries = census(p, n).entries
+    assert len(entries) == n * (K.order - 1) // 2
+    for entry in entries:
+        D = DicksonAlgebra(coeff, sigmas[entry["sigma"]],
+                           parse_element(coeff, entry["c"]), "commutative",
+                           allow_identity=True)
+        assert entry["division"] == division_decide(D).status
+
+
+def test_census_never_walks(monkeypatch):
+    def walk(D):
+        raise AssertionError("the census ran a rank walk")
+
+    monkeypatch.setattr(doubling, "_first_singular_left_factor", walk)
+    assert census(3, 3).classes_including_id == 3
+    assert census(5, 3, limit=125).classes_including_id == 3
+    with pytest.raises(AssertionError, match="rank walk"):
+        division_decide(_gf(3, 2, [0, 1]))
+
+
+def test_census_planted_wrong_b_raises(monkeypatch):
+    """A b that does not map the representative onto a member is a program
+    fault: the census raises instead of classifying the member.  Each
+    true b times the generator g of GF(9) is wrong, as sigma(g)^2 != 1."""
+    true_b = analysis._b_candidates
+
+    def wrong(D1, D2, tau):
+        return [b * D2.coeff.K.gen() for b in true_b(D1, D2, tau)]
+
+    monkeypatch.setattr(analysis, "_b_candidates", wrong)
+    with pytest.raises(RuntimeError, match="certificate failed"):
+        census(3, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,27 @@ def test_census_over_limit_errors(capsys):
     code, _, err = run_cli(capsys, ["census", "--p", "5", "--n", "3"])
     assert code == 2
     assert "limit" in err
+    code, out, err = run_cli(capsys, ["census", "--p", "101", "--n", "2",
+                                      "--limit", "20000"])
+    assert code == 2 and out == ""
+    assert "p^n <= 10000" in err
+
+
+def test_closed_pipe_exits_quietly():
+    """dickson census ... | head: a reader that closes the pipe before the
+    report is written ends the run with status 1 and no traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dickson", "census", "--p", "3", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    # closed before the child has imported the package, so every write of
+    # the report meets a pipe without a reader
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_autgroup_quaternion_taus(capsys):
