@@ -6,13 +6,12 @@ __version__ = "0.1.0"
 
 from .doubling import (DicksonAlgebra, DicksonElement, coefficients_for,
                        compute_nuclei, critical_constants, critical_value,
-                       doubled_subfield_check, mul_by_constants,
-                       structure_constants, subalgebra_check,
+                       mul_by_constants, structure_constants,
                        theorem_zero_divisor_witness, zero_divisor_search)
-from .analysis import (aut_bounds_check, census, division_decide,
-                       enumerate_automorphisms, group_structure, iso_test,
-                       oracle_automorphisms, subgroups, verify_automorphism,
-                       verify_isomorphism, wene_inner_check)
+from .analysis import (census, division_decide, enumerate_automorphisms,
+                       group_structure, iso_test, subgroups,
+                       verify_automorphism, verify_isomorphism,
+                       wene_inner_check)
 from .fields import FiniteField, FrobeniusAut, make_field
 from .quadratic import QuadField
 from .padics import PadicContext, PadicQuadExt
@@ -27,11 +26,10 @@ __all__ = [
     "__version__",
     "DicksonAlgebra", "DicksonElement", "coefficients_for",
     "compute_nuclei", "critical_constants", "critical_value",
-    "doubled_subfield_check", "mul_by_constants", "structure_constants",
-    "subalgebra_check", "theorem_zero_divisor_witness", "zero_divisor_search",
-    "aut_bounds_check", "census", "division_decide",
-    "enumerate_automorphisms", "group_structure", "iso_test",
-    "oracle_automorphisms", "subgroups", "verify_automorphism",
+    "mul_by_constants", "structure_constants",
+    "theorem_zero_divisor_witness", "zero_divisor_search",
+    "census", "division_decide", "enumerate_automorphisms",
+    "group_structure", "iso_test", "subgroups", "verify_automorphism",
     "verify_isomorphism", "wene_inner_check",
     "FiniteField", "FrobeniusAut", "make_field",
     "QuadField",

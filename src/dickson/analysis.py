@@ -9,21 +9,16 @@ guessed.
 
 Automorphisms of D = B + B are represented as pairs (tau, b) acting by
 (u, v) -> (tau(u), tau(v) * b) where tau is an automorphism of the
-coefficient algebra and b a coefficient element.  Over a finite field a
-completely independent brute-force enumeration (oracle_automorphisms)
-finds every unital multiplicative bijection of that doubled shape from
-the multiplication table alone, so the structured enumeration can be
-cross-checked against it.
+coefficient algebra and b a coefficient element.
 """
 
 from dataclasses import replace
 
 from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
-                       _field_grid, _norm_zero_pair, _quat_is_split,
-                       compute_nuclei, critical_constants, search_cap,
-                       zero_divisor_search)
+                       _norm_zero_pair, _quat_is_split, compute_nuclei,
+                       critical_constants, zero_divisor_search)
 from .fields import TABLE_BOUND, FrobeniusAut, make_field
-from .linalg import FpOps, kernel_basis, rank, solve
+from .linalg import kernel_basis, solve
 from .padics import padic_is_square
 from .quadratic import (find_norm_preimage, is_norm_from_quadfield,
                         rational_is_square, rational_sqrt)
@@ -264,13 +259,6 @@ def compose_descriptors(D, d1, d2):
     return (d1[0].compose(d2[0]), d1[0](d2[1]) * d1[1])
 
 
-def automorphism_images(D, desc):
-    """Canonical fingerprint: element indices of the basis images
-    (finite coefficients only)."""
-    return tuple(D.element_index(apply_automorphism(D, desc, e))
-                 for e in D.basis())
-
-
 def _map_failure(D1, D2, desc):
     """Why (u,v) -> (tau(u), tau(v) b) is not an isomorphism D1 -> D2
     (unital, multiplicative on a full basis, bijective), or None."""
@@ -459,80 +447,6 @@ def group_structure(D, report):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle over finite fields
-
-
-def oracle_automorphisms(D):
-    """Every unital multiplicative bijection of the doubled-pair shape,
-    found from the multiplication table alone.
-
-    A candidate is a pair (A_img, B_img) of elements: the would-be images
-    of (g, 0) and (0, 1), with g the coefficient generator.  A_img must
-    satisfy the generator's minimal polynomial (so mapping g to it extends
-    to the coefficient copy), B_img must square to the image of (c, 0),
-    and the induced linear map must be multiplicative on all basis pairs
-    and bijective.  Returns the sorted list of basis-image fingerprints.
-    """
-    A = D.coeff
-    if A.kind != "field":
-        raise ValueError("the brute-force oracle works over finite fields")
-    K = A.K
-    p, n, q = K.p, K.n, K.order
-    size = q * q
-    if size * size > search_cap():
-        raise ValueError("oracle needs %d pairs, over the cap; set "
-                         "DICKSON_MAX_EXHAUSTIVE to override" % (size * size))
-    dmul = _field_grid(D)
-    _, add = A.tables()
-
-    def dadd(s, t):
-        (su, sv), (tu, tv) = divmod(s, q), divmod(t, q)
-        return add[su][tu] * q + add[sv][tv]
-
-    coords = [tuple(K.element_at(t // q).coeffs)
-              + tuple(K.element_at(t % q).coeffs) for t in range(size)]
-    dim = 2 * n
-    unit_d = K.element_index(K.one()) * q
-    scal_d = [K.element_index(K.element([s] + [0] * (n - 1))) * q
-              for s in range(p)]
-
-    def combine(cofs, images):
-        acc = 0
-        for r, cr in enumerate(cofs):
-            if cr:
-                acc = dadd(acc, dmul[scal_d[cr]][images[r]])
-        return acc
-
-    units = [K.element_index(K.element([0] * j + [1] + [0] * (n - 1 - j)))
-             for j in range(n)]
-    basis_d = [u * q for u in units] + units
-
-    ops = FpOps(p)
-    found = []
-    for a_img in range(size):
-        pows = [unit_d]
-        for _ in range(n):
-            pows.append(dmul[pows[-1]][a_img])
-        if combine(K.modulus, pows) != 0:
-            continue
-        c_img = combine(D.c.coeffs, pows)
-        for b_img in range(size):
-            if dmul[b_img][b_img] != c_img:
-                continue
-            images = pows[:n] + [dmul[b_img][pw] for pw in pows[:n]]
-            if not all(dmul[images[rs]][images[rt]]
-                       == combine(coords[dmul[basis_d[rs]][basis_d[rt]]],
-                                  images)
-                       for rs in range(dim) for rt in range(dim)):
-                continue
-            rows = list(zip(*(coords[im] for im in images)))
-            if rank(rows, ops) != dim:
-                continue
-            found.append(tuple(images))
-    return sorted(found)
-
-
-# ---------------------------------------------------------------------------
 # Wene's grouped inner map
 
 
@@ -688,11 +602,14 @@ def census(p, n, limit=27):
     a second."""
     if p == 2:
         raise ValueError("the census is about odd characteristic")
-    if p ** n > TABLE_BOUND:
+    # p^n, or a power of p already past the bound when n is larger (for a
+    # prime p >= 3, p^14 > 10^4): forming 3^(10^7) alone takes seconds
+    order = p ** min(n, TABLE_BOUND.bit_length())
+    if order > TABLE_BOUND:
         raise ValueError("census needs the index tables of GF(p^n), which "
-                         "stop at p^n <= %d; GF(%d^%d) has %d elements"
-                         % (TABLE_BOUND, p, n, p ** n))
-    if p ** n > limit:
+                         "stop at p^n <= %d; GF(%d^%d) is larger"
+                         % (TABLE_BOUND, p, n))
+    if order > limit:
         raise ValueError("census is sized for p^n <= %d; pass a larger "
                          "limit explicitly to go bigger" % limit)
     K = make_field(p, n)
@@ -733,19 +650,3 @@ def census(p, n, limit=27):
     excluding = sum(1 for rep in reps if not rep.sigma_is_id)
     return CensusReport(p, n, entries, classes, excluding, len(classes))
 
-
-# ---------------------------------------------------------------------------
-# order bounds
-
-
-def aut_bounds_check(D, taus=None):
-    """2 |C(sigma) and isotropy(c)| <= |Aut| <= 2 |C(sigma)|, the order
-    counted from the verified elements and the bounds read off the
-    subgroups the enumeration was built from."""
-    rep = enumerate_automorphisms(D, taus)
-    sub = rep.subgroups
-    iso_and_c = [t for t in sub.isotropy if t in sub.c_sigma]
-    lower = 2 * len(iso_and_c)
-    upper = 2 * len(sub.c_sigma)
-    return {"lower": lower, "order": rep.order, "upper": upper,
-            "within": lower <= rep.order <= upper}

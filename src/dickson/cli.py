@@ -55,8 +55,6 @@ def _add_algebra_flags(sub):
 
 def _add_common_flags(sub):
     sub.add_argument("--format", choices=["json", "text"], default="text")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized property trials")
 
 
 def _document(args):
@@ -190,7 +188,7 @@ def _run_census(args):
     # the commands that do
     search_cap()
     report = census(args.p, args.n, limit=args.limit)
-    return {"p": args.p, "n": args.n}, report.to_dict()
+    return {"p": args.p, "n": args.n, "limit": args.limit}, report.to_dict()
 
 
 def _run_wene(args):
@@ -283,6 +281,8 @@ def build_parser():
                           help="build the algebra and run identity trials")
     _add_algebra_flags(sub)
     _add_common_flags(sub)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed for the randomized identity trials")
     sub.set_defaults(run=_run_construct)
 
     sub = subs.add_parser("nuclei", help="left/middle/right nuclei, "

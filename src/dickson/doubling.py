@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .fields import FiniteField, FrobeniusAut
-from .linalg import (FpOps, QOps, _integer_tensor, in_span, kernel_basis,
+from .linalg import (FpOps, QOps, _integer_tensor, kernel_basis,
                      packed_layout, packed_singular, rref)
 from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt, _mod_sqrt,
                      ext_is_square, ext_sqrt)
@@ -53,9 +53,8 @@ VARIANTS = ("commutative", "left", "middle", "right")
 
 
 def search_cap():
-    """Budget for exhaustive searches, in left factors for the division
-    search and in ordered pairs for the automorphism oracle;
-    env-overridable."""
+    """Budget of the exhaustive division search, in left factors;
+    DICKSON_MAX_EXHAUSTIVE overrides it."""
     v = os.environ.get("DICKSON_MAX_EXHAUSTIVE")
     if not v:
         return 10**6
@@ -222,7 +221,7 @@ class FieldCoefficients(_Coefficients):
 
     def tables(self):
         """The product and the sum of K as q x q lists of element indices,
-        for the automorphism oracle's product table."""
+        for _field_grid."""
         elems = list(self.K.elements())
         return ([[(x * y).index for y in elems] for x in elems],
                 [[(x + y).index for y in elems] for x in elems])
@@ -712,7 +711,9 @@ def compute_nuclei(D):
 def _field_grid(D):
     """The product table of a doubling over a finite field, built from the
     field's index tables rather than D.mul: grid[i][j] is the index of
-    e_i * e_j, where (u, v) has index u*q + v."""
+    e_i * e_j, where (u, v) has index u*q + v.  Only the brute-force
+    automorphism oracle of the tests reads it; it stays here because
+    perfbench/trace_layers.py wraps it by name."""
     A = D.coeff
     K = A.K
     q = K.order
@@ -817,48 +818,37 @@ def _first_singular_left_factor(D):
 
 
 def zero_divisor_search(D):
-    """Look for nonzero x, y with x*y = 0.
+    """The exhaustive rank test for zero divisors of a doubling of GF(p^n).
 
-    Finite field coefficients: exhaustive and deterministic, refusing above
-    the cap on left factors.  The first left factor x with a singular left
-    multiplication over GF(p) (see _first_singular_left_factor) and the
-    smallest nonzero y in its kernel form the lexicographically first
-    annihilating pair; no singular x is the proof that none exists.
-    Split quaternion coefficients (every finite one, and some over Q) give
-    a norm-zero pair of the coefficient algebra, when the bounded search
-    over Q finds one.  Otherwise, when c has a square root r, the witness
-    is the theorem pair of the critical triple (r, 1, 1); else the search
-    is inconclusive, never a proof.
+    Deterministic, and refused above the cap on left factors.  The first
+    left factor x with a singular left multiplication over GF(p) (see
+    _first_singular_left_factor) and the smallest nonzero y in its kernel
+    form the lexicographically first annihilating pair; no singular x is
+    the proof that none exists.  Other coefficient kinds are refused:
+    division_decide decides them by the division theorem's criteria.
 
-    Returns (status, pair) with status one of "witness", "none",
-    "inconclusive".
+    Returns ("witness", pair) or ("none", None).
     """
     A = D.coeff
-    if A.kind == "field":
-        n_left = D.size()
-        if n_left > search_cap():
-            raise ValueError("exhaustive search needs %d left factors, over "
-                             "the cap; set DICKSON_MAX_EXHAUSTIVE to override"
-                             % n_left)
-        found = _first_singular_left_factor(D)
-        if found is None:
-            return "none", None
-        x, rows = found
-        ops = FpOps(A.K.p)
-        # the last row of the kernel's rref has the latest leading position
-        # and leading entry 1: the smallest nonzero y with x*y = 0
-        kernel = kernel_basis(rows, D.dim, ops)
-        rref(kernel, ops)
-        pair = (D.from_coords(x), D.from_coords(kernel[-1]))
-        return "witness", annihilating(D, pair)
-    if A.kind == "quat" and _quat_is_split(A.B):
-        pair = _norm_zero_pair(D)
-        if pair is not None:
-            return "witness", pair
-    ok, root = A.is_square(D.c)
-    if ok:
-        return "witness", _critical_pair(D, root, A.one(), A.one())
-    return "inconclusive", None
+    if A.kind != "field":
+        raise ValueError("the exhaustive zero-divisor search needs GF(p^n) "
+                         "coefficients, not %s" % A.describe())
+    n_left = D.size()
+    if n_left > search_cap():
+        raise ValueError("exhaustive search needs %d left factors, over "
+                         "the cap; set DICKSON_MAX_EXHAUSTIVE to override"
+                         % n_left)
+    found = _first_singular_left_factor(D)
+    if found is None:
+        return "none", None
+    x, rows = found
+    ops = FpOps(A.K.p)
+    # the last row of the kernel's rref has the latest leading position
+    # and leading entry 1: the smallest nonzero y with x*y = 0
+    kernel = kernel_basis(rows, D.dim, ops)
+    rref(kernel, ops)
+    pair = (D.from_coords(x), D.from_coords(kernel[-1]))
+    return "witness", annihilating(D, pair)
 
 
 def critical_constants(D):
@@ -921,62 +911,3 @@ def theorem_zero_divisor_witness(D, r, s, t):
     certify(prod.is_zero(), "the theorem pair annihilates")
     return (x, y), prod
 
-
-# ---------------------------------------------------------------------------
-# subalgebras
-
-
-def subalgebra_check(D, vectors):
-    """Is the span of the given elements closed under the product?
-
-    Returns (closed, failures) where failures lists the index pairs whose
-    product escapes the span.
-    """
-    ops = D.coeff.base_ops()
-    vecs = [D.coords(v) for v in vectors]
-    failures = []
-    for i, x in enumerate(vectors):
-        for j, y in enumerate(vectors):
-            prod = D.mul(x, y)
-            if not in_span(vecs, D.coords(prod), ops):
-                failures.append((i, j))
-    return not failures, failures
-
-
-def doubled_subfield_check(D, k_basis):
-    """For a commutative sigma-stable subalgebra K of the coefficients with
-    c in K, the pairs K + K form a subalgebra whose induced product is the
-    plain commutative doubling of K.  Each piece is verified directly.
-    """
-    A = D.coeff
-    ops = A.base_ops()
-    kvecs = [A.coords(b) for b in k_basis]
-
-    def in_k(x):
-        return in_span(kvecs, A.coords(x), ops)
-
-    k_closed = all(in_k(x * y) for x in k_basis for y in k_basis)
-    k_commutative = all(x * y == y * x for x in k_basis for y in k_basis)
-    sigma_stable = all(in_k(D.sigma(b)) for b in k_basis)
-    c_in_k = in_k(D.c)
-
-    doubled = ([D.element(b, A.zero()) for b in k_basis]
-               + [D.element(A.zero(), b) for b in k_basis])
-    closed, _ = subalgebra_check(D, doubled)
-
-    induced_matches = True
-    for x in doubled:
-        for y in doubled:
-            got = D.mul(x, y)
-            want_first = x.u * y.u + D.c * D.sigma(x.v * y.v)
-            want_second = x.u * y.v + x.v * y.u
-            if not (got.u == want_first and got.v == want_second):
-                induced_matches = False
-    return {
-        "k_closed": k_closed,
-        "k_commutative": k_commutative,
-        "sigma_stable": sigma_stable,
-        "c_in_k": c_in_k,
-        "doubled_closed": closed,
-        "induced_is_commutative_doubling": induced_matches,
-    }

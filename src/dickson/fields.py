@@ -20,9 +20,7 @@ coefficient tuples low degree first; this makes field objects canonical,
 so two calls to make_field(3, 2) are interchangeable.
 
 Automorphisms are Frobenius powers a -> a^(p^k) and are represented by
-the exponent k alone.  Composition adds exponents mod n.  The fixed field
-of a -> a^(p^k) is GF(p^gcd(k, n)); fixed_field returns both an abstract
-copy of that subfield and a concrete GF(p)-basis of the fixed subspace.
+the exponent k alone.  Composition adds exponents mod n.
 
 p = 2 is allowed here (the doubling of GF(4) is a useful degenerate case)
 even though most of the analysis layer requires odd characteristic.
@@ -33,7 +31,7 @@ from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 
-from .linalg import Element, FpOps, kernel_basis
+from .linalg import Element
 
 
 class FieldError(ValueError):
@@ -364,9 +362,6 @@ class FiniteField:
     def random_element(self, rng):
         return self.element_at(rng.randrange(self.order))
 
-    def random_nonzero(self, rng):
-        return self.element_at(rng.randrange(1, self.order))
-
     # -- automorphisms ------------------------------------------------------
 
     def automorphisms(self):
@@ -378,14 +373,6 @@ class FiniteField:
         """Norm down to GF(p): the product of the full Frobenius orbit,
         a^(1 + p + ... + p^(n-1))."""
         return a ** ((self.order - 1) // (self.p - 1))
-
-    def norm_over(self, a, tau):
-        """Norm to the fixed field of tau: the product over Gal generated
-        by the Frobenius power tau."""
-        if tau.field != self:
-            raise FieldError("automorphism of a different field")
-        steps = self.n // gcd(tau.k, self.n)
-        return a ** sum(self.p ** (tau.k * j) for j in range(steps))
 
     def is_square(self, a):
         """Squareness in GF(q): an even log for odd q (a^((q-1)/2) = 1
@@ -465,26 +452,6 @@ class FrobeniusAut:
 
     def __repr__(self):
         return "Frobenius(%d) on GF(%d^%d)" % (self.k, self.field.p, self.field.n)
-
-    def fixed_field(self):
-        """The subfield fixed by this map.
-
-        Returns (GF(p^g), basis) where g = gcd(k, n), the second item a
-        GF(p)-basis of the fixed subspace inside the parent; the kernel of
-        (tau - id) is computed by exact linear algebra over GF(p).
-        """
-        K = self.field
-        g = gcd(self.k, K.n)
-        sub = FiniteField(K.p, g)
-        # column j: the coordinates of tau(e_j) - e_j
-        columns = []
-        for j in range(K.n):
-            image = self(K.element([0] * j + [1] + [0] * (K.n - 1 - j)))
-            columns.append([a - (1 if i == j else 0)
-                            for i, a in enumerate(image.coeffs)])
-        rows = list(zip(*columns))
-        basis = [K.element(vec) for vec in kernel_basis(rows, K.n, FpOps(K.p))]
-        return sub, basis
 
 
 def _is_primitive(f, m, p):

@@ -474,9 +474,3 @@ def solve(rows, rhs, ops):
         sol[pc] = work[r][ncols]
     return sol
 
-
-def in_span(vectors, target, ops):
-    """Is target a linear combination of the given vectors?"""
-    if not vectors:
-        return all(ops.is_zero(t) for t in target)
-    return solve(list(zip(*vectors)), list(target), ops) is not None

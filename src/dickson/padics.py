@@ -298,22 +298,6 @@ def padic_is_square(z):
     return pow(z.residue(), (z.ctx.p - 1) // 2, z.ctx.p) == 1
 
 
-# the class modulo squares, by (odd valuation, square unit residue)
-_SQUARE_CLASSES = {(False, True): "1", (False, False): "u",
-                   (True, True): "pi", (True, False): "upi"}
-
-
-def square_class(z):
-    """The class of z modulo squares: one of "1", "u", "pi", "upi".
-    Accepts a PadicNumber or a quadratic-extension element."""
-    if isinstance(z, PadicExtElement):
-        return ext_square_class(z)
-    if z.is_zero():
-        raise ValueError("zero has no square class")
-    unit_sq = pow(z.residue(), (z.ctx.p - 1) // 2, z.ctx.p) == 1
-    return _SQUARE_CLASSES[(z.val % 2 == 1, unit_sq)]
-
-
 def padic_sqrt(z):
     """The canonical square root in Q_p (smaller unit residue), or None."""
     if z.is_zero():
@@ -527,14 +511,6 @@ def ext_is_square(z):
         return False
     R = z.ext.residue_field()
     return R.is_square(z.unit_part().residue())
-
-
-def ext_square_class(z):
-    """Class of z modulo squares of the extension: "1", "u", "pi", "upi"."""
-    if z.is_zero():
-        raise ValueError("zero has no square class")
-    unit_sq = z.ext.residue_field().is_square(z.unit_part().residue())
-    return _SQUARE_CLASSES[(z.val_pi() % 2 == 1, unit_sq)]
 
 
 def ext_sqrt(z):

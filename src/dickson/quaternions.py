@@ -24,7 +24,7 @@ from math import lcm
 from operator import attrgetter
 
 from .fields import is_prime
-from .linalg import Element, FpOps, QOps, kernel_basis
+from .linalg import Element, FpOps, QOps
 from .quadratic import rational_sqrt
 from .reports import certify
 
@@ -114,12 +114,6 @@ class QuaternionAlgebra:
             return self.element(*(Fraction(rng.randrange(-9, 10),
                                            rng.randrange(1, 4)) for _ in range(4)))
         return self.element(*(rng.randrange(self.p) for _ in range(4)))
-
-    def random_invertible(self, rng):
-        while True:
-            q = self.random_element(rng)
-            if not self.ops.is_zero(q.norm()):
-                return q
 
     def __eq__(self, other):
         return (isinstance(other, QuaternionAlgebra) and other.p == self.p
@@ -289,19 +283,6 @@ class InnerAut:
 
     def __repr__(self):
         return self.label
-
-
-def fixed_subalgebra(aut):
-    """Basis of {z : m z = z m} via an exact 4x4 kernel over the base.
-
-    A non-central witness fixes exactly span{1, pure part of m}; a central
-    witness fixes everything.
-    """
-    alg = aut.alg
-    m = aut.witness
-    rows = list(zip(*((m * e - e * m).coords() for e in alg.basis())))
-    vecs = kernel_basis(rows, 4, alg.ops)
-    return [Quaternion(alg, *v) for v in vecs]
 
 
 def quat_is_square(c):

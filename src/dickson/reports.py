@@ -35,10 +35,6 @@ class DivisionVerdict:
     witness_literal: list | None = None   # serializable rendering of the pair
     notes: str = ""
 
-    @property
-    def is_division(self):
-        return self.status == DIVISION
-
     def to_dict(self):
         return {
             "verdict": self.status,

@@ -5,23 +5,26 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
 import dickson
 from dickson import analysis, doubling
-from dickson.analysis import (apply_automorphism, aut_bounds_check,
-                              automorphism_images, census, compose_descriptors,
+from dickson.analysis import (apply_automorphism, census, compose_descriptors,
                               division_decide, enumerate_automorphisms,
-                              group_structure, iso_test, oracle_automorphisms,
-                              subgroups, verify_automorphism,
-                              verify_isomorphism, wene_inner_check)
+                              group_structure, iso_test, subgroups,
+                              verify_automorphism, verify_isomorphism,
+                              wene_inner_check)
 from dickson.doubling import DicksonAlgebra, FieldCoefficients
 from dickson.fields import FrobeniusAut, make_field
 from dickson.parsing import algebra_from_document, parse_element
 from dickson.padics import PadicContext, PadicQuadExt
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
+from dickson.reports import DIVISION
+from oracles import (aut_bounds_check, automorphism_images,
+                     oracle_automorphisms)
 
 
 def _gf(p, n, c_coeffs, k=1):
@@ -43,10 +46,10 @@ def test_division_finite_three_way_agreement_every_c():
                 continue
             D = DicksonAlgebra(K, phi, c)
             verdict = division_decide(D)
-            assert verdict.is_division == (not K.is_square(c))
+            assert (verdict.status == DIVISION) == (not K.is_square(c))
             assert verdict.notes.endswith("critical-value set and quadratic "
                                           "character agree")
-            if not verdict.is_division:
+            if verdict.status != DIVISION:
                 x, y = verdict.witness
                 assert D.mul(x, y).is_zero()
                 assert not x.is_zero() and not y.is_zero()
@@ -617,6 +620,13 @@ def test_census_guards():
     # no index tables above fields.TABLE_BOUND, whatever the limit
     with pytest.raises(ValueError, match=r"p\^n <= 10000"):
         census(101, 2, limit=20000)
+    # exponents far past the bound are refused without forming p^n
+    for n in (100000, 10**7):
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=r"p\^n <= 10000; GF\(3\^%d\)"
+                           % n):
+            census(3, n)
+        assert time.monotonic() - started < 1
     census(5, 2, limit=25)
 
 

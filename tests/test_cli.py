@@ -264,6 +264,35 @@ def test_census_over_limit_errors(capsys):
                                       "--limit", "20000"])
     assert code == 2 and out == ""
     assert "p^n <= 10000" in err
+    # the refusal names the bound, never the digits of p^n
+    code, out, err = run_cli(capsys, ["census", "--p", "3", "--n", "100000"])
+    assert code == 2 and out == ""
+    assert err == ("error: census needs the index tables of GF(p^n), which "
+                   "stop at p^n <= 10000; GF(3^100000) is larger\n")
+
+
+def test_census_reruns_from_its_echoed_input(capsys):
+    first = json.loads(_json_run(capsys, ["census", "--p", "3", "--n", "4",
+                                          "--limit", "81"]))
+    assert first["input"] == {"p": 3, "n": 4, "limit": 81}
+    argv = ["census"] + ["--%s=%d" % kv for kv in first["input"].items()]
+    again = json.loads(_json_run(capsys, argv))
+    assert again["result"] == first["result"]
+
+
+def test_seed_is_a_construct_flag_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["division", "--coeff", "gf(3,2)", "--sigma", "frobenius:1",
+              "--c", "0,1", "--seed", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 3" in captured.err
+    code, out, err = run_cli(capsys, [
+        "construct", "--coeff", "gf(3,2)", "--sigma", "frobenius:1",
+        "--c", "0,1", "--seed", "3"])
+    assert code == 0, err
+    assert "all_passed:  true" in out
 
 
 def test_closed_pipe_exits_quietly():
@@ -363,9 +392,9 @@ def test_decision_path_runs_without_numpy():
         "import sys",
         "sys.modules['numpy'] = None",
         "import dickson.cli",
-        "from dickson.analysis import (automorphism_images,",
-        "    enumerate_automorphisms, oracle_automorphisms)",
+        "from dickson.analysis import enumerate_automorphisms",
         "from dickson.parsing import algebra_from_document",
+        "from oracles import automorphism_images, oracle_automorphisms",
         "rc = dickson.cli.main(['division', '--coeff', 'gf(7,2)',",
         "                       '--sigma', 'frobenius:1', '--c', '0,1'])",
         "D = algebra_from_document({'coeff': 'gf(3,2)',",
@@ -377,11 +406,13 @@ def test_decision_path_runs_without_numpy():
         "sys.exit(rc if sys.modules['numpy'] is None else 3)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env = {k: v for k, v in os.environ.items()
            if k != "DICKSON_MAX_EXHAUSTIVE"}
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(env, PYTHONPATH=src))
+                          env=dict(env, PYTHONPATH=os.pathsep.join((src,
+                                                                    tests))))
     assert proc.returncode == 0, proc.stderr
     assert "verdict:  proved-division" in proc.stdout
     assert "no annihilating pair among all 5764801 ordered pairs" \

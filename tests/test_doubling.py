@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from dickson import doubling, linalg
+from dickson.analysis import division_decide
 from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               critical_constants, critical_value,
-                              doubled_subfield_check, mul_by_constants,
-                              structure_constants, subalgebra_check,
+                              mul_by_constants, structure_constants,
                               theorem_zero_divisor_witness,
                               zero_divisor_search, _field_grid)
 from dickson.fields import FrobeniusAut, make_field
@@ -15,6 +15,9 @@ from dickson.linalg import FpOps, kernel_basis
 from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
+from dickson.reports import DIVISION, NOT_DIVISION
+from oracles import (doubled_subfield_check, fixed_field, in_span,
+                     random_invertible, random_nonzero, subalgebra_check)
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +376,30 @@ def test_search_cap_refuses_large_exhaustive(monkeypatch):
 def test_search_infinite_square_c_constructive():
     Q = QuadField(2)
     D = DicksonAlgebra(Q, "conjugate", Q.element(2, 0))
-    status, pair = zero_divisor_search(D)
-    assert status == "witness"
-    assert D.mul(pair[0], pair[1]).is_zero()
+    verdict = division_decide(D)
+    assert verdict.status == NOT_DIVISION
+    assert D.mul(*verdict.witness).is_zero()
 
 
 def test_search_infinite_inconclusive_without_square_root():
     Q = QuadField(2)
     D = DicksonAlgebra(Q, "conjugate", Q.root())
-    status, pair = zero_divisor_search(D)
-    assert status == "inconclusive" and pair is None
+    verdict = division_decide(D)
+    assert verdict.status == DIVISION and verdict.witness is None
+    # the exhaustive search is for GF(p^n) coefficients only
+    with pytest.raises(ValueError, match="needs GF"):
+        zero_divisor_search(D)
 
 
 def test_search_over_split_rational_quaternions_finds_the_norm_zero_pair():
-    # c = j has no square root, but (1, 1 | Q) splits; division_decide
-    # proves the same algebra not division with a norm-zero pair
+    # c = j has no square root, but (1, 1 | Q) splits, so the pair comes
+    # from a norm-zero coefficient
     D = algebra_from_document({"coeff": "quat(1,1)",
                                "sigma": "conjugation:0,1,0,0",
                                "c": "0,0,1,0", "variant": "left"})
-    status, (x, y) = zero_divisor_search(D)
-    assert status == "witness"
+    verdict = division_decide(D)
+    assert verdict.status == NOT_DIVISION
+    x, y = verdict.witness
     assert not x.is_zero() and not y.is_zero()
     assert D.mul(x, y).is_zero()
 
@@ -402,7 +409,7 @@ def test_search_over_split_rational_quaternions_finds_the_norm_zero_pair():
 
 def test_search_over_every_finite_quaternion_algebra_finds_a_pair():
     # a quaternary norm form over GF(p) is isotropic, so every quat(a,b;p)
-    # has a norm-zero pair and the scan needs no fallback
+    # has a norm-zero pair and the verdict always carries a witness
     for p in (3, 5, 7):
         for a in range(1, p):
             for b in range(1, p):
@@ -412,8 +419,9 @@ def test_search_over_every_finite_quaternion_algebra_finds_a_pair():
                 assert (z * w).is_zero()
                 D = DicksonAlgebra(B, InnerAut(B.element(0, 1, 0, 0)),
                                    B.one(), "left")
-                status, (x, y) = zero_divisor_search(D)
-                assert status == "witness"
+                verdict = division_decide(D)
+                assert verdict.status == NOT_DIVISION
+                x, y = verdict.witness
                 assert not x.is_zero() and not y.is_zero()
                 assert D.mul(x, y).is_zero()
 
@@ -432,9 +440,9 @@ def test_critical_value_formula_commutative():
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
     rng = random.Random(12)
     for _ in range(20):
-        r = K.random_nonzero(rng)
-        s = K.random_nonzero(rng)
-        t = K.random_nonzero(rng)
+        r = random_nonzero(K, rng)
+        s = random_nonzero(K, rng)
+        t = random_nonzero(K, rng)
         phi = FrobeniusAut(K, 1)
         expected = (r * r) * s * phi(s).inv() * t.inv() * phi(t).inv()
         assert critical_value(D, r, s, t) == expected
@@ -445,7 +453,7 @@ def test_theorem_witness_annihilates_on_matching_c():
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
     rng = random.Random(13)
     for _ in range(50):
-        r, s, t = (K.random_nonzero(rng) for _ in range(3))
+        r, s, t = (random_nonzero(K, rng) for _ in range(3))
         pair, product = theorem_zero_divisor_witness(D, r, s, t)
         assert product.is_zero()
         Dc = pair[0].alg
@@ -460,9 +468,9 @@ def test_theorem_witness_quaternion_variants():
     for variant in ("left", "middle", "right"):
         D = DicksonAlgebra(B, sigma, B.element(0, 0, 1, 0), variant)
         for _ in range(20):
-            r = B.random_invertible(rng)
-            s = B.random_invertible(rng)
-            t = B.random_invertible(rng)
+            r = random_invertible(B, rng)
+            s = random_invertible(B, rng)
+            t = random_invertible(B, rng)
             pair, product = theorem_zero_divisor_witness(D, r, s, t)
             assert product.is_zero()
 
@@ -583,7 +591,6 @@ def test_nucleus_contains_unit_always():
     rep = compute_nuclei(D)
     ops = D.coeff.base_ops()
     one = D.coords(D.unit())
-    from dickson.linalg import in_span
     assert in_span([D.coords(v) for v in rep.nucleus], one, ops)
 
 
@@ -615,7 +622,7 @@ def test_doubled_subfield_check_intermediate_field():
     # doubling of GF(9) whenever c lies in it
     K = make_field(3, 4)
     phi = FrobeniusAut(K, 1)
-    _, basis = FrobeniusAut(K, 2).fixed_field()
+    _, basis = fixed_field(FrobeniusAut(K, 2))
     assert len(basis) == 2
     c = next(b for b in basis if phi(b) != b)
     D = DicksonAlgebra(K, phi, c)
@@ -633,7 +640,7 @@ def test_doubled_subfield_check_intermediate_field():
 def test_doubled_subfield_check_flags_c_outside():
     K = make_field(3, 4)
     phi = FrobeniusAut(K, 1)
-    _, basis = FrobeniusAut(K, 2).fixed_field()
+    _, basis = fixed_field(FrobeniusAut(K, 2))
     outside = next(e for e in K.elements()
                    if not e.is_zero() and FrobeniusAut(K, 2)(e) != e)
     D = DicksonAlgebra(K, phi, outside)

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from dickson.linalg import FpOps, QOps, in_span, kernel_basis, rank, rref, solve
+from dickson.linalg import FpOps, QOps, kernel_basis, rank, rref, solve
+from oracles import in_span
 
 
 def _matvec(rows, vec, ops):

@@ -12,7 +12,8 @@ from dickson.analysis import division_decide
 from dickson.doubling import DicksonAlgebra
 from dickson.padics import (PadicContext, PadicNumber, PadicQuadExt,
                             PrecisionError, ext_is_square, ext_sqrt,
-                            padic_is_square, padic_sqrt, square_class)
+                            padic_is_square, padic_sqrt)
+from oracles import square_class
 
 
 # ---------------------------------------------------------------------------
