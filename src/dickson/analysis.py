@@ -45,18 +45,15 @@ def _division_finite(D):
     K = A.K
     status, pair = zero_divisor_search(D)
     in_crit = D.c in critical_constants(D)
-    if in_crit != (status == "witness"):
-        raise RuntimeError("scan and critical-value set disagree; "
-                           "this is a bug, not a property of the input")
+    certify(in_crit == (status == "witness"),
+            "the scan and the critical-value set agree")
     if K.p != 2:
-        if K.is_square(D.c) != (status == "witness"):
-            raise RuntimeError("scan and quadratic character disagree; "
-                               "this is a bug, not a property of the input")
+        certify(K.is_square(D.c) == (status == "witness"),
+                "the scan and the quadratic character agree")
         agree = "critical-value set and quadratic character agree"
     else:
-        if status != "witness":
-            raise RuntimeError("characteristic 2 must always produce zero "
-                               "divisors; scan says otherwise")
+        certify(status == "witness",
+                "the scan finds zero divisors in characteristic 2")
         agree = ("critical-value set agrees; no quadratic-character test "
                  "in characteristic 2")
     if status == "witness":
@@ -312,8 +309,8 @@ def enumerate_automorphisms(D, taus=None):
     for desc in elements:
         verify_automorphism(D, desc)
     order = len(elements)
-    if order != 2 * len(sub.intersection):
-        raise RuntimeError("expected order 2 |J and C|, got %d" % order)
+    certify(order == 2 * len(sub.intersection),
+            "the order is 2 |J and C|, not %d" % order)
     # descriptors are tuples of hashable parts, so each product is found by
     # lookup; a product outside the list (witness-relative taus) is None
     index = {}
@@ -388,12 +385,8 @@ def group_structure(D, report):
     signs = []
     for t, b in report.elements:
         pr = _orbit_product(D, t, b)
-        if pr == one:
-            signs.append("+1")
-        elif pr == -one:
-            signs.append("-1")
-        else:
-            raise RuntimeError("orbit product is not +1 or -1")
+        certify(pr == one or pr == -one, "the orbit product is +1 or -1")
+        signs.append("+1" if pr == one else "-1")
     base_label = {"orbit_products_all": signs}
 
     taus = list(dict.fromkeys(t for t, _ in report.elements))
@@ -464,9 +457,7 @@ def wene_inner_check(D):
     ops = A.base_ops()
     rows = list(zip(*(D.coords(D.mul(e, lam)) for e in basis)))
     sol = solve(rows, D.coords(D.unit()), ops)
-    if sol is None:
-        raise RuntimeError("(0,1) has no left inverse; c was supposed to "
-                           "be invertible")
+    certify(sol is not None, "(0,1) has a left inverse, c being invertible")
     w = D.from_coords(sol)
 
     def grouped(z):
@@ -632,10 +623,8 @@ def census(p, n, limit=27):
         for c in nonsquares:
             # c is a non-square, so by the quadratic character D is
             # division; the critical-value set must agree
-            if c in critical:
-                raise RuntimeError("critical-value set and quadratic "
-                                   "character disagree; this is a bug, not "
-                                   "a property of the input")
+            certify(c not in critical, "the critical-value set and the "
+                    "quadratic character agree")
             entries.append({"sigma": sigma.label, "c": c.literal(),
                             "division": DIVISION})
             D = DicksonAlgebra(coeff, sigma, c, "commutative",

@@ -23,7 +23,11 @@ machinery) works through the elements, the automorphisms and that one
 surface.
 
 Nuclei, the commuting elements and the center are computed as kernels of
-exact F-linear systems, never assumed from theory.  The exhaustive
+exact F-linear systems, never assumed from theory.  Their associators
+and mul_by_constants, the second product used for cross-checks, are read
+off one structure tensor, kept per doubling and contracted the same way
+over every base field: on ints over GF(p), on ints over one common
+denominator over Q, and on PadicNumbers over Q_p.  The exhaustive
 zero-divisor search over finite fields is a rank test over GF(p): the
 doubled product is GF(p)-bilinear, so x has a right annihilator exactly
 when the matrix of left multiplication by x is singular.  Each such
@@ -40,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .fields import FiniteField, FrobeniusAut
-from .linalg import (FpOps, QOps, _integer_tensor, kernel_basis,
+from .linalg import (FpOps, QOps, _integer_scaled, kernel_basis,
                      packed_layout, packed_singular, rref)
 from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt, _mod_sqrt,
                      ext_is_square, ext_sqrt)
@@ -468,7 +472,7 @@ class DicksonAlgebra:
         self.c = c
         self.variant = variant
         self.sigma_is_id = sigma.is_identity()
-        self._memo = {}  # structure_constants and compute_nuclei, once
+        self._memo = {}  # the constants, their integer form, the nuclei
 
     # -- elements -----------------------------------------------------------
 
@@ -572,38 +576,60 @@ def structure_constants(D):
     return D._memo["constants"]
 
 
-def _combine(ops, n, terms):
-    """The coordinate vector sum of s * row over the (s, row) terms.  The
-    sum starts from the first term, so int rows give an int sum."""
-    acc = None
-    for s, row in terms:
-        if acc is None:
-            acc = [ops.mul(s, t) for t in row]
-        else:
-            acc = [ops.add(a, ops.mul(s, t)) for a, t in zip(acc, row)]
-    return [ops.zero] * n if acc is None else acc
+def _integer_constants(D):
+    """The structure constants over one denominator, as (P, den, zero):
+    P[i][j] is den times the coordinate row of e_i e_j, and zero is the
+    zero of P's entries.  Over Q the entries are ints and den is one common
+    multiple of the table's denominators; over GF(p) P holds the table's
+    ints and over Q_p its PadicNumbers, with den = 1.  It is kept on D
+    beside the constants, so callers must not change it."""
+    if "integer" not in D._memo:
+        n, ops = D.dim, D.coeff.base_ops()
+        flat, den = _integer_scaled(
+            [t for m in structure_constants(D) for row in m for t in row], ops)
+        rows = [flat[k:k + n] for k in range(0, n ** 3, n)]
+        D._memo["integer"] = ([rows[i * n:(i + 1) * n] for i in range(n)], den,
+                              0 if isinstance(ops, QOps) else ops.zero)
+    return D._memo["integer"]
 
 
 def mul_by_constants(D, table, x, y):
+    """x * y as the sum of x_i y_j (e_i e_j) over the structure constants
+    table = structure_constants(D), contracted on their integer form
+    (_integer_constants).  Over Q the coordinates of x and of y are scaled
+    to ints over one denominator each, and one Fraction is built per
+    coordinate of the product; over GF(p) from_coords reduces the int sums
+    mod p, and over Q_p they are sums of PadicNumbers."""
+    if table is not D._memo.get("constants"):
+        raise ValueError("table must be structure_constants(D)")
     ops = D.coeff.base_ops()
-    xs, ys = D.coords(x), D.coords(y)
-    terms = ((ops.mul(a, b), table[i][j])
-             for i, a in enumerate(xs) if not ops.is_zero(a)
-             for j, b in enumerate(ys) if not ops.is_zero(b))
-    return D.from_coords(_combine(ops, len(xs), terms))
+    P, den, zero = _integer_constants(D)
+    xs, dx = _integer_scaled(D.coords(x), ops)
+    ys, dy = _integer_scaled(D.coords(y), ops)
+    acc = [zero] * D.dim
+    for a, Pa in zip(xs, P):
+        if a:
+            for b, row in zip(ys, Pa):
+                if b:
+                    s = a * b
+                    acc = [t + s * u for t, u in zip(acc, row)]
+    den *= dx * dy
+    return D.from_coords(acc if den == 1 else [Fraction(t, den) for t in acc])
 
 
 # ---------------------------------------------------------------------------
 # nuclei
 
 
-def _int_associators(P, dim, ops):
+def _associators(P, dim, ops, zero):
     """assoc[a][b][c], the coordinate row of (e_a e_b) e_c - e_a (e_b e_c),
-    and comm[a][b], that of e_a e_b - e_b e_a, from an int tensor P, on
-    plain ints: reduced mod p over GF(p), unreduced over Q (P scaled by
-    _integer_tensor).  For each pair (a, b), (e_a e_b) e_c for every c is
-    one combination of the flattened tables P[m]; for each (b, c),
-    e_a (e_b e_c) for every a is one of the flattened P[.][m]."""
+    and comm[a][b], that of e_a e_b - e_b e_a, from the tensor P of
+    _integer_constants, whose entries have the given zero: ints reduced mod
+    p over GF(p), unreduced ints over Q and PadicNumbers over Q_p.  For
+    each pair (a, b), (e_a e_b) e_c for every c is one combination of the
+    flattened tables P[m]; for each (b, c), e_a (e_b e_c) for every a is
+    one of the flattened P[.][m].  Each combination sums its terms in the
+    order of m, skipping zero scalars, from a row of zeros."""
     idx = range(dim)
     p = ops.p if isinstance(ops, FpOps) else None
 
@@ -613,7 +639,7 @@ def _int_associators(P, dim, ops):
         return [(x - y) % p for x, y in zip(u, v)]
 
     def comb(scalars, mats):
-        acc = [0] * (dim * dim)
+        acc = [zero] * (dim * dim)
         for s, mat in zip(scalars, mats):
             if s:
                 acc = [x + s * y for x, y in zip(acc, mat)]
@@ -631,24 +657,6 @@ def _int_associators(P, dim, ops):
     return assoc, comm
 
 
-def _ops_associators(P, dim, ops):
-    """_int_associators through the scalar ops, for Q_p."""
-    idx = range(dim)
-    # Pt[k][m] is the coordinate row of e_m e_k, for right-factor contractions.
-    Pt = [[P[m][k] for m in idx] for k in idx]
-
-    def comb(scalars, rows):
-        return _combine(ops, dim, ((s, row) for s, row in zip(scalars, rows)
-                                   if not ops.is_zero(s)))
-
-    assoc = [[[[ops.sub(s, t) for s, t in zip(comb(P[a][b], Pt[c]),
-                                              comb(P[b][c], P[a]))]
-               for c in idx] for b in idx] for a in idx]
-    comm = [[[ops.sub(s, t) for s, t in zip(P[a][b], P[b][a])] for b in idx]
-            for a in idx]
-    return assoc, comm
-
-
 def compute_nuclei(D):
     """Left/middle/right nuclei, their intersection, the commuting elements
     and the center, each as the kernel of an exact linear system ranging
@@ -661,32 +669,25 @@ def compute_nuclei(D):
     or third slot; the commuting system reads [e_i, e_j] off the tensor.
     Rows come key by key in a fixed order, since over Q_p the pivot choice
     of rref depends on it; the kernels themselves are canonical in the row
-    space.  Over GF(p) and Q the contraction is plain int arithmetic
-    (_int_associators), the Q tensor first scaled to ints by one common
-    denominator, since scaling a system does not change its kernel; over
-    Q_p it goes through the scalar ops.  The report is kept on D, so
-    callers must not change it.
+    space.  One routine (_associators) contracts the tensor over every base
+    field: on ints over GF(p), on ints over Q once the tensor is scaled by
+    one common denominator (_integer_constants), since scaling a system
+    does not change its kernel, and on PadicNumbers over Q_p.  The report
+    is kept on D, so callers must not change it.
     """
     if "nuclei" in D._memo:
         return D._memo["nuclei"]
     dim = D.dim
     ops = D.coeff.base_ops()
-    P = _integer_tensor(structure_constants(D), ops)
+    P, _, zero = _integer_constants(D)
+    assoc, commutator = _associators(P, dim, ops, zero)
     idx = range(dim)
-    if isinstance(ops, (FpOps, QOps)):
-        assoc, commutator = _int_associators(P, dim, ops)
-        nonzero = any
-    else:
-        assoc, commutator = _ops_associators(P, dim, ops)
-
-        def nonzero(row):
-            return any(not ops.is_zero(t) for t in row)
 
     def reduced(column, keys):
         """The reduced rows of sum_i w_i column(i, *key) = 0 over all keys:
         each key's nonzero coordinate rows, in coordinate order."""
         rows = [list(row) for key in keys
-                for row in zip(*(column(i, *key) for i in idx)) if nonzero(row)]
+                for row in zip(*(column(i, *key) for i in idx)) if any(row)]
         pivots = rref(rows, ops)
         return rows[:len(pivots)]
 

@@ -13,8 +13,9 @@ is cleared of denominators and divided by the gcd of its entries, rows
 are eliminated by cross-multiplication on ints (in the spirit of
 E. H. Bareiss, Math. Comp. 22 (1968) 565-578), and each pivot row is
 divided by its pivot only once, at the end.  A caller that builds Q
-systems from a tensor clears its denominators once with _integer_tensor;
-scaling a system does not change its kernel.
+systems from a tensor clears its denominators once with _integer_scaled,
+which scales vectors to one denominator the same way; scaling a system
+does not change its kernel.
 
 Over GF(p), rref eliminates on lane-packed ints: several residues share
 one word and the reduction mod p is delayed, the standard remedy for
@@ -424,15 +425,14 @@ def _rref_integer(rows):
     return pivots
 
 
-def _integer_tensor(tensor, ops):
-    """A 3-index tensor of ints and Fractions times one common multiple of
-    its denominators, as ints, when ops is a QOps; otherwise the tensor
-    itself.  Kernels of linear systems read off it are unchanged."""
+def _integer_scaled(values, ops):
+    """(ints, den): a list of ints and Fractions times den, one common
+    multiple of their denominators, as ints, when ops is a QOps; otherwise
+    (values, 1).  Kernels of linear systems read off it are unchanged."""
     if not isinstance(ops, QOps):
-        return tensor
-    den = lcm(*(x.denominator for m in tensor for row in m for x in row))
-    return [[[x.numerator * (den // x.denominator) for x in row] for row in m]
-            for m in tensor]
+        return values, 1
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def rank(rows, ops):

@@ -23,6 +23,7 @@ from operator import attrgetter
 
 from .fields import FiniteField, is_prime
 from .linalg import Element
+from .reports import certify
 
 
 DEFAULT_PRECISION = 32
@@ -162,6 +163,10 @@ class PadicNumber(Element):
 
     def is_zero(self):
         return self.unit == 0
+
+    def __bool__(self):
+        """False exactly at the exact zero, as for int and Fraction."""
+        return self.unit != 0
 
     def _coerce(self, other):
         if isinstance(other, PadicNumber):
@@ -314,9 +319,7 @@ def padic_sqrt(z):
     x %= p ** prec
     x = min(x, (-x) % p ** prec)
     root = PadicNumber(z.ctx, z.val // 2, x, prec)
-    if root * root != z:
-        raise RuntimeError("Hensel-lifted root does not square back; "
-                           "this is a bug, not a property of the input")
+    certify(root * root == z, "the Hensel-lifted root squares back")
     return root
 
 
@@ -528,13 +531,9 @@ def ext_sqrt(z):
     half = ext.element(Fraction(1, 2), 0)
     for _ in range(ext.ctx.N.bit_length() + 2):
         s = (s + w / s) * half
-    if s * s != w:
-        raise RuntimeError("Hensel-lifted unit root does not square back; "
-                           "this is a bug, not a property of the input")
+    certify(s * s == w, "the Hensel-lifted unit root squares back")
     root = s * ext.pi_power(v // 2)
-    if root * root != z:
-        raise RuntimeError("extension root does not square back; "
-                           "this is a bug, not a property of the input")
+    certify(root * root == z, "the extension root squares back")
     return root
 
 

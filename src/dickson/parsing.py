@@ -53,6 +53,10 @@ def _int(text, what):
         raise DescriptionError("bad %s %r" % (what, text)) from None
 
 
+# the most ';'-separated parts each coefficient head takes
+_MAX_PARTS = {"gf": 2, "quad": 1, "qp": 3, "quat": 2}
+
+
 def parse_coefficient(text):
     """Coefficient-algebra spec string -> adapter."""
     if not isinstance(text, str):
@@ -63,6 +67,9 @@ def parse_coefficient(text):
     head, _, inner = t[:-1].partition("(")
     head = head.strip().lower()
     parts = [x.strip() for x in inner.split(";")]
+    if len(parts) > _MAX_PARTS.get(head, len(parts)):
+        raise DescriptionError("coefficient spec %r: %s takes at most %d "
+                               "';' parts" % (text, head, _MAX_PARTS[head]))
     try:
         if head == "gf":
             pn = parts[0].split(",")
@@ -76,8 +83,6 @@ def parse_coefficient(text):
                            for x in parts[1].split(",")]
             return FieldCoefficients(make_field(p, n, modulus))
         if head == "quad":
-            if len(parts) != 1:
-                raise DescriptionError('quad takes "quad(a)"')
             return QuadCoefficients(QuadField(_rational(parts[0])))
         if head == "qp":
             p = _int(parts[0], "prime")

@@ -115,6 +115,18 @@ def test_readme_bad_input_exits_two(capsys):
     assert "error:" in err and "p = 2" in err
 
 
+@pytest.mark.parametrize("coeff, sigma, c", [
+    ("gf(3,2;2,2,1;junk)", "frobenius:1", "0,1"),
+    ("qp(5;sqrt_u;8;junk)", "conjugate", "2"),
+    ("quat(-1,-1;5;junk)", "conjugation:1,1,0,0", "1,2,4,3"),
+])
+def test_extra_coefficient_parts_exit_two(capsys, coeff, sigma, c):
+    code, out, err = run_cli(capsys, [
+        "division", "--coeff", coeff, "--sigma", sigma, "--c", c])
+    assert code == 2 and out == ""
+    assert err.startswith("error: coefficient spec %r:" % coeff)
+
+
 def test_readme_iso_spec_files(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

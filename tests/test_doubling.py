@@ -11,7 +11,7 @@ from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               theorem_zero_divisor_witness,
                               zero_divisor_search, _field_grid)
 from dickson.fields import FrobeniusAut, make_field
-from dickson.linalg import FpOps, kernel_basis
+from dickson.linalg import FpOps, QOps, kernel_basis
 from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
@@ -198,15 +198,42 @@ def test_structure_constant_contraction_agrees():
             assert mul_by_constants(D, table, x, y) == D.mul(x, y)
 
 
-def test_structure_constant_contraction_agrees_quaternion():
-    B = QuaternionAlgebra(2, 3)
-    sigma = InnerAut(B.element(0, 1, 0, 0))
-    D = DicksonAlgebra(B, sigma, B.element(0, 0, 1, 0), "middle")
+@pytest.mark.parametrize("doc", [
+    {"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", "c": "0,0,1,0",
+     "variant": "middle"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
+    {"coeff": "qp(5;sqrt_u;16)", "sigma": "conjugate", "c": "2,3"},
+    {"coeff": "qp(3;sqrt_p;8)", "sigma": "conjugate", "c": "1/3,2"},
+    {"coeff": "quat(2,3;5)", "sigma": "conjugation:1,1,0,0",
+     "c": "1,2,4,3", "variant": "right"},
+], ids=lambda doc: doc["coeff"])
+def test_structure_constant_contraction_agrees_on_random_pairs(doc):
+    D = algebra_from_document(doc)
     table = structure_constants(D)
     rng = random.Random(33)
     for _ in range(40):
         x, y = D.random_element(rng), D.random_element(rng)
         assert mul_by_constants(D, table, x, y) == D.mul(x, y)
+    with pytest.raises(ValueError):
+        mul_by_constants(D, [list(row) for row in table], x, y)
+
+
+def test_rational_constants_product_makes_no_scalar_op_calls(monkeypatch):
+    docs = [{"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
+            {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
+             "c": "1/2,2,-1/3,3/4", "variant": "middle"}]
+    algebras = [algebra_from_document(doc) for doc in docs]
+    rng = random.Random(35)
+    cases = [(D, structure_constants(D), D.random_element(rng),
+              D.random_element(rng)) for D in algebras]
+    products = [D.mul(x, y) for D, _, x, y in cases]
+
+    def refuse(*args):
+        raise AssertionError("a QOps scalar call")
+    for name in ("add", "sub", "neg", "mul", "inv", "is_zero"):
+        monkeypatch.setattr(QOps, name, refuse)
+    for (D, table, x, y), want in zip(cases, products):
+        assert mul_by_constants(D, table, x, y) == want
 
 
 def test_product_grid_reproduces_products_exactly():
@@ -558,6 +585,7 @@ def _nuclei_from_products(D):
     {"coeff": "quat(-1,-1)", "sigma": "conjugation:1,1,0,0",
      "c": "1,2,-1,3", "variant": "right"},
     {"coeff": "qp(5;sqrt_u;16)", "sigma": "conjugate", "c": "2,3"},
+    {"coeff": "qp(7;sqrt_up;16)", "sigma": "conjugate", "c": "1/7,3"},
     {"coeff": "quat(2,3;5)", "sigma": "conjugation:1,1,0,0",
      "c": "1,2,4,3", "variant": "middle"},
     {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",

@@ -214,14 +214,16 @@ def test_rational_solve_matches_generic_loop(rows, data):
         _same(got, want)
 
 
-def test_integer_tensor_scales_rationals_and_passes_others_through():
-    tensor = [[[Fraction(1, 2), 0], [Fraction(-2, 3), 3]],
-              [[0, Fraction(5, 4)], [1, Fraction(0)]]]
-    scaled = linalg._integer_tensor(tensor, QOps())
-    assert scaled == [[[6, 0], [-8, 36]], [[0, 15], [12, 0]]]
-    assert all(type(x) is int for m in scaled for row in m for x in row)
+def test_integer_scaled_scales_rationals_and_passes_others_through():
+    values = [Fraction(1, 2), 0, Fraction(-2, 3), 3,
+              0, Fraction(5, 4), 1, Fraction(0)]
+    scaled, den = linalg._integer_scaled(values, QOps())
+    assert (scaled, den) == ([6, 0, -8, 36, 0, 15, 12, 0], 12)
+    assert all(type(x) is int for x in scaled)
+    assert linalg._integer_scaled([1, 2, 3], QOps()) == ([1, 2, 3], 1)
     for ops in (FpOps(5), PadicOps(PadicContext(5))):
-        assert linalg._integer_tensor(tensor, ops) is tensor
+        same, one = linalg._integer_scaled(values, ops)
+        assert same is values and one == 1
 
 
 # ---------------------------------------------------------------------------

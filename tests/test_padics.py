@@ -60,6 +60,17 @@ def test_exact_cancellation_gives_zero():
     assert (z - z).is_zero()
 
 
+def test_truthiness_is_false_exactly_at_the_exact_zero():
+    ctx = PadicContext(5, 8)
+    assert not ctx.zero() and not ctx.from_fraction(0)
+    assert not (ctx.from_fraction(3) - ctx.from_fraction(3))
+    # one significant digit left, at a high valuation: still nonzero
+    low = ctx.from_fraction(1 + 5 ** 7) - ctx.from_fraction(1)
+    assert (low.val, low.prec) == (7, 1)
+    assert low and not low.is_zero()
+    assert ctx.one() and PadicNumber(ctx, -3, 2, 1)
+
+
 def test_precision_window_shrinks_on_valuation_jump():
     ctx = PadicContext(5, 8)
     a = ctx.from_fraction(1)

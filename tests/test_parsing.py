@@ -70,6 +70,19 @@ def test_parse_coefficient_rejections():
         parse_coefficient(12)
 
 
+@pytest.mark.parametrize("text, head", [
+    ("gf(3,2;2,2,1;junk)", "gf"),
+    ("quad(2;junk)", "quad"),
+    ("qp(5;sqrt_u;8;junk)", "qp"),
+    ("quat(-1,-1;5;junk)", "quat"),
+])
+def test_parse_coefficient_refuses_extra_parts(text, head):
+    with pytest.raises(DescriptionError) as exc:
+        parse_coefficient(text)
+    assert str(exc.value) == ("coefficient spec %r: %s takes at most %d ';' "
+                              "parts" % (text, head, text.count(";")))
+
+
 # ---------------------------------------------------------------------------
 # sigma descriptors
 
