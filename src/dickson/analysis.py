@@ -40,11 +40,12 @@ def _division_finite(D):
     so every ordered pair), cross-checked against the critical-value set
     and, in odd characteristic, against the quadratic character of c; in
     characteristic 2, where every c is a square, the scan must find zero
-    divisors.  The checks must agree, and the notes name the ones made."""
-    A = D.coeff
-    K = A.K
-    status, pair = zero_divisor_search(D)
+    divisors.  The checks must agree, and the notes name the ones made.
+    The critical set comes first: it needs the index tables, so a field
+    above fields.TABLE_BOUND is refused before the walk."""
+    K = D.coeff.K
     in_crit = D.c in critical_constants(D)
+    status, pair = zero_divisor_search(D)
     certify(in_crit == (status == "witness"),
             "the scan and the critical-value set agree")
     if K.p != 2:
@@ -326,10 +327,10 @@ def enumerate_automorphisms(D, taus=None):
 
 def _table_identity(table):
     n = len(table)
-    for e in range(n):
-        if all(table[e][j] == j for j in range(n)):
-            return e
-    raise RuntimeError("composition table has no identity")
+    e = next((e for e in range(n) if all(table[e][j] == j for j in range(n))),
+             None)
+    certify(e is not None, "the composition table has an identity")
+    return e
 
 
 def _element_orders(table):
@@ -338,11 +339,10 @@ def _element_orders(table):
     orders = []
     for i in range(n):
         cur, k = i, 1
-        while cur != e:
+        while cur != e and k < n:
             cur = table[cur][i]
             k += 1
-            if k > n:
-                raise RuntimeError("composition table is not a group")
+        certify(cur == e, "the powers of each element return to the identity")
         orders.append(k)
     return orders
 

@@ -2,7 +2,11 @@
 
 Each subcommand reads an algebra description (a JSON file via --spec, or
 the same fields inline via --coeff/--sigma/--c/--variant), runs one of
-the analysis engines and prints a report.  With --format json the report
+the analysis engines and prints a report.  A subcommand is one row of
+COMMANDS: its name, help, flags and run function.  A row reaches the
+engines by their module-level names at call time, through a def or a
+lambda, and never holds their function objects: tools that wrap an engine
+by replacing its name here (perfbench/trace_layers.py) would be bypassed.  With --format json the report
 is a single envelope object
 
     {"version", "command", "input", "result", "wall_time_s"}
@@ -37,24 +41,6 @@ from .doubling import (compute_nuclei, mul_by_constants, search_cap,
 from .fields import TABLE_BOUND
 from .parsing import (DescriptionError, algebra_from_document, load_document,
                       parse_element, parse_sigma)
-
-
-def _add_algebra_flags(sub):
-    sub.add_argument("--spec", metavar="FILE",
-                     help="JSON file with the algebra description")
-    sub.add_argument("--coeff", help='coefficient algebra, e.g. "gf(3,2)"')
-    sub.add_argument("--sigma", help='automorphism, e.g. "frobenius:1"')
-    sub.add_argument("--c", help='doubling constant, e.g. "0,1"')
-    sub.add_argument("--variant",
-                     choices=["commutative", "left", "middle", "right"],
-                     help="product shape (default: commutative over "
-                          "commutative coefficients, else left)")
-    sub.add_argument("--allow-identity", action="store_true",
-                     help="permit sigma = id")
-
-
-def _add_common_flags(sub):
-    sub.add_argument("--format", choices=["json", "text"], default="text")
 
 
 def _document(args):
@@ -111,10 +97,11 @@ def _join_negative_literals(argv):
 
 
 # -- result builders ---------------------------------------------------------
+#
+# A command that reads one algebra has a result function (D, args) ->
+# result; iso and census have their own runners args -> (input, result).
 
-def _run_construct(args):
-    doc = _document(args)
-    D = algebra_from_document(doc)
+def _construct(D, args):
     rng = random.Random(args.seed)
     trials = 200
     lam = D.adjoined()
@@ -143,7 +130,7 @@ def _run_construct(args):
             checks["commutative"] = ok and checks["commutative"] is not False
         if mul_by_constants(D, table, x, y) != D.mul(x, y):
             checks["matches_structure_constants"] = False
-    return doc, {
+    return {
         "algebra": D.describe(),
         "trials": trials,
         "checks": checks,
@@ -151,25 +138,33 @@ def _run_construct(args):
     }
 
 
-def _run_nuclei(args):
-    doc = _document(args)
-    D = algebra_from_document(doc)
-    return doc, compute_nuclei(D).to_dict()
-
-
-def _run_division(args):
-    doc = _document(args)
-    D = algebra_from_document(doc)
-    return doc, division_decide(D).to_dict()
-
-
-def _run_autgroup(args):
-    doc = _document(args)
-    D = algebra_from_document(doc)
+def _autgroup(D, args):
     report = group_structure(D, enumerate_automorphisms(D, _taus(D, args)))
     result = report.to_dict()
     result["subgroups"] = report.subgroups.to_dict()
-    return doc, result
+    return result
+
+
+def _witness(D, args):
+    r, s, t = (parse_element(D.coeff, v) for v in (args.r, args.s, args.t))
+    pair, product = theorem_zero_divisor_witness(D, r, s, t)
+    Dc = pair[0].alg
+    return {
+        "algebra": Dc.describe(),
+        "critical_c": Dc.c.literal(),
+        "pair": [pair[0].literal(), pair[1].literal()],
+        "product": product.literal(),
+        "product_is_zero": product == Dc.zero(),
+    }
+
+
+def _on_algebra(result):
+    """The runner of a command that reads one algebra: it reads the
+    description, builds the algebra once and returns result(D, args)."""
+    def run(args):
+        doc = _document(args)
+        return doc, result(algebra_from_document(doc), args)
+    return run
 
 
 def _run_iso(args):
@@ -177,9 +172,8 @@ def _run_iso(args):
         raise DescriptionError("iso needs --spec and --spec2")
     doc1 = load_document(args.spec)
     doc2 = load_document(args.spec2)
-    D1 = algebra_from_document(doc1)
-    D2 = algebra_from_document(doc2)
-    verdict = iso_test(D1, D2)
+    verdict = iso_test(algebra_from_document(doc1),
+                       algebra_from_document(doc2))
     return {"first": doc1, "second": doc2}, verdict.to_dict()
 
 
@@ -189,29 +183,6 @@ def _run_census(args):
     search_cap()
     report = census(args.p, args.n, limit=args.limit)
     return {"p": args.p, "n": args.n, "limit": args.limit}, report.to_dict()
-
-
-def _run_wene(args):
-    doc = _document(args)
-    D = algebra_from_document(doc)
-    return doc, wene_inner_check(D).to_dict()
-
-
-def _run_witness(args):
-    doc = _document(args)
-    D = algebra_from_document(doc)
-    r = parse_element(D.coeff, args.r)
-    s = parse_element(D.coeff, args.s)
-    t = parse_element(D.coeff, args.t)
-    pair, product = theorem_zero_divisor_witness(D, r, s, t)
-    Dc = pair[0].alg
-    return doc, {
-        "algebra": Dc.describe(),
-        "critical_c": Dc.c.literal(),
-        "pair": [pair[0].literal(), pair[1].literal()],
-        "product": product.literal(),
-        "product_is_zero": product == Dc.zero(),
-    }
 
 
 # -- rendering ---------------------------------------------------------------
@@ -268,6 +239,65 @@ def _emit(command, input_echo, result, fmt, started):
         print("\n".join(lines))
 
 
+# -- the command table -------------------------------------------------------
+
+def _flag(*names, **options):
+    return names, options
+
+
+_FORMAT = _flag("--format", choices=["json", "text"], default="text")
+# the flags of a command that reads one algebra; a row's own flags follow
+# --format, which keeps the order of every help screen
+_ALGEBRA = (
+    _flag("--spec", metavar="FILE",
+          help="JSON file with the algebra description"),
+    _flag("--coeff", help='coefficient algebra, e.g. "gf(3,2)"'),
+    _flag("--sigma", help='automorphism, e.g. "frobenius:1"'),
+    _flag("--c", help='doubling constant, e.g. "0,1"'),
+    _flag("--variant", choices=["commutative", "left", "middle", "right"],
+          help="product shape (default: commutative over commutative "
+               "coefficients, else left)"),
+    _flag("--allow-identity", action="store_true", help="permit sigma = id"),
+    _FORMAT,
+)
+
+# (name, help, flags, run) in help order; run(args) -> (input echo, result)
+COMMANDS = (
+    ("construct", "build the algebra and run identity trials",
+     _ALGEBRA + (_flag("--seed", type=int, default=0,
+                       help="seed for the randomized identity trials"),),
+     _on_algebra(_construct)),
+    ("nuclei", "left/middle/right nuclei, commutative center and center",
+     _ALGEBRA, _on_algebra(lambda D, args: compute_nuclei(D).to_dict())),
+    ("division", "decide whether the algebra is division",
+     _ALGEBRA, _on_algebra(lambda D, args: division_decide(D).to_dict())),
+    ("autgroup", "enumerate automorphisms and identify the group structure",
+     _ALGEBRA + (_flag("--tau", action="append", metavar="DESC",
+                       help="candidate coefficient automorphism "
+                            "(repeatable), quaternion coefficients only; "
+                            "default is id and the chosen sigma"),),
+     _on_algebra(_autgroup)),
+    ("iso", "test two algebras for isomorphism",
+     (_flag("--spec", metavar="FILE"), _flag("--spec2", metavar="FILE"),
+      _FORMAT), _run_iso),
+    ("census", "isomorphism classes over GF(p^n) for all sigma and all "
+               "non-square c",
+     (_flag("--p", type=int, required=True),
+      _flag("--n", type=int, required=True),
+      _flag("--limit", type=int, default=27,
+            help="largest p^n accepted (default 27); never more than %d, "
+                 "where the field index tables stop" % TABLE_BOUND),
+      _FORMAT), _run_census),
+    ("wene", "check whether z -> w(z lambda) acts as (sigma u, sigma v)",
+     _ALGEBRA, _on_algebra(lambda D, args: wene_inner_check(D).to_dict())),
+    ("witness-zero-divisor", "build the zero-divisor pair attached to a "
+                             "critical triple (r,s,t)",
+     _ALGEBRA + tuple(_flag(f, required=True, help="element literal")
+                      for f in ("--r", "--s", "--t")),
+     _on_algebra(_witness)),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dickson",
@@ -276,73 +306,11 @@ def build_parser():
                     "testing, census.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("construct",
-                          help="build the algebra and run identity trials")
-    _add_algebra_flags(sub)
-    _add_common_flags(sub)
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for the randomized identity trials")
-    sub.set_defaults(run=_run_construct)
-
-    sub = subs.add_parser("nuclei", help="left/middle/right nuclei, "
-                                         "commutative center and center")
-    _add_algebra_flags(sub)
-    _add_common_flags(sub)
-    sub.set_defaults(run=_run_nuclei)
-
-    sub = subs.add_parser("division",
-                          help="decide whether the algebra is division")
-    _add_algebra_flags(sub)
-    _add_common_flags(sub)
-    sub.set_defaults(run=_run_division)
-
-    sub = subs.add_parser("autgroup",
-                          help="enumerate automorphisms and identify the "
-                               "group structure")
-    _add_algebra_flags(sub)
-    _add_common_flags(sub)
-    sub.add_argument("--tau", action="append", metavar="DESC",
-                     help="candidate coefficient automorphism (repeatable), "
-                          "quaternion coefficients only; default is id and "
-                          "the chosen sigma")
-    sub.set_defaults(run=_run_autgroup)
-
-    sub = subs.add_parser("iso", help="test two algebras for isomorphism")
-    sub.add_argument("--spec", metavar="FILE", required=False)
-    sub.add_argument("--spec2", metavar="FILE", required=False)
-    _add_common_flags(sub)
-    sub.set_defaults(run=_run_iso)
-
-    sub = subs.add_parser("census",
-                          help="isomorphism classes over GF(p^n) for all "
-                               "sigma and all non-square c")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--limit", type=int, default=27,
-                     help="largest p^n accepted (default 27); never more "
-                          "than %d, where the field index tables stop"
-                          % TABLE_BOUND)
-    _add_common_flags(sub)
-    sub.set_defaults(run=_run_census)
-
-    sub = subs.add_parser("wene",
-                          help="check whether z -> w(z lambda) acts as "
-                               "(sigma u, sigma v)")
-    _add_algebra_flags(sub)
-    _add_common_flags(sub)
-    sub.set_defaults(run=_run_wene)
-
-    sub = subs.add_parser("witness-zero-divisor",
-                          help="build the zero-divisor pair attached to a "
-                               "critical triple (r,s,t)")
-    _add_algebra_flags(sub)
-    _add_common_flags(sub)
-    sub.add_argument("--r", required=True, help="element literal")
-    sub.add_argument("--s", required=True, help="element literal")
-    sub.add_argument("--t", required=True, help="element literal")
-    sub.set_defaults(run=_run_witness)
-
+    for name, help_text, flags, run in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for names, options in flags:
+            sub.add_argument(*names, **options)
+        sub.set_defaults(run=run)
     return parser
 
 

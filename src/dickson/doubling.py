@@ -580,16 +580,17 @@ def _integer_constants(D):
     """The structure constants over one denominator, as (P, den, zero):
     P[i][j] is den times the coordinate row of e_i e_j, and zero is the
     zero of P's entries.  Over Q the entries are ints and den is one common
-    multiple of the table's denominators; over GF(p) P holds the table's
-    ints and over Q_p its PadicNumbers, with den = 1.  It is kept on D
+    multiple of the table's denominators; over GF(p) and Q_p, P is the
+    table itself, of ints or PadicNumbers, with den = 1.  It is kept on D
     beside the constants, so callers must not change it."""
     if "integer" not in D._memo:
-        n, ops = D.dim, D.coeff.base_ops()
-        flat, den = _integer_scaled(
-            [t for m in structure_constants(D) for row in m for t in row], ops)
-        rows = [flat[k:k + n] for k in range(0, n ** 3, n)]
-        D._memo["integer"] = ([rows[i * n:(i + 1) * n] for i in range(n)], den,
-                              0 if isinstance(ops, QOps) else ops.zero)
+        n, ops, P = D.dim, D.coeff.base_ops(), structure_constants(D)
+        den, zero = 1, ops.zero
+        if isinstance(ops, QOps):
+            flat, den = _integer_scaled([t for m in P for row in m for t in row], ops)
+            rows = [flat[k:k + n] for k in range(0, n ** 3, n)]
+            P, zero = [rows[i * n:(i + 1) * n] for i in range(n)], 0
+        D._memo["integer"] = P, den, zero
     return D._memo["integer"]
 
 
@@ -860,12 +861,12 @@ def critical_constants(D):
     if A.kind != "field":
         raise ValueError("critical-set enumeration needs a finite field")
     K, m, f = A.K, A.K.order - 1, A.K.p ** D.sigma.k
+    g = K.primitive()  # refused above fields.TABLE_BOUND, before any work
     logs = {0}
     # the logs of r^2, of s / sigma(s) and of 1 / (t sigma(t))
     for step in (2, 1 - f, -1 - f):
         part = {l * step % m for l in range(m)}
         logs = {(a + b) % m for a in logs for b in part}
-    g = K.primitive()
     return frozenset(g ** e for e in logs)
 
 

@@ -333,7 +333,8 @@ class FiniteField:
     def primitive(self):
         """The base of the log tables: the first primitive element."""
         if self._tables() is None:
-            raise FieldError("no index tables above order %d" % TABLE_BOUND)
+            raise FieldError("no index tables for GF(%d^%d): they stop at "
+                             "p^n <= %d" % (self.p, self.n, TABLE_BOUND))
         return self._elems[self._exp[1]]
 
     @property

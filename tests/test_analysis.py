@@ -694,6 +694,15 @@ def test_census_planted_wrong_b_raises(monkeypatch):
         census(3, 2)
 
 
+@pytest.mark.parametrize("table", [
+    [[1, 1], [1, 1]],                  # no row is the identity row
+    [[0, 1, 2], [1, 2, 2], [2, 2, 2]],  # the powers of 1 stick at 2
+], ids=["no-identity", "not-a-group"])
+def test_planted_composition_tables_fail_their_certificates(table):
+    with pytest.raises(RuntimeError, match="certificate failed"):
+        analysis._element_orders(table)
+
+
 # ---------------------------------------------------------------------------
 # the grouped inner map
 

@@ -283,6 +283,28 @@ def test_census_over_limit_errors(capsys):
                    "stop at p^n <= 10000; GF(3^100000) is larger\n")
 
 
+GF101_2 = ["--coeff", "gf(101,2)", "--sigma", "frobenius:1", "--c", "0,1"]
+NO_TABLES = "error: no index tables for GF(101^2): they stop at p^n <= 10000\n"
+
+
+def test_autgroup_above_the_table_bound_names_it(capsys):
+    code, out, err = run_cli(capsys, ["autgroup"] + GF101_2)
+    assert code == 2 and out == ""
+    assert err == NO_TABLES
+
+
+def test_division_above_the_table_bound_refuses_before_the_walk(
+        capsys, monkeypatch):
+    def walk(D):
+        raise AssertionError("the division ran a rank walk")
+
+    monkeypatch.setattr(dickson.doubling, "_first_singular_left_factor", walk)
+    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "200000000")
+    code, out, err = run_cli(capsys, ["division"] + GF101_2)
+    assert code == 2 and out == ""
+    assert err == NO_TABLES
+
+
 def test_census_reruns_from_its_echoed_input(capsys):
     first = json.loads(_json_run(capsys, ["census", "--p", "3", "--n", "4",
                                           "--limit", "81"]))

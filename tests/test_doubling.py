@@ -218,6 +218,31 @@ def test_structure_constant_contraction_agrees_on_random_pairs(doc):
         mul_by_constants(D, [list(row) for row in table], x, y)
 
 
+@pytest.mark.parametrize("doc", [
+    {"coeff": "gf(3,2)", "sigma": "frobenius:1", "c": "0,1"},
+    {"coeff": "qp(5;sqrt_u;16)", "sigma": "conjugate", "c": "2,3"},
+    {"coeff": "quat(2,3;5)", "sigma": "conjugation:1,1,0,0",
+     "c": "1,2,4,3", "variant": "right"},
+], ids=lambda doc: doc["coeff"])
+def test_integer_constants_are_the_table_itself_outside_q(doc):
+    D = algebra_from_document(doc)
+    P, den, _ = doubling._integer_constants(D)
+    assert P is structure_constants(D) and den == 1
+
+
+def test_integer_constants_over_q_are_ints_over_one_denominator():
+    D = algebra_from_document({"coeff": "quat(1/2,-3/5)",
+                               "sigma": "conjugation:1,1/3,0,2",
+                               "c": "1/2,2,-1/3,3/4", "variant": "middle"})
+    P, den, zero = doubling._integer_constants(D)
+    table = structure_constants(D)
+    assert den > 1 and zero == 0
+    for P_i, table_i in zip(P, table):
+        for row, want in zip(P_i, table_i):
+            assert all(type(t) is int for t in row)
+            assert [Fraction(t, den) for t in row] == want
+
+
 def test_rational_constants_product_makes_no_scalar_op_calls(monkeypatch):
     docs = [{"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
             {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
