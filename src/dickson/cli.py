@@ -102,6 +102,10 @@ def _join_negative_literals(argv):
 # result; iso and census have their own runners args -> (input, result).
 
 def _construct(D, args):
+    """The identity checks of D on random triples x, y, z.  Each trial
+    forms x*y once, and the commutativity and structure-constants checks
+    both read it: ten products per trial over commutative coefficients,
+    nine over quaternions."""
     rng = random.Random(args.seed)
     trials = 200
     lam = D.adjoined()
@@ -125,10 +129,11 @@ def _construct(D, args):
             checks["left_distributive"] = False
         if D.mul(z, x + y) != D.mul(z, x) + D.mul(z, y):
             checks["right_distributive"] = False
+        xy = D.mul(x, y)
         if D.coeff.commutative:
-            ok = D.mul(x, y) == D.mul(y, x)
+            ok = xy == D.mul(y, x)
             checks["commutative"] = ok and checks["commutative"] is not False
-        if mul_by_constants(D, table, x, y) != D.mul(x, y):
+        if mul_by_constants(D, table, x, y) != xy:
             checks["matches_structure_constants"] = False
     return {
         "algebra": D.describe(),

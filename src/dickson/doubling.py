@@ -42,6 +42,7 @@ and honors DICKSON_MAX_EXHAUSTIVE.
 import os
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .fields import FiniteField, FrobeniusAut
 from .linalg import (FpOps, QOps, _integer_scaled, kernel_basis,
@@ -472,7 +473,7 @@ class DicksonAlgebra:
         self.c = c
         self.variant = variant
         self.sigma_is_id = sigma.is_identity()
-        self._memo = {}  # the constants, their integer form, the nuclei
+        self._memo = {}  # the constants in three forms, the nuclei
 
     # -- elements -----------------------------------------------------------
 
@@ -600,20 +601,27 @@ def mul_by_constants(D, table, x, y):
     (_integer_constants).  Over Q the coordinates of x and of y are scaled
     to ints over one denominator each, and one Fraction is built per
     coordinate of the product; over GF(p) from_coords reduces the int sums
-    mod p, and over Q_p they are sums of PadicNumbers."""
+    mod p, and over Q_p they are sums of PadicNumbers.  Only the nonzero
+    entries of the tensor add a term, kept on D as (k, entry) lists per
+    row: t + 0 is t over all three, and each coordinate still sums its
+    terms in the order of (i, j)."""
     if table is not D._memo.get("constants"):
         raise ValueError("table must be structure_constants(D)")
     ops = D.coeff.base_ops()
     P, den, zero = _integer_constants(D)
+    if "sparse" not in D._memo:
+        D._memo["sparse"] = [[[(k, u) for k, u in enumerate(row) if u]
+                              for row in Pa] for Pa in P]
     xs, dx = _integer_scaled(D.coords(x), ops)
     ys, dy = _integer_scaled(D.coords(y), ops)
     acc = [zero] * D.dim
-    for a, Pa in zip(xs, P):
+    for a, Sa in zip(xs, D._memo["sparse"]):
         if a:
-            for b, row in zip(ys, Pa):
+            for b, row in zip(ys, Sa):
                 if b:
                     s = a * b
-                    acc = [t + s * u for t, u in zip(acc, row)]
+                    for k, u in row:
+                        acc[k] = acc[k] + s * u
     den *= dx * dy
     return D.from_coords(acc if den == 1 else [Fraction(t, den) for t in acc])
 
@@ -856,18 +864,17 @@ def zero_divisor_search(D):
 def critical_constants(D):
     """The set of c-values for which the defining theorem hands out zero
     divisors, enumerated exhaustively (finite commutative coefficients) on
-    logs to the field's primitive element g, where sigma(g^l) = g^(l p^k)."""
+    logs to the field's primitive element g, where sigma(g^l) = g^(l p^k).
+    The logs of r^2, of s / sigma(s) and of 1 / (t sigma(t)) are the
+    subgroups of Z/m (m = |K*|, f = p^k) spanned by 2, 1 - f and -1 - f;
+    their sum is the multiples of gcd(m, 2, f - 1), since f - 1 and f + 1
+    differ by 2."""
     A = D.coeff
     if A.kind != "field":
         raise ValueError("critical-set enumeration needs a finite field")
     K, m, f = A.K, A.K.order - 1, A.K.p ** D.sigma.k
     g = K.primitive()  # refused above fields.TABLE_BOUND, before any work
-    logs = {0}
-    # the logs of r^2, of s / sigma(s) and of 1 / (t sigma(t))
-    for step in (2, 1 - f, -1 - f):
-        part = {l * step % m for l in range(m)}
-        logs = {(a + b) % m for a in logs for b in part}
-    return frozenset(g ** e for e in logs)
+    return frozenset(g ** e for e in range(0, m, gcd(m, 2, f - 1)))
 
 
 def critical_value(D, r, s, t):

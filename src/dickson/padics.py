@@ -6,6 +6,14 @@ addition renormalizes and full cancellation collapses to exact zero.
 Squareness questions only ever need the valuation parity plus one residue
 digit, so the default window is generous.
 
+The sum has one home, _sum on two (val, unit, prec) triples: `+` calls it
+on two numbers, and the Q_p(alpha) product calls it through _dot on the
+triples of its scalar products, which it never builds as numbers.
+PadicNumber.__init__ reduces and checks every value that comes from
+outside (parsing, from_fraction, _coerce, inv); the results of `*`,
+negation and _sum are built by _number without that work, since each
+already is a reduced unit to at least one digit when its operands are.
+
 Quadratic extensions come in the three square classes of conductors:
     sqrt_p   ramified,   alpha^2 = p
     sqrt_u   unramified, alpha^2 = u   (u the smallest positive non-residue)
@@ -195,33 +203,14 @@ class PadicNumber(Element):
             return other
         if not other.unit:
             return self
-        ctx = self.ctx
-        sv, ov = self.val, other.val
-        # absolute precision of the sum
-        sa, oa = sv + self.prec, ov + other.prec
-        absp = sa if sa <= oa else oa
-        v = sv if sv <= ov else ov
-        window = absp - v
-        if window < 1:
-            raise PrecisionError("operands do not overlap in precision")
-        pw = ctx.powers
-        if sv == v:
-            raw = (self.unit + other.unit * pw[ov - v]) % pw[window]
-        else:
-            raw = (self.unit * pw[sv - v] + other.unit) % pw[window]
-        if not raw:
-            return ctx._zero
-        p = ctx.p
-        s = 0
-        while raw % p == 0:
-            raw //= p
-            s += 1
-        return PadicNumber(ctx, v + s, raw, window - s)
+        return _sum(self.ctx, self.val, self.unit, self.prec,
+                    other.val, other.unit, other.prec)
 
     def __neg__(self):
         if not self.unit:
             return self
-        return PadicNumber(self.ctx, self.val, -self.unit, self.prec)
+        return _number(self.ctx, self.val,
+                       -self.unit % self.ctx.powers[self.prec], self.prec)
 
     def __sub__(self, other):
         if type(other) is not PadicNumber or other.ctx is not self.ctx:
@@ -238,9 +227,8 @@ class PadicNumber(Element):
         if not self.unit or not other.unit:
             return self.ctx._zero
         prec = self.prec if self.prec < other.prec else other.prec
-        # __init__ reduces the product mod p**prec
-        return PadicNumber(self.ctx, self.val + other.val,
-                           self.unit * other.unit, prec)
+        return _number(self.ctx, self.val + other.val,
+                       self.unit * other.unit % self.ctx.powers[prec], prec)
 
     def inv(self):
         if self.is_zero():
@@ -285,6 +273,70 @@ class PadicNumber(Element):
         if self.is_zero():
             raise ValueError("zero has no unit residue")
         return self.unit % self.ctx.p
+
+
+_new_number = object.__new__
+
+
+def _number(ctx, val, unit, prec):
+    """The nonzero PadicNumber p^val * unit, built without __init__.
+
+    The caller guarantees what __init__ would check or establish:
+    prec >= 1, 0 < unit < p**prec and p does not divide unit.  These hold
+    for every result made here from numbers that hold them: a product
+    of two units is a unit (p is prime), reduced mod p**min(prec); a
+    negation p**prec - unit is one; and _sum strips every factor p off
+    a nonzero residue mod p**window, which leaves at least one digit."""
+    z = _new_number(PadicNumber)
+    z.ctx, z.val, z.unit, z.prec = ctx, val, unit, prec
+    return z
+
+
+def _sum(ctx, sv, su, sp, ov, ou, op):
+    """The p-adic sum of the nonzero numbers (sv, su, sp) and (ov, ou, op),
+    given as (val, unit, prec) triples of one context; the exact zero when
+    they cancel through the window both know.  Only su mod p**sp and ou
+    mod p**op are read, so a caller may pass unreduced units (as _dot
+    does): the window below is at most either precision past its own
+    valuation."""
+    # absolute precision of the sum
+    sa, oa = sv + sp, ov + op
+    absp = sa if sa <= oa else oa
+    v = sv if sv <= ov else ov
+    window = absp - v
+    if window < 1:
+        raise PrecisionError("operands do not overlap in precision")
+    pw = ctx.powers
+    if sv == v:
+        raw = (su + ou * pw[ov - v]) % pw[window]
+    else:
+        raw = (su * pw[sv - v] + ou) % pw[window]
+    if not raw:
+        return ctx._zero
+    p = ctx.p
+    s = 0
+    while raw % p == 0:
+        raw //= p
+        s += 1
+    return _number(ctx, v + s, raw, window - s)
+
+
+def _dot(a, b, c, d):
+    """(a*b) + (c*d), the very number the operators give, without
+    building the two products: each is passed to _sum as its (val, unit,
+    prec) triple.  A zero operand, or operands of distinct contexts, take
+    the operators' own path."""
+    ctx = a.ctx
+    if b.ctx is not ctx or c.ctx is not ctx or d.ctx is not ctx:
+        return a * b + c * d
+    if not a.unit or not b.unit:
+        return c * d
+    if not c.unit or not d.unit:
+        return a * b
+    return _sum(ctx, a.val + b.val, a.unit * b.unit,
+                a.prec if a.prec < b.prec else b.prec,
+                c.val + d.val, c.unit * d.unit,
+                c.prec if c.prec < d.prec else d.prec)
 
 
 def padic_is_square(z):
@@ -386,9 +438,13 @@ class PadicQuadExt:
                 break
         shift = rng.choice([0, 0, 1, -1])
         z = self.element(Fraction(x), Fraction(y))
-        if shift:
-            z = z * self.element(Fraction(self.ctx.p) ** shift, 0)
-        return z
+        if not shift:
+            return z
+        # z times p**shift, whose unit is 1 to full precision: only the
+        # valuations of the nonzero coordinates move
+        x, y = (_number(t.ctx, t.val + shift, t.unit, t.prec) if t.unit
+                else t for t in (z.x, z.y))
+        return PadicExtElement(self, x, y)
 
     def __eq__(self, other):
         if other is self:
@@ -453,7 +509,9 @@ class PadicExtElement(Element):
                 return NotImplemented
         ext = self.ext
         x, y, ox, oy = self.x, self.y, other.x, other.y
-        return PadicExtElement(ext, x * ox + ext.d * y * oy, x * oy + y * ox)
+        # x*ox + (d*y)*oy and x*oy + y*ox, with the sums in that order
+        return PadicExtElement(ext, _dot(x, ox, ext.d * y, oy),
+                               _dot(x, oy, y, ox))
 
     def conjugate(self):
         return PadicExtElement(self.ext, self.x, -self.y)

@@ -10,6 +10,8 @@ and not in the package:
   * subalgebra_check, doubled_subfield_check and aut_bounds_check check
     the paper's propositions on doubled subfields, subalgebra closure and
     the bounds on |Aut| directly;
+  * critical_constants_sumset writes out the critical c-values as the
+    sumset that critical_constants replaces by its closed form;
   * the rest are small helpers: fixed subfields and subalgebras, norms to
     a fixed field, p-adic square classes and random invertible elements.
 """
@@ -219,6 +221,21 @@ def norm_over(K, a, tau):
 
 def random_nonzero(K, rng):
     return K.element_at(rng.randrange(1, K.order))
+
+
+def critical_constants_sumset(D):
+    """The critical c-values of a doubling over GF(q) with sigma the
+    Frobenius power k, as the sumset in Z/(q - 1) of the logs of r^2, of
+    s / sigma(s) and of 1 / (t sigma(t)): the subgroups spanned by 2,
+    1 - f and -1 - f for f = p^k, each written out and added pairwise."""
+    K = D.coeff.K
+    m, f = K.order - 1, K.p ** D.sigma.k
+    logs = {0}
+    for step in (2, 1 - f, -1 - f):
+        part = {l * step % m for l in range(m)}
+        logs = {(a + b) % m for a in logs for b in part}
+    g = K.primitive()
+    return frozenset(g ** e for e in logs)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,34 @@ def test_readme_construct_quad(capsys):
     assert "trials:      200" in out
 
 
+@pytest.mark.parametrize("coeff, sigma, c, variant, dim, per_trial", [
+    ("qp(5)", "conjugate", "2,1", "commutative", 4, 10),
+    ("quad(2)", "conjugate", "0,1", "right", 4, 10),
+    ("gf(3,2)", "frobenius:1", "0,1", "commutative", 4, 10),
+    ("quat(2,3;5)", "conjugation:0,1,0,0", "1,1,0,0", "left", 8, 9),
+])
+def test_construct_forms_each_trial_product_once(capsys, monkeypatch, coeff,
+                                                 sigma, c, variant, dim,
+                                                 per_trial):
+    # one product for lambda^2, dim^2 for the structure constants, and per
+    # trial: two unit products, three per distributive law and x*y once;
+    # y*x only when the coefficients commute
+    calls = []
+    mul = dickson.doubling.DicksonAlgebra.mul
+
+    def counted(self, lhs, rhs):
+        calls.append(None)
+        return mul(self, lhs, rhs)
+
+    monkeypatch.setattr(dickson.doubling.DicksonAlgebra, "mul", counted)
+    code, out, err = run_cli(capsys, [
+        "construct", "--coeff", coeff, "--sigma", sigma, "--c", c,
+        "--variant", variant, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["trials"] == 200
+    assert len(calls) == 1 + dim ** 2 + 200 * per_trial
+
+
 # ---------------------------------------------------------------------------
 # envelope determinism
 

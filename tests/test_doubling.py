@@ -16,8 +16,9 @@ from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
 from dickson.reports import DIVISION, NOT_DIVISION
-from oracles import (doubled_subfield_check, fixed_field, in_span,
-                     random_invertible, random_nonzero, subalgebra_check)
+from oracles import (critical_constants_sumset, doubled_subfield_check,
+                     fixed_field, in_span, random_invertible, random_nonzero,
+                     subalgebra_check)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +486,29 @@ def test_critical_set_equals_squares_for_frobenius_gf9():
     squares = {K.element_index(z * z) for z in K.elements()
                if not z.is_zero()}
     assert {K.element_index(c) for c in crit} == squares
+
+
+def _prime_powers(bound):
+    for p in range(2, bound + 1):
+        if all(p % d for d in range(2, p)):
+            n = 1
+            while p ** n <= bound:
+                yield p, n
+                n += 1
+
+
+def test_critical_set_closed_form_matches_the_sumset():
+    # every field with at most 125 elements, GF(2^n) included, and every
+    # Frobenius power on it
+    fields = list(_prime_powers(125))
+    assert (2, 6) in fields and (5, 3) in fields and (113, 1) in fields
+    for p, n in fields:
+        K = make_field(p, n)
+        for k in range(n):
+            D = DicksonAlgebra(K, FrobeniusAut(K, k), K.one(),
+                               allow_identity=True)
+            assert critical_constants(D) == critical_constants_sumset(D), \
+                (p, n, k)
 
 
 def test_critical_value_formula_commutative():

@@ -1,9 +1,11 @@
 """The integer kernels against the scalar-ops formulas they replace.
 
 Quaternion and quadratic products and rational elimination run on ints
-over common denominators, and GF(p) elimination on lane-packed ints.
-Each is compared here with the plain formula through the scalar ops,
-kept as the reference: values and types must agree exactly.
+over common denominators, GF(p) elimination on lane-packed ints, and the
+Q_p(alpha) product on (val, unit, prec) triples without building its
+scalar products.  Each is compared here with the plain formula through
+the scalar ops, kept as the reference: values and types must agree
+exactly.
 """
 
 import random
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from dickson import linalg
 from dickson.linalg import (FpOps, QOps, PackedLayout, kernel_basis,
                             packed_singular, rank, rref, solve)
-from dickson.padics import PadicContext, PadicOps
+from dickson.padics import (PadicContext, PadicNumber, PadicOps,
+                            PadicQuadExt, PrecisionError)
 from dickson.quadratic import QuadField
 from dickson.quaternions import QuaternionAlgebra
 
@@ -135,6 +138,108 @@ def test_quadratic_product_matches_fraction_formula(pair):
     got = u * v
     want = [u.x * v.x + a * u.y * v.y, u.x * v.y + u.y * v.x]
     _same([got.x, got.y], want)
+
+
+# ---------------------------------------------------------------------------
+# p-adic extension products
+#
+# Planted faults each rejected here (checked on a copy of the package): a
+# product unit not reduced mod p**prec, max in place of min precision in
+# the product or in the sum's window, a negation that keeps the unit, and
+# _dot returning c*d where a*b is nonzero.
+
+@st.composite
+def padic_numbers(draw, ctx):
+    """The exact zero, or p^val * unit to prec digits, valuations up to
+    3N apart so that shifts past the tabled powers occur."""
+    p, N = ctx.p, ctx.N
+    if draw(st.integers(0, 5)) == 0:
+        return ctx.zero()
+    prec = draw(st.integers(1, N))
+    unit = draw(st.integers(0, p ** (prec - 1) - 1)) * p + draw(
+        st.integers(1, p - 1))
+    return PadicNumber(ctx, draw(st.integers(-N, 2 * N)), unit, prec)
+
+
+def _near_negative(draw, z):
+    """-z perturbed at one digit: a sum with z cancels partly, or wholly
+    (to the exact zero) when the digit is past the window."""
+    if not z:
+        return z
+    ctx = z.ctx
+    k = draw(st.integers(1, z.prec + 2))
+    unit = -z.unit + draw(st.integers(1, ctx.p - 1)) * ctx.p ** k
+    return PadicNumber(ctx, z.val, unit, z.prec)
+
+
+@st.composite
+def padic_ext_pairs(draw):
+    """(x + y alpha, ox + oy alpha) over Q_p(alpha) for p in 3, 5, 7 and
+    N in 4, 8, 16, the second operand free or built so that the terms of
+    one coordinate of the product cancel."""
+    ctx = PadicContext(draw(st.sampled_from([3, 5, 7])),
+                       draw(st.sampled_from([4, 8, 16])))
+    ext = PadicQuadExt(ctx, draw(st.sampled_from(PadicQuadExt.KINDS)))
+    num = padic_numbers(ctx)
+    x, y, t = draw(num), draw(num), draw(num)
+    mode = draw(st.sampled_from(["free", "cancel-x", "cancel-y"]))
+    if mode == "free":
+        ox, oy = draw(num), draw(num)
+    elif mode == "cancel-x":    # x*ox against (d*y)*oy
+        ox, oy = ext.d * y * t, _near_negative(draw, x * t)
+    else:                       # x*oy against y*ox
+        ox, oy = x * t, _near_negative(draw, y * t)
+    return ext.element(x, y), ext.element(ox, oy)
+
+
+def _outcome(fn):
+    """The (val, unit, prec) triples fn returns, or PrecisionError."""
+    try:
+        return [(z.val, z.unit, z.prec) for z in fn()]
+    except PrecisionError:
+        return PrecisionError
+
+
+def _canonical(z):
+    """The exact zero, or 0 < unit < p^prec, p not dividing unit and
+    prec >= 1."""
+    ctx = z.ctx
+    if not z.unit:
+        return (z.val, z.prec) == (0, ctx.N)
+    return (z.prec >= 1 and 0 < z.unit < ctx.p ** z.prec
+            and z.unit % ctx.p != 0)
+
+
+@SETTINGS
+@given(padic_ext_pairs())
+def test_padic_extension_product_matches_scalar_operators(pair):
+    u, w = pair
+    d = u.ext.d
+
+    def product():
+        z = u * w
+        assert z.x.ctx is u.ext.ctx and z.y.ctx is u.ext.ctx
+        return [z.x, z.y]
+
+    def reference():
+        return [u.x * w.x + (d * u.y) * w.y, u.x * w.y + u.y * w.x]
+
+    assert _outcome(product) == _outcome(reference)
+
+
+@SETTINGS
+@given(padic_ext_pairs())
+def test_padic_results_are_canonical(pair):
+    u, w = pair
+    a, b = u.x, w.y
+    results = [a + b, b + a, a - b, a * b, b * a, -a, -b]
+    for first, second in ((u.x, u.y), (w.x, w.y)):
+        results += [first + second, first - second, first * second]
+    z = u * w
+    results += [z.x, z.y, (-z).x, (-z).y]
+    assert all(_canonical(r) for r in results)
+    # a number and its negation cancel to the exact zero
+    assert all(not (r + -r).unit for r in results)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,26 @@ def test_extension_kinds_and_alpha_square():
         assert not padic_is_square(K.d)
 
 
+def test_random_element_is_the_product_by_p_to_the_shift():
+    # random_element moves valuations in place of the extension product
+    # by p**shift; the rng calls and the values are those of the product
+    for p, N in ((3, 4), (5, 32), (7, 8)):
+        for kind in PadicQuadExt.KINDS:
+            K = PadicQuadExt(PadicContext(p, N), kind)
+            for seed in range(40):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                z = K.random_element(got_rng)
+                x = y = 0
+                while not (x or y):
+                    x = want_rng.randrange(-99, 100)
+                    y = want_rng.randrange(-99, 100)
+                shift = want_rng.choice([0, 0, 1, -1])
+                want = K.element(x, y) * K.element(Fraction(p) ** shift, 0)
+                assert [_triple(t) for t in (z.x, z.y)] == \
+                    [_triple(t) for t in (want.x, want.y)]
+                assert got_rng.random() == want_rng.random()
+
+
 def test_unknown_extension_kind_rejected():
     ctx = PadicContext(5)
     with pytest.raises(ValueError):
