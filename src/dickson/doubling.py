@@ -13,7 +13,7 @@ variant tag there and is the same code path as "left".  (1,0) is always a
 two-sided unit and (0,1)^2 = (c,0).
 
 Coefficient elements carry their own arithmetic (+, -, *, ==, inv(),
-is_zero(), literal()) and canonical coordinates (_key()), and every
+is_zero(), literal()) and their coordinates (coords()), and every
 automorphism carries its own action (tau(x), compose, inverse,
 is_identity, order, label).  Each coefficient algebra is wrapped by a
 small adapter for what neither can know: which automorphisms the kind
@@ -110,10 +110,10 @@ IDENTITY, CONJUGATE = NamedAut("id"), NamedAut("conjugate")
 class _Coefficients:
     """The adapter surface, with the defaults of the commutative kinds;
     QuatCoefficients overrides what differs for quaternions.  Dimension,
-    basis, coordinates and sort order come from the canonical key
-    x._key(), the coordinates of x over the base field; a kind adds the
-    facts that are not linear algebra: its automorphisms, those of the
-    (tau, b) searches and enumeration when finite."""
+    basis, coordinates and sort order come from x.coords(), the
+    coordinates of x over the base field; a kind adds the facts that are
+    not linear algebra: its automorphisms, those of the (tau, b) searches
+    and enumeration when finite."""
 
     commutative = True
     # True when automorphisms() lists only the conjugations a caller
@@ -135,7 +135,7 @@ class _Coefficients:
 
     @cached_property
     def dim(self):
-        return len(self.one()._key())
+        return len(self.one().coords())
 
     def basis(self):
         n = self.dim
@@ -143,10 +143,10 @@ class _Coefficients:
                 for j in range(n)]
 
     def coords(self, x):
-        return list(x._key())
+        return x.coords()
 
     def sort_key(self, x):
-        return x._key()
+        return tuple(x.coords())
 
     def is_invertible(self, x):
         return not x.is_zero()

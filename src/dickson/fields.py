@@ -467,11 +467,16 @@ def _smallest_irreducible(p, n):
     """Lexicographically smallest monic irreducible of degree n over GF(p)
     whose root X is primitive, comparing ascending coefficient tuples.
     Primitivity pins the meaning of element literals like "0,1": the
-    adjoined generator is a non-square in the default field."""
-    for tail in itertools.product(range(p), repeat=n):
-        m = list(tail) + [1]
-        if _is_irreducible(m, p) and (n == 1 or _is_primitive([0, 1], m, p)):
-            return m
+    adjoined generator is a non-square in the default field.  For n > 1
+    a primitive X has a norm (-1)^n m(0) that generates GF(p)^*, so only
+    the constant terms m(0) that give one are searched."""
+    heads = [c for c in range(p) if n == 1
+             or c and _is_primitive([(-1) ** n * c % p], [0, 1], p)]
+    for head in heads:
+        for tail in itertools.product(range(p), repeat=n - 1):
+            m = [head, *tail, 1]
+            if _is_irreducible(m, p) and (n == 1 or _is_primitive([0, 1], m, p)):
+                return m
     raise FieldError("no irreducible polynomial found (impossible)")
 
 

@@ -46,9 +46,11 @@ class Element:
     __neg__, __mul__ after _coerce, and inv) and four hooks:
         parent     the algebra the element lives in;
         _lift(s)   the element equal to a scalar s of a type in _scalars;
-        _key()     canonical coordinates: elements of equal parents are
-                   equal exactly when their keys are;
+        _key()     a canonical tuple: elements of equal parents are equal
+                   exactly when their keys are;
         _scalar()  the base scalar the element is, or None.
+    coords(), the coordinates over the base field, is the key unless the
+    kind keys on ints over one denominator (Q-quaternions, Q(sqrt a)).
     An element equals a scalar only when it is that base scalar in
     canonical form, and then hashes as it.  Elements of different parents
     compare unequal, and arithmetic on them raises ValueError.  A reflected
@@ -105,6 +107,9 @@ class Element:
         s = self._scalar()
         return hash(self._key() if s is None else s)
 
+    def coords(self):
+        return list(self._key())
+
 
 class FpOps:
     """Arithmetic of the prime field GF(p) on plain ints in range(p)."""
@@ -141,41 +146,29 @@ class FpOps:
 class QOps:
     """Arithmetic of the rationals on fractions.Fraction (ints mix in).
 
-    Most operands in this package are exact zeros: basis vectors have one
-    nonzero coordinate and the automorphisms used send basis elements to
-    signed basis elements.  add, sub and mul therefore return early on a
-    zero operand instead of letting Fraction build and gcd-normalise a
-    new value.  Whenever a Fraction is involved the early result is
-    equal to, and of the same type as, what plain arithmetic gives; pure
-    int operands take the plain path.
-
-    rref does not go through these methods: given a QOps it eliminates on
-    integer rows (see the module docstring) and writes Fractions back.
+    The Q element kinds work on integer numerators over one denominator
+    (quaternions, quadratic) and rref eliminates on integer rows (see the
+    module docstring), so neither goes through these methods.  What is
+    left, back-substitution in kernel_basis and solve, quaternion norm
+    tests and canonical witnesses, is light, so the methods are the plain
+    operators: the early returns on an exact-zero operand that once
+    spared a Fraction per coordinate of every element sum and product
+    have nothing left to save.
     """
 
     zero = Fraction(0)
     one = Fraction(1)
 
     def add(self, a, b):
-        if type(b) is Fraction and not a:
-            return b
-        if type(a) is Fraction and not b:
-            return a
         return a + b
 
     def sub(self, a, b):
-        if type(a) is Fraction and not b:
-            return a
-        if type(b) is Fraction and not a:
-            return -b
         return a - b
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        if (type(a) is Fraction or type(b) is Fraction) and (not a or not b):
-            return self.zero
         return a * b
 
     def inv(self, a):

@@ -2,10 +2,14 @@
 norm machinery (Legendre and Hilbert symbols) needed to decide whether a
 rational is a norm from a quadratic field.
 
-Rationals are stdlib fractions.Fraction throughout: arbitrary precision,
-positive denominator, always reduced, which is exactly the contract this
-package needs.  Radicands are normalized to squarefree integers, so
-Q(sqrt(8/9)) and Q(sqrt(2)) construct the same field.
+Rationals are stdlib fractions.Fraction: arbitrary precision, positive
+denominator, always reduced.  An element x + y sqrt(a) is the same on
+ints: two numerators over one denominator d > 0, gcd 1 over all three.
+Its operators work on those ints and build each result through _quad,
+which only divides out the gcd; Fractions are made only at the edges:
+coords(), the read-only x and y, norm() and literal().  Radicands are
+normalized to squarefree integers, so Q(sqrt(8/9)) and Q(sqrt(2))
+construct the same field.
 
 The division criterion for a doubled quadratic field uses these: the
 doubling of K = Q(sqrt(a)) by c fails to be division exactly when
@@ -15,11 +19,11 @@ where either argument is a non-unit.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt
 from operator import attrgetter
 
 from .fields import prime_factors
-from .linalg import Element
+from .linalg import Element, QOps, _integer_scaled
 from .reports import certify
 
 
@@ -154,7 +158,7 @@ class QuadField:
         self.scale = rational_sqrt(a / d)
 
     def element(self, x, y):
-        return QuadElement(self, _as_fraction(x), _as_fraction(y))
+        return QuadElement(self, x, y)
 
     def zero(self):
         return self.element(0, 0)
@@ -175,72 +179,90 @@ class QuadField:
         return "Q(sqrt(%d))" % self.a
 
 
-def _integer_coords(z):
-    """(x, y, d): the coordinates of z as x/d and y/d on ints."""
-    x, dx = z.x.as_integer_ratio()
-    y, dy = z.y.as_integer_ratio()
-    if dx == dy:
-        return x, y, dx
-    d = lcm(dx, dy)
-    return x * (d // dx), y * (d // dy), d
+_new_quad = object.__new__
+
+
+def _quad(field, x, y, d):
+    """(x + y sqrt(a)) / d from ints with d > 0, built without __init__:
+    divided by the gcd of all three, which is all a result needs."""
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    z = _new_quad(QuadElement)
+    z.field, z._k = field, (x, y, d)
+    return z
 
 
 class QuadElement(Element):
-    """x + y sqrt(a) with rational x, y; products are taken on integer
-    coordinates over one denominator per factor."""
+    """x + y sqrt(a) with rational x, y, kept as the canonical key
+    (X, Y, d) of ints: x = X/d, y = Y/d, d > 0 and gcd(X, Y, d) = 1."""
 
-    __slots__ = ("field", "x", "y")
+    __slots__ = ("field", "_k")
     parent = property(attrgetter("field"))
+    x = property(lambda self: Fraction(self._k[0], self._k[2]))
+    y = property(lambda self: Fraction(self._k[1], self._k[2]))
 
     def __init__(self, field, x, y):
-        self.field = field
-        self.x = _as_fraction(x)
-        self.y = _as_fraction(y)
+        (x, y), d = _integer_scaled([_as_fraction(x), _as_fraction(y)], QOps())
+        self.field, self._k = field, (x, y, d)
+
+    def coords(self):
+        x, y, d = self._k
+        return [Fraction(x, d), Fraction(y, d)]
 
     def _lift(self, s):
         return self.field.element(s, 0)
 
     def _key(self):
-        return self.x, self.y
+        return self._k
 
     def _scalar(self):
-        return None if self.y else self.x
+        x, y, d = self._k
+        return None if y else Fraction(x, d)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.element(self.x + other.x, self.y + other.y)
+        x1, y1, d1 = self._k
+        x2, y2, d2 = other._k
+        return _quad(self.field, x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
 
     def __neg__(self):
-        return self.field.element(-self.x, -self.y)
+        x, y, d = self._k
+        return _quad(self.field, -x, -y, d)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        x1, y1, d1 = _integer_coords(self)
-        x2, y2, d2 = _integer_coords(other)
-        d = d1 * d2
-        return QuadElement(self.field,
-                           Fraction(x1 * x2 + self.field.a * y1 * y2, d),
-                           Fraction(x1 * y2 + y1 * x2, d))
+        x1, y1, d1 = self._k
+        x2, y2, d2 = other._k
+        return _quad(self.field, x1 * x2 + self.field.a * y1 * y2,
+                     x1 * y2 + y1 * x2, d1 * d2)
 
     def conjugate(self):
-        return self.field.element(self.x, -self.y)
+        x, y, d = self._k
+        return _quad(self.field, x, -y, d)
 
     def norm(self):
         """N(x + y sqrt(a)) = x^2 - a y^2, a rational."""
-        return self.x * self.x - self.field.a * self.y * self.y
+        x, y, d = self._k
+        return Fraction(x * x - self.field.a * y * y, d * d)
 
     def inv(self):
-        n = self.norm()
-        if n == 0:
+        x, y, d = self._k
+        n = x * x - self.field.a * y * y
+        if not n:
             raise ZeroDivisionError("inverse of zero in %r" % self.field)
-        return self.field.element(self.x / n, -self.y / n)
+        # conj/N = (x, -y) d / n
+        if n < 0:
+            d, n = -d, -n
+        return _quad(self.field, x * d, -y * d, n)
 
     def is_zero(self):
-        return self.x == 0 and self.y == 0
+        return not (self._k[0] or self._k[1])
 
     def __repr__(self):
         return "(%s + %s*sqrt(%d))" % (self.x, self.y, self.field.a)

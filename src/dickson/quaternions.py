@@ -1,16 +1,17 @@
 """Quaternion algebras (a,b | F): i^2 = a, j^2 = b, ij = -ji = k.
 
-The base field is Q (elements carry fractions.Fraction coordinates) or a
-prime field GF(p) (plain int coordinates).  Over GF(p) the algebra is
+The base field is Q or a prime field GF(p).  Over GF(p) the algebra is
 always split; it is still constructible here so that division analyses
 of its doubling can be watched failing, with inversion signaling the
 norm-zero elements.
 
-One integer formula multiplies over both bases.  Over Q the coordinates
-of each factor and a, b are written as integers over common
-denominators, the 16 coordinate products are taken on ints and each
-coordinate of the product becomes a Fraction once; over GF(p) every
-denominator is 1 and the coordinates are reduced mod p instead.
+An element is four integer numerators over one denominator d > 0, with
+gcd 1 over all five; over GF(p), d = 1 and the numerators lie in
+range(p).  +, *, negation, conjugation and inv work on those ints (a and
+b enter over their own denominators) and build each result through
+_quaternion, which divides out the gcd over Q and reduces mod p over
+GF(p).  Fractions are made only at the edges: coords(), the read-only
+x, y, z, w, norm() and literal(), which give residues over GF(p).
 
 Inner automorphisms x -> m^-1 x m are the only automorphism witnesses
 this package handles on quaternions (Skolem-Noether says that is no
@@ -20,11 +21,11 @@ give the same map, so comparisons go through a scaled canonical form.
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import attrgetter
 
 from .fields import is_prime
-from .linalg import Element, FpOps, QOps
+from .linalg import Element, FpOps, QOps, _integer_scaled
 from .quadratic import rational_sqrt
 from .reports import certify
 
@@ -64,9 +65,13 @@ class QuaternionAlgebra:
             raise ZeroDivisionError("%s has no residue mod %d" % (v, self.p))
         return n * pow(d, -1, self.p) % self.p
 
+    def _from_ints(self, n, d):
+        """The coordinate n/d from ints: a Fraction over Q, the residue of
+        n over GF(p), where d is 1."""
+        return Fraction(n, d) if self.p is None else n % self.p
+
     def element(self, x, y, z, w):
-        return Quaternion(self, self.scalar(x), self.scalar(y),
-                          self.scalar(z), self.scalar(w))
+        return Quaternion(self, x, y, z, w)
 
     def zero(self):
         return self.element(0, 0, 0, 0)
@@ -127,55 +132,65 @@ class QuaternionAlgebra:
         return "(%s, %s | %s)" % (self.a, self.b, base)
 
 
-def _ratio(n, d):
-    return Fraction(n, d) if n else QOps.zero
+_new_quaternion = object.__new__
 
 
-def _integer_coords(q):
-    """(x, y, z, w, d): the coordinates of q as x/d, ..., w/d on ints."""
-    x, dx = q.x.as_integer_ratio()
-    y, dy = q.y.as_integer_ratio()
-    z, dz = q.z.as_integer_ratio()
-    w, dw = q.w.as_integer_ratio()
-    if dx == dy == dz == dw:
-        return x, y, z, w, dx
-    d = lcm(dx, dy, dz, dw)
-    return x * (d // dx), y * (d // dy), z * (d // dz), w * (d // dw), d
+def _quaternion(alg, x, y, z, w, d):
+    """(x + y i + z j + w k) / d from ints with d > 0 (d = 1 over GF(p)),
+    built without __init__: reduced mod p over GF(p), over Q divided by
+    the gcd of all five, which is all a result needs to be canonical."""
+    p = alg.p
+    if p is not None:
+        x, y, z, w = x % p, y % p, z % p, w % p
+    elif d != 1:
+        g = gcd(x, y, z, w, d)
+        if g != 1:
+            x, y, z, w, d = x // g, y // g, z // g, w // g, d // g
+    q = _new_quaternion(Quaternion)
+    q.alg, q._k = alg, (x, y, z, w, d)
+    return q
 
 
 class Quaternion(Element):
-    __slots__ = ("alg", "x", "y", "z", "w")
+    """x + y i + z j + w k, kept as the canonical key (X, Y, Z, W, d) of
+    ints: x = X/d, ..., w = W/d with d > 0 and gcd(X, Y, Z, W, d) = 1;
+    over GF(p), d = 1 and X, ..., W lie in range(p)."""
+
+    __slots__ = ("alg", "_k")
     parent = property(attrgetter("alg"))
+    x, y, z, w = (property(lambda q, i=i: q.alg._from_ints(q._k[i], q._k[4]))
+                  for i in range(4))
 
     def __init__(self, alg, x, y, z, w):
-        self.alg = alg
-        self.x, self.y, self.z, self.w = x, y, z, w
+        ns, d = _integer_scaled([alg.scalar(t) for t in (x, y, z, w)], alg.ops)
+        self.alg, self._k = alg, (*ns, d)
 
     def coords(self):
-        return [self.x, self.y, self.z, self.w]
+        d = self._k[4]
+        return [self.alg._from_ints(t, d) for t in self._k[:4]]
 
     def _lift(self, s):
         return self.alg.element(s, 0, 0, 0)
 
     def _key(self):
-        return self.x, self.y, self.z, self.w
+        return self._k
 
     def _scalar(self):
-        # coordinates are canonical: Fractions over Q, range(p) over GF(p)
-        return None if self.y or self.z or self.w else self.x
+        k = self._k
+        return None if any(k[1:4]) else self.alg._from_ints(k[0], k[4])
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        o = self.alg.ops
-        return Quaternion(self.alg, o.add(self.x, other.x), o.add(self.y, other.y),
-                          o.add(self.z, other.z), o.add(self.w, other.w))
+        x1, y1, z1, w1, d1 = self._k
+        x2, y2, z2, w2, d2 = other._k
+        return _quaternion(self.alg, x1 * d2 + x2 * d1, y1 * d2 + y2 * d1,
+                           z1 * d2 + z2 * d1, w1 * d2 + w2 * d1, d1 * d2)
 
     def __neg__(self):
-        o = self.alg.ops
-        return Quaternion(self.alg, o.neg(self.x), o.neg(self.y),
-                          o.neg(self.z), o.neg(self.w))
+        x, y, z, w, d = self._k
+        return _quaternion(self.alg, -x, -y, -z, -w, d)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -183,50 +198,52 @@ class Quaternion(Element):
             return NotImplemented
         alg = self.alg
         na, da, nb, db, dadb, nadb, nbda, nanb = alg._ab
-        x1, y1, z1, w1, d1 = _integer_coords(self)
-        x2, y2, z2, w2, d2 = _integer_coords(other)
-        # the coordinates of the product times d1*d2 and da*db, db, da, 1
+        x1, y1, z1, w1, d1 = self._k
+        x2, y2, z2, w2, d2 = other._k
+        # the coordinates of the product times d1*d2 and da*db, db, da, 1;
+        # the result puts all four over d1*d2*da*db
         x = x1 * x2 * dadb + nadb * y1 * y2 + nbda * z1 * z2 - nanb * w1 * w2
         y = (x1 * y2 + y1 * x2) * db + nb * (w1 * z2 - z1 * w2)
         z = (x1 * z2 + z1 * x2) * da + na * (y1 * w2 - w1 * y2)
         w = x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2
-        p = alg.p
-        if p is not None:
-            return Quaternion(alg, x % p, y % p, z % p, w % p)
-        d = d1 * d2
-        return Quaternion(alg, _ratio(x, d * dadb), _ratio(y, d * db),
-                          _ratio(z, d * da), _ratio(w, d))
+        return _quaternion(alg, x, y * da, z * db, w * dadb, d1 * d2 * dadb)
 
     def conjugate(self):
-        o = self.alg.ops
-        return Quaternion(self.alg, self.x, o.neg(self.y), o.neg(self.z), o.neg(self.w))
+        x, y, z, w, d = self._k
+        return _quaternion(self.alg, x, -y, -z, -w, d)
+
+    def _norm_numerator(self):
+        """d^2 da db N(q), an int: N(q) = x^2 - a y^2 - b z^2 + ab w^2."""
+        x, y, z, w, d = self._k
+        _, _, _, _, dadb, nadb, nbda, nanb = self.alg._ab
+        return x * x * dadb - nadb * y * y - nbda * z * z + nanb * w * w
 
     def norm(self):
         """N(q) = x^2 - a y^2 - b z^2 + ab w^2, a base-field scalar."""
-        o = self.alg.ops
-        a, b = self.alg.a, self.alg.b
-        return o.add(
-            o.sub(o.mul(self.x, self.x), o.mul(a, o.mul(self.y, self.y))),
-            o.sub(o.mul(o.mul(a, b), o.mul(self.w, self.w)),
-                  o.mul(b, o.mul(self.z, self.z))))
+        d = self._k[4]
+        return self.alg._from_ints(self._norm_numerator(), d * d * self.alg._ab[4])
 
     def inv(self):
         """conj/N; on a split algebra norm-zero elements are the zero
         divisors and raise."""
-        n = self.norm()
-        if self.alg.ops.is_zero(n):
+        n, p = self._norm_numerator(), self.alg.p
+        if (n % p if p is not None else n) == 0:
             raise ZeroDivisionError("norm-zero quaternion (zero divisor)")
-        ninv = self.alg.ops.inv(n)
-        c = self.conjugate()
-        return Quaternion(self.alg, *(self.alg.ops.mul(ninv, t) for t in c.coords()))
+        x, y, z, w, d = self._k
+        # conj/N = (x, -y, -z, -w) d da db / n
+        if p is not None:
+            f, n = pow(n, -1, p), 1
+        else:
+            f = d * self.alg._ab[4]
+            if n < 0:
+                f, n = -f, -n
+        return _quaternion(self.alg, x * f, -y * f, -z * f, -w * f, n)
 
     def is_zero(self):
-        o = self.alg.ops
-        return all(o.is_zero(t) for t in self.coords())
+        return not any(self._k[:4])
 
     def is_central(self):
-        o = self.alg.ops
-        return all(o.is_zero(t) for t in (self.y, self.z, self.w))
+        return not any(self._k[1:4])
 
     def __repr__(self):
         return "quat(%s, %s, %s, %s)" % tuple(self.coords())

@@ -12,15 +12,22 @@ and not in the package:
     the bounds on |Aut| directly;
   * critical_constants_sumset writes out the critical c-values as the
     sumset that critical_constants replaces by its closed form;
+  * smallest_irreducible_exhaustive is the default-modulus search that
+    tries every monic tail in order, without the norm condition that
+    fields._smallest_irreducible prunes with;
+  * the quaternion_* and quadratic_* functions are the Fraction formulas
+    of the element operators, which now work on integer numerators;
   * the rest are small helpers: fixed subfields and subalgebras, norms to
     a fixed field, p-adic square classes and random invertible elements.
 """
 
+import itertools
 from math import gcd
 
 from dickson.analysis import apply_automorphism, enumerate_automorphisms
 from dickson.doubling import _field_grid
-from dickson.fields import FieldError, make_field
+from dickson.fields import (FieldError, _is_irreducible, _is_primitive,
+                            make_field)
 from dickson.linalg import FpOps, kernel_basis, rank, solve
 from dickson.padics import PadicExtElement
 from dickson.quaternions import Quaternion
@@ -238,8 +245,109 @@ def critical_constants_sumset(D):
     return frozenset(g ** e for e in logs)
 
 
+def smallest_irreducible_exhaustive(p, n):
+    """The default modulus by the search that tries every monic tail in
+    ascending order: the first irreducible of degree n whose root X is
+    primitive (any irreducible for n = 1)."""
+    for tail in itertools.product(range(p), repeat=n):
+        m = list(tail) + [1]
+        if _is_irreducible(m, p) and (n == 1 or _is_primitive([0, 1], m, p)):
+            return m
+    raise FieldError("no irreducible polynomial found")
+
+
 # ---------------------------------------------------------------------------
 # quaternions
+
+# The Fraction formulas of the element operators: coordinate lists built
+# one coordinate at a time through the algebra's scalar ops (Fractions
+# over Q, residues over GF(p)) and, for Q(sqrt a), Fraction arithmetic.
+
+
+def quaternion_sum(q1, q2):
+    o = q1.alg.ops
+    return [o.add(s, t) for s, t in zip(q1.coords(), q2.coords())]
+
+
+def quaternion_difference(q1, q2):
+    o = q1.alg.ops
+    return [o.sub(s, t) for s, t in zip(q1.coords(), q2.coords())]
+
+
+def quaternion_product(q1, q2):
+    """The 16-product formula."""
+    alg = q1.alg
+    o = alg.ops
+    a, b = alg.a, alg.b
+    x1, y1, z1, w1 = q1.coords()
+    x2, y2, z2, w2 = q2.coords()
+
+    def m(u, v):
+        return o.mul(u, v)
+
+    ab = m(a, b)
+    x = o.sub(o.add(m(x1, x2), o.add(m(a, m(y1, y2)), m(b, m(z1, z2)))),
+              m(ab, m(w1, w2)))
+    y = o.add(o.add(m(x1, y2), m(y1, x2)),
+              o.sub(m(b, m(w1, z2)), m(b, m(z1, w2))))
+    z = o.add(o.add(m(x1, z2), m(z1, x2)),
+              o.sub(m(a, m(y1, w2)), m(a, m(w1, y2))))
+    w = o.add(o.add(m(x1, w2), m(w1, x2)),
+              o.sub(m(y1, z2), m(z1, y2)))
+    return [x, y, z, w]
+
+
+def quaternion_conjugate(q):
+    o = q.alg.ops
+    x, y, z, w = q.coords()
+    return [x, o.neg(y), o.neg(z), o.neg(w)]
+
+
+def quaternion_norm(q):
+    """x^2 - a y^2 - b z^2 + ab w^2."""
+    o = q.alg.ops
+    a, b = q.alg.a, q.alg.b
+    x, y, z, w = q.coords()
+    return o.add(o.sub(o.mul(x, x), o.mul(a, o.mul(y, y))),
+                 o.sub(o.mul(o.mul(a, b), o.mul(w, w)),
+                       o.mul(b, o.mul(z, z))))
+
+
+def quaternion_inverse(q):
+    """conj/N; raises ZeroDivisionError on a norm-zero q."""
+    o = q.alg.ops
+    n = quaternion_norm(q)
+    if o.is_zero(n):
+        raise ZeroDivisionError("norm-zero quaternion")
+    ninv = o.inv(n)
+    return [o.mul(ninv, t) for t in quaternion_conjugate(q)]
+
+
+def quadratic_sum(u, v):
+    return [u.x + v.x, u.y + v.y]
+
+
+def quadratic_difference(u, v):
+    return [u.x - v.x, u.y - v.y]
+
+
+def quadratic_product(u, v):
+    a = u.field.a
+    return [u.x * v.x + a * u.y * v.y, u.x * v.y + u.y * v.x]
+
+
+def quadratic_conjugate(u):
+    return [u.x, -u.y]
+
+
+def quadratic_inverse(u):
+    """(x - y sqrt a) / (x^2 - a y^2); raises ZeroDivisionError on 0."""
+    n = u.x * u.x - u.field.a * u.y * u.y
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return [u.x / n, -u.y / n]
+
+
 
 
 def fixed_subalgebra(aut):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickson.fields import (TABLE_BOUND, FieldError, FrobeniusAut,
-                            _pmod, _pmul, _ppowmod, make_field)
-from oracles import fixed_field, norm_over
+                            _pmod, _pmul, _ppowmod, _smallest_irreducible,
+                            make_field)
+from oracles import fixed_field, norm_over, smallest_irreducible_exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +31,13 @@ def test_default_modulus_adjoined_root_generates_units():
             z = z * g
             seen.add(K.element_index(z))
         assert len(seen) == K.order - 1
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 3), (3, 8), (2, 8),
+                                  (2, 12), (5, 6)])
+def test_default_modulus_matches_the_exhaustive_search(p, n):
+    # the search skips constant terms whose norm is not a primitive root
+    assert _smallest_irreducible(p, n) == smallest_irreducible_exhaustive(p, n)
 
 
 def test_explicit_modulus_respected():

@@ -1,15 +1,18 @@
 """The integer kernels against the scalar-ops formulas they replace.
 
-Quaternion and quadratic products and rational elimination run on ints
-over common denominators, GF(p) elimination on lane-packed ints, and the
-Q_p(alpha) product on (val, unit, prec) triples without building its
-scalar products.  Each is compared here with the plain formula through
-the scalar ops, kept as the reference: values and types must agree
-exactly.
+Quaternions over Q and Q(sqrt a) elements are integer numerators over
+one denominator, and their operators work on those ints; rational
+elimination runs on ints over common denominators, GF(p) elimination on
+lane-packed ints, and the Q_p(alpha) product on (val, unit, prec)
+triples without building its scalar products.  Each is compared here
+with the plain formula through the scalar ops or on Fractions, kept as
+the reference (in oracles.py for the element operators): values and
+types must agree exactly.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,34 +25,16 @@ from dickson.padics import (PadicContext, PadicNumber, PadicOps,
                             PadicQuadExt, PrecisionError)
 from dickson.quadratic import QuadField
 from dickson.quaternions import QuaternionAlgebra
+from oracles import (quadratic_conjugate, quadratic_difference,
+                     quadratic_inverse, quadratic_product, quadratic_sum,
+                     quaternion_conjugate, quaternion_difference,
+                     quaternion_inverse, quaternion_norm, quaternion_product,
+                     quaternion_sum)
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 nonzero_rationals = rationals.filter(bool)
-
-
-def reference_quaternion_product(q1, q2):
-    """The 16-product formula written with the algebra's scalar ops."""
-    alg = q1.alg
-    o = alg.ops
-    a, b = alg.a, alg.b
-    x1, y1, z1, w1 = q1.coords()
-    x2, y2, z2, w2 = q2.coords()
-
-    def m(u, v):
-        return o.mul(u, v)
-
-    ab = m(a, b)
-    x = o.sub(o.add(m(x1, x2), o.add(m(a, m(y1, y2)), m(b, m(z1, z2)))),
-              m(ab, m(w1, w2)))
-    y = o.add(o.add(m(x1, y2), m(y1, x2)),
-              o.sub(m(b, m(w1, z2)), m(b, m(z1, w2))))
-    z = o.add(o.add(m(x1, z2), m(z1, x2)),
-              o.sub(m(a, m(y1, w2)), m(a, m(w1, y2))))
-    w = o.add(o.add(m(x1, w2), m(w1, x2)),
-              o.sub(m(y1, z2), m(z1, y2)))
-    return [x, y, z, w]
 
 
 def _same(got, want):
@@ -75,7 +60,7 @@ def rational_quaternion_pairs(draw):
 def test_rational_quaternion_product_matches_ops_formula(pair):
     q1, q2 = pair
     got = (q1 * q2).coords()
-    _same(got, reference_quaternion_product(q1, q2))
+    _same(got, quaternion_product(q1, q2))
     assert all(type(t) is Fraction for t in got)
 
 
@@ -106,7 +91,7 @@ def finite_quaternion_pairs(draw):
 def test_finite_quaternion_product_matches_ops_formula(pair):
     q1, q2 = pair
     got = (q1 * q2).coords()
-    _same(got, reference_quaternion_product(q1, q2))
+    _same(got, quaternion_product(q1, q2))
     assert all(type(t) is int and 0 <= t < q1.alg.p for t in got)
 
 
@@ -134,10 +119,93 @@ def quadratic_pairs(draw):
 @given(quadratic_pairs())
 def test_quadratic_product_matches_fraction_formula(pair):
     u, v = pair
-    a = u.field.a
     got = u * v
-    want = [u.x * v.x + a * u.y * v.y, u.x * v.y + u.y * v.x]
-    _same([got.x, got.y], want)
+    _same([got.x, got.y], quadratic_product(u, v))
+
+
+# ---------------------------------------------------------------------------
+# every operator of the integer-numerator kinds
+#
+# Planted faults each rejected here (checked on a copy of the package): a
+# constructor that skips the gcd division, a wrong sign on the nb term of
+# the quaternion product, and a product denominator without da * db.
+
+@st.composite
+def quaternion_pairs(draw):
+    """Two quaternions of one algebra over GF(5) or over Q, where a and b
+    may have denominators."""
+    if draw(st.booleans()):
+        B = QuaternionAlgebra(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                              p=5)
+        coords = st.lists(st.integers(0, 4), min_size=4, max_size=4)
+    else:
+        B = QuaternionAlgebra(
+            draw(st.one_of(st.just(Fraction(1, 2)), nonzero_rationals)),
+            draw(st.one_of(st.just(Fraction(-3, 5)), nonzero_rationals)))
+        coords = st.lists(st.one_of(st.just(0), st.integers(-5, 5), rationals),
+                          min_size=4, max_size=4)
+    return B.element(*draw(coords)), B.element(*draw(coords))
+
+
+def _canonical_key(z, p=None):
+    """Numerators over one denominator d: over Q, d > 0 and the gcd of
+    them all is 1; over GF(p), d = 1 and residues in range(p)."""
+    *ns, d = z._key()
+    if p is not None:
+        return d == 1 and all(0 <= t < p for t in ns)
+    return d > 0 and gcd(*ns, d) == 1
+
+
+def _check_operators(u, v, results, inverse):
+    """Each (element, reference coordinates) pair agrees in value and
+    type and is canonical; inv() agrees with the reference inverse of u
+    and v, raising where it raises."""
+    p = getattr(u.parent, "p", None)
+    for z in (u, v):
+        try:
+            want = inverse(z)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                z.inv()
+        else:
+            results.append((z.inv(), want))
+    for got, want in results:
+        _same(got.coords(), want)
+        assert _canonical_key(got, p), got._key()
+    assert _canonical_key(u, p) and _canonical_key(v, p)
+
+
+@SETTINGS
+@given(quaternion_pairs())
+def test_quaternion_operators_match_fraction_formulas(pair):
+    q1, q2 = pair
+    o = q1.alg.ops
+    _check_operators(q1, q2, [
+        (q1 + q2, quaternion_sum(q1, q2)),
+        (q1 - q2, quaternion_difference(q1, q2)),
+        (q1 - q1, [o.zero] * 4),
+        (-q1, [o.neg(t) for t in q1.coords()]),
+        (q1 * q2, quaternion_product(q1, q2)),
+        (q2 * q1, quaternion_product(q2, q1)),
+        (q1.conjugate(), quaternion_conjugate(q1)),
+    ], quaternion_inverse)
+    _same([q1.norm()], [quaternion_norm(q1)])
+
+
+@SETTINGS
+@given(quadratic_pairs())
+def test_quadratic_operators_match_fraction_formulas(pair):
+    u, v = pair
+    _check_operators(u, v, [
+        (u + v, quadratic_sum(u, v)),
+        (u - v, quadratic_difference(u, v)),
+        (u - u, [Fraction(0)] * 2),
+        (-u, [-u.x, -u.y]),
+        (u * v, quadratic_product(u, v)),
+        (v * u, quadratic_product(v, u)),
+        (u.conjugate(), quadratic_conjugate(u)),
+    ], quadratic_inverse)
+    _same([u.norm()], [u.x * u.x - u.field.a * u.y * u.y])
 
 
 # ---------------------------------------------------------------------------

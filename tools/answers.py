@@ -1,31 +1,33 @@
 """Write the answer to every benchmark question, for a same-answers check.
 
-Run from the root of a checkout:
-
     python3 tools/answers.py OUT SEED [SEED ...]
 
 Every question that perfbench/workloads.py builds for the three workloads
 at each seed is asked through dickson.cli.main with --format json, with
-the program imported from ./src.  Finite-sweep questions run under the
-scan cap the benchmark client sets for them (GF49_PAIR_CAP).  OUT gets one
-JSON line per question: the question, the exit code, the envelope without
-its wall_time_s and anything written to stderr.
+the program imported from the src/ of the checkout this script lives in.
+Finite-sweep questions run under the scan cap the benchmark client sets
+for them (GF49_PAIR_CAP).  OUT gets one JSON line per question: the
+question, the exit code, the envelope without its wall_time_s and
+anything written to stderr.
 
 A change keeps the answers when the files written from the two checkouts
 at the same seeds are byte-identical (`cmp parent.jsonl change.jsonl`).
-A change that is meant to alter answers differs here by design, so this
-is a check to run by hand, not a test.
+The seed-1 file is committed as tests/answers_seed1.jsonl, and
+tests/test_answers.py compares it with a fresh one; a change that is
+meant to alter answers rewrites that file with this script.
 """
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import sys
 
-SRC = os.path.join(os.getcwd(), "src")
-PERFBENCH = os.path.join(os.getcwd(), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 CAP = "DICKSON_MAX_EXHAUSTIVE"
 
 
@@ -48,35 +50,46 @@ def ask(main, argv):
     return rc, envelope, err.getvalue()
 
 
+def answer_lines(seeds):
+    """The lines of OUT, without newlines, one per question in order.
+    Sets or clears DICKSON_MAX_EXHAUSTIVE per workload and leaves it so;
+    the package is the dickson already imported, if any."""
+    import dickson.cli
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(PERFBENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        if workload == "finite-sweep":
+            os.environ[CAP] = str(workloads.GF49_PAIR_CAP)
+        else:
+            os.environ.pop(CAP, None)
+        for seed in seeds:
+            for q in workloads.generate(workload, seed):
+                rc, envelope, stderr = ask(dickson.cli.main, q["argv"])
+                yield json.dumps(
+                    {"workload": workload, "seed": seed, "id": q["id"],
+                     "argv": q["argv"], "rc": rc, "envelope": envelope,
+                     "stderr": stderr}, sort_keys=True)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="file to write, one JSON line per question")
     ap.add_argument("seeds", nargs="+", type=int)
     args = ap.parse_args()
 
-    sys.path[:0] = [SRC, PERFBENCH]
+    sys.path.insert(0, SRC)
     import dickson
-    import dickson.cli
-    import workloads
     if not os.path.abspath(dickson.__file__).startswith(SRC + os.sep):
         raise SystemExit("dickson was imported from %s, not from %s"
                          % (dickson.__file__, SRC))
 
     count = 0
     with open(args.out, "w") as fh:
-        for workload in workloads.WORKLOADS:
-            if workload == "finite-sweep":
-                os.environ[CAP] = str(workloads.GF49_PAIR_CAP)
-            else:
-                os.environ.pop(CAP, None)
-            for seed in args.seeds:
-                for q in workloads.generate(workload, seed):
-                    rc, envelope, stderr = ask(dickson.cli.main, q["argv"])
-                    fh.write(json.dumps(
-                        {"workload": workload, "seed": seed, "id": q["id"],
-                         "argv": q["argv"], "rc": rc, "envelope": envelope,
-                         "stderr": stderr}, sort_keys=True) + "\n")
-                    count += 1
+        for line in answer_lines(args.seeds):
+            fh.write(line + "\n")
+            count += 1
     print("%d questions -> %s" % (count, args.out))
 
 
