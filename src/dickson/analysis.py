@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
                        _norm_zero_pair, _quat_is_split, compute_nuclei,
-                       critical_constants, zero_divisor_search)
+                       critical_constants)
 from .fields import TABLE_BOUND, FrobeniusAut, make_field
 from .linalg import kernel_basis, solve
 from .padics import padic_is_square
@@ -33,39 +33,6 @@ def _pair_literal(pair):
 
 # ---------------------------------------------------------------------------
 # division
-
-
-def _division_finite(D):
-    """The exhaustive rank test of zero_divisor_search (every left factor,
-    so every ordered pair), cross-checked against the critical-value set
-    and, in odd characteristic, against the quadratic character of c; in
-    characteristic 2, where every c is a square, the scan must find zero
-    divisors.  The checks must agree, and the notes name the ones made.
-    The critical set comes first: it needs the index tables, so a field
-    above fields.TABLE_BOUND is refused before the walk."""
-    K = D.coeff.K
-    in_crit = D.c in critical_constants(D)
-    status, pair = zero_divisor_search(D)
-    certify(in_crit == (status == "witness"),
-            "the scan and the critical-value set agree")
-    if K.p != 2:
-        certify(K.is_square(D.c) == (status == "witness"),
-                "the scan and the quadratic character agree")
-        agree = "critical-value set and quadratic character agree"
-    else:
-        certify(status == "witness",
-                "the scan finds zero divisors in characteristic 2")
-        agree = ("critical-value set agrees; no quadratic-character test "
-                 "in characteristic 2")
-    if status == "witness":
-        return DivisionVerdict(
-            NOT_DIVISION, method="exhaustive-scan",
-            witness=pair, witness_literal=_pair_literal(pair),
-            notes="lexicographically first annihilating pair; " + agree)
-    return DivisionVerdict(
-        DIVISION, method="exhaustive-scan",
-        notes="no annihilating pair among all %d ordered pairs; %s"
-              % (D.size() ** 2, agree))
 
 
 def _norm_preimage_pair(D, nu):
@@ -88,6 +55,16 @@ _ID_FIELD = ("irreducible-quadratic", "sigma is the identity and c is not a "
 # The method and notes of each outcome of division_decide, per coefficient
 # kind; the notes are %-formatted with the facts the deciding step found.
 _DIVISION_ANSWERS = {
+    "field": {
+        "id-square": _ID_SQUARE,
+        "id-nonsquare": _ID_FIELD,
+        "square": ("square-root-witness", "the critical values are the "
+                   "squares of GF(q) (every unit when q is even), and c is "
+                   "a square"),
+        "nonsquare": ("square-criterion", "the critical values are the "
+                      "squares of GF(q), and c is not a square (Euler's "
+                      "criterion)"),
+    },
     "quad": {
         "id-square": _ID_SQUARE,
         "id-nonsquare": _ID_FIELD,
@@ -142,22 +119,27 @@ _DIVISION_ANSWERS = {
 def division_decide(D):
     """Three-valued division verdict with method and witness.
 
-    GF(p^n) coefficients are searched exhaustively.  Every other kind runs
-    the division theorem's criteria in one ordered pass; from step 2 on the
-    coefficients are a division algebra, so D has zero divisors exactly
+    The division theorem's criteria run in one ordered pass; from step 2 on
+    the coefficients are a division algebra, so D has zero divisors exactly
     when c is a critical value c(r, s, t):
       1. split quaternion coefficients give a norm-zero pair;
-      2. sigma = id: the critical values are the squares of B;
+      2. sigma = id: the critical values are the squares of B.  Over GF(q)
+         they are the squares for every sigma = frobenius^k: the g-th
+         powers, g = gcd(q - 1, 2, p^k - 1) (critical_constants), which are
+         the squares for odd q and every unit for even q.  Euler's
+         criterion needs no index tables; the square root of a square c
+         above fields.TABLE_BOUND is refused;
       3. every critical value has a square norm;
       4. over Q(sqrt a), N(c) = s^2 with neither s nor -s a norm proves
          division (the converse holds there too);
       5. a witness is the theorem pair of a critical triple, (sqrt c, 1, 1)
          or over Q(sqrt a) the triple from a norm preimage;
       6. anything else is unknown.
+    Over GF(q) the exhaustive rank walk, zero_divisor_search, is the
+    independent reference for these verdicts; division_decide never runs
+    it.
     """
     A = D.coeff
-    if A.kind == "field":
-        return _division_finite(D)
     answers = _DIVISION_ANSWERS[A.kind]
 
     def answer(status, outcome, pair=None, **facts):
@@ -171,14 +153,15 @@ def division_decide(D):
         outcome = ("split-finite" if A.is_finite()
                    else "split-unfound" if pair is None else "split")
         return answer(NOT_DIVISION, outcome, pair)
-    if D.sigma_is_id:
+    if D.sigma_is_id or A.kind == "field":
+        prefix = "id-" if D.sigma_is_id else ""
         ok, root = A.is_square(D.c)
         if ok:
-            return answer(NOT_DIVISION, "id-square",
+            return answer(NOT_DIVISION, prefix + "square",
                           _critical_pair(D, root, A.one(), A.one()))
         if ok is None:
             return answer(UNKNOWN, "id-undecided")
-        return answer(DIVISION, "id-nonsquare")
+        return answer(DIVISION, prefix + "nonsquare")
     n = D.c.norm()
     if not (padic_is_square(n) if A.kind == "padic"
             else rational_is_square(n)):

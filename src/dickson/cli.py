@@ -20,9 +20,6 @@ mathematical verdict (including "unknown"); input and validation
 problems exit with status 2 and a message on standard error.  A reader
 that closes the pipe before the report is written (dickson ... | head)
 ends the run quietly with status 1.
-
-The environment variable DICKSON_MAX_EXHAUSTIVE overrides the default
-cap of 10^6 left factors on the exhaustive zero-divisor search.
 """
 
 import argparse
@@ -36,8 +33,8 @@ import time
 from . import __version__
 from .analysis import (census, division_decide, enumerate_automorphisms,
                        group_structure, iso_test, wene_inner_check)
-from .doubling import (compute_nuclei, mul_by_constants, search_cap,
-                       structure_constants, theorem_zero_divisor_witness)
+from .doubling import (compute_nuclei, mul_by_constants, structure_constants,
+                       theorem_zero_divisor_witness)
 from .fields import TABLE_BOUND
 from .parsing import (DescriptionError, algebra_from_document, load_document,
                       parse_element, parse_sigma)
@@ -183,9 +180,6 @@ def _run_iso(args):
 
 
 def _run_census(args):
-    # the census applies no cap, but a malformed one is refused here as by
-    # the commands that do
-    search_cap()
     report = census(args.p, args.n, limit=args.limit)
     return {"p": args.p, "n": args.n, "limit": args.limit}, report.to_dict()
 

@@ -35,11 +35,11 @@ when the matrix of left multiplication by x is singular.  Each such
 (r * 2n + j) * W (linalg.PackedLayout), summed along the walk over x as
 an int; its lanes start at most 2n (p - 1)^2 and stay at most
 max(2n (p - 1)^2, (2p - 1)(p - 1)) during elimination, the bound the
-lane width is derived from.  The search caps itself at 10^6 left factors
-and honors DICKSON_MAX_EXHAUSTIVE.
+lane width is derived from.  The search refuses more than 10^6 left
+factors.  It is the independent reference for analysis.division_decide,
+which decides GF(p^n) by the squares instead.
 """
 
-import os
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -55,18 +55,6 @@ from .quaternions import InnerAut, QuaternionAlgebra, quat_is_square
 from .reports import NucleusReport, certify
 
 VARIANTS = ("commutative", "left", "middle", "right")
-
-
-def search_cap():
-    """Budget of the exhaustive division search, in left factors;
-    DICKSON_MAX_EXHAUSTIVE overrides it."""
-    v = os.environ.get("DICKSON_MAX_EXHAUSTIVE")
-    if not v:
-        return 10**6
-    if not v.strip().isdecimal():
-        raise ValueError("DICKSON_MAX_EXHAUSTIVE must be a nonnegative "
-                         "integer, not %r" % v)
-    return int(v)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +818,7 @@ def _first_singular_left_factor(D):
 def zero_divisor_search(D):
     """The exhaustive rank test for zero divisors of a doubling of GF(p^n).
 
-    Deterministic, and refused above the cap on left factors.  The first
+    Deterministic, and refused above 10^6 left factors.  The first
     left factor x with a singular left multiplication over GF(p) (see
     _first_singular_left_factor) and the smallest nonzero y in its kernel
     form the lexicographically first annihilating pair; no singular x is
@@ -844,10 +832,9 @@ def zero_divisor_search(D):
         raise ValueError("the exhaustive zero-divisor search needs GF(p^n) "
                          "coefficients, not %s" % A.describe())
     n_left = D.size()
-    if n_left > search_cap():
+    if n_left > 10**6:
         raise ValueError("exhaustive search needs %d left factors, over "
-                         "the cap; set DICKSON_MAX_EXHAUSTIVE to override"
-                         % n_left)
+                         "the cap of 10^6" % n_left)
     found = _first_singular_left_factor(D)
     if found is None:
         return "none", None

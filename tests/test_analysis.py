@@ -16,7 +16,8 @@ from dickson.analysis import (apply_automorphism, census, compose_descriptors,
                               group_structure, iso_test, subgroups,
                               verify_automorphism, verify_isomorphism,
                               wene_inner_check)
-from dickson.doubling import DicksonAlgebra, FieldCoefficients
+from dickson.doubling import (DicksonAlgebra, FieldCoefficients,
+                              zero_divisor_search)
 from dickson.fields import FrobeniusAut, make_field
 from dickson.parsing import algebra_from_document, parse_element
 from dickson.padics import PadicContext, PadicQuadExt
@@ -35,24 +36,33 @@ def _gf(p, n, c_coeffs, k=1):
 # ---------------------------------------------------------------------------
 # division verdicts
 
+# every GF(q) with n >= 2 and q <= 125, as (p, n)
+SMALL_EXTENSIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
+                    (7, 2), (2, 6), (3, 4), (11, 2), (5, 3)]
+
+
 def test_division_finite_three_way_agreement_every_c():
-    """Scan, critical-value set and quadratic character must agree for
-    every nonzero c; the decider raises internally if they ever split."""
-    for p, n in ((3, 2), (5, 2)):
+    """The verdict read off the squares, the exhaustive rank walk and the
+    critical-value set agree for every sigma != id and every nonzero c,
+    over every GF(q) with n >= 2 and q <= 125 (all four variants up to
+    q = 49); every witness of either path annihilates."""
+    for p, n in SMALL_EXTENSIONS:
         K = make_field(p, n)
-        phi = FrobeniusAut(K, 1)
-        for c in K.elements():
-            if c.is_zero():
-                continue
-            D = DicksonAlgebra(K, phi, c)
-            verdict = division_decide(D)
-            assert (verdict.status == DIVISION) == (not K.is_square(c))
-            assert verdict.notes.endswith("critical-value set and quadratic "
-                                          "character agree")
-            if verdict.status != DIVISION:
-                x, y = verdict.witness
-                assert D.mul(x, y).is_zero()
-                assert not x.is_zero() and not y.is_zero()
+        variants = doubling.VARIANTS if K.order <= 49 else ("commutative",)
+        for sigma in K.automorphisms()[1:]:
+            for variant in variants:
+                for c in list(K.elements())[1:]:
+                    D = DicksonAlgebra(K, sigma, c, variant)
+                    verdict = division_decide(D)
+                    status, pair = zero_divisor_search(D)
+                    assert (verdict.status == DIVISION) == (status == "none")
+                    assert (status == "none") == (
+                        c not in doubling.critical_constants(D))
+                    for found in (verdict.witness, pair):
+                        if found is not None:
+                            x, y = found
+                            assert not x.is_zero() and not y.is_zero()
+                            assert D.mul(x, y).is_zero()
 
 
 def test_division_char2_never_division():
@@ -64,10 +74,9 @@ def test_division_char2_never_division():
         v = division_decide(DicksonAlgebra(K, phi, c))
         assert v.status == "proved-not-division"
         assert v.witness is not None
-        # no quadratic character is compared in characteristic 2
-        assert v.notes == ("lexicographically first annihilating pair; "
-                           "critical-value set agrees; no quadratic-character "
-                           "test in characteristic 2")
+        # every unit of GF(4) is a square, so a critical value
+        assert v.method == "square-root-witness"
+        assert "every unit when q is even" in v.notes
 
 
 def test_division_identity_sigma_cases():
@@ -257,15 +266,17 @@ _WRONG_WITNESS_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_division_gf343_under_the_default_cap(monkeypatch):
-    monkeypatch.delenv("DICKSON_MAX_EXHAUSTIVE", raising=False)
+def test_division_gf343_under_the_default_cap():
+    # 343^2 left factors, under the cap of the rank walk, which agrees
     K = make_field(7, 3)
     sigma = FrobeniusAut(K, 1)
     nonsquare = next(c for c in K.elements()
                      if not c.is_zero() and not K.is_square(c))
-    v = division_decide(DicksonAlgebra(K, sigma, nonsquare))
+    D = DicksonAlgebra(K, sigma, nonsquare)
+    v = division_decide(D)
     assert v.status == "proved-division"
-    assert "among all %d ordered pairs" % 343 ** 4 in v.notes
+    assert v.method == "square-criterion"
+    assert zero_divisor_search(D) == ("none", None)
     D = DicksonAlgebra(K, sigma, K.gen() * K.gen())
     v = division_decide(D)
     assert v.status == "proved-not-division"
@@ -656,7 +667,7 @@ def test_census_pinned_reports(p, n, limit):
 @pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
 def test_census_division_column_matches_rank_walk(p, n):
     """The census reads division off the critical-value set; the rank walk
-    of division_decide is the independent oracle here."""
+    is the independent oracle here."""
     K = make_field(p, n)
     coeff = FieldCoefficients(K)
     sigmas = {s.label: s for s in K.automorphisms()}
@@ -666,7 +677,8 @@ def test_census_division_column_matches_rank_walk(p, n):
         D = DicksonAlgebra(coeff, sigmas[entry["sigma"]],
                            parse_element(coeff, entry["c"]), "commutative",
                            allow_identity=True)
-        assert entry["division"] == division_decide(D).status
+        assert entry["division"] == DIVISION
+        assert zero_divisor_search(D) == ("none", None)
 
 
 def test_census_never_walks(monkeypatch):
@@ -677,7 +689,7 @@ def test_census_never_walks(monkeypatch):
     assert census(3, 3).classes_including_id == 3
     assert census(5, 3, limit=125).classes_including_id == 3
     with pytest.raises(AssertionError, match="rank walk"):
-        division_decide(_gf(3, 2, [0, 1]))
+        zero_divisor_search(_gf(3, 2, [0, 1]))
 
 
 def test_census_planted_wrong_b_raises(monkeypatch):

@@ -27,8 +27,8 @@ def test_readme_division_gf9(capsys):
         "--c", "0,1"])
     assert code == 0
     assert "verdict:  proved-division" in out
-    assert "method:   exhaustive-scan" in out
-    assert "no annihilating pair among all 6561 ordered pairs" in out
+    assert "method:   square-criterion" in out
+    assert "c is not a square (Euler's criterion)" in out
 
 
 def test_readme_autgroup_gf27(capsys):
@@ -273,22 +273,6 @@ def test_reducible_modulus_rejected(capsys):
     assert "reducible" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "1e6"])
-def test_bad_exhaustive_cap_is_refused(capsys, monkeypatch, value):
-    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", value)
-    for argv in (["division", "--coeff", "gf(3,2)", "--sigma", "frobenius:1",
-                  "--c", "0,1"],
-                 ["census", "--p", "3", "--n", "2"]):
-        code, out, err = run_cli(capsys, argv)
-        assert code == 2 and out == ""
-        assert err == ("error: DICKSON_MAX_EXHAUSTIVE must be a nonnegative "
-                       "integer, not %r\n" % value)
-    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "6561")
-    code, out, _ = run_cli(capsys, ["division", "--coeff", "gf(3,2)",
-                                    "--sigma", "frobenius:1", "--c", "0,1"])
-    assert code == 0 and "proved-division" in out
-
-
 def test_missing_spec_file(capsys):
     code, _, err = run_cli(capsys, [
         "division", "--spec", "/nonexistent/alg.json"])
@@ -321,14 +305,27 @@ def test_autgroup_above_the_table_bound_names_it(capsys):
     assert err == NO_TABLES
 
 
-def test_division_above_the_table_bound_refuses_before_the_walk(
-        capsys, monkeypatch):
+def _no_walk(monkeypatch):
     def walk(D):
         raise AssertionError("the division ran a rank walk")
 
     monkeypatch.setattr(dickson.doubling, "_first_singular_left_factor", walk)
-    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "200000000")
+
+
+def test_division_above_the_table_bound_answers_a_nonsquare(
+        capsys, monkeypatch):
+    # Euler's criterion needs no index tables
+    _no_walk(monkeypatch)
     code, out, err = run_cli(capsys, ["division"] + GF101_2)
+    assert code == 0, err
+    assert "verdict:  proved-division" in out
+
+
+def test_division_above_the_table_bound_refuses_before_the_walk(
+        capsys, monkeypatch):
+    # 4 is a square, and its root is read off the index tables
+    _no_walk(monkeypatch)
+    code, out, err = run_cli(capsys, ["division"] + GF101_2[:-1] + ["4,0"])
     assert code == 2 and out == ""
     assert err == NO_TABLES
 
@@ -447,18 +444,22 @@ def test_module_entry_point_version():
 
 def test_decision_path_runs_without_numpy():
     """numpy is no dependency: with it blocked, the CLI imports and decides
-    a GF(49) doubling, 2401^2 ordered pairs, under the default cap, the
-    brute-force oracle agrees with the enumeration over GF(9), and nothing
-    tries to load numpy."""
+    a GF(49) doubling, the rank walk over its 2401 left factors agrees,
+    the brute-force oracle agrees with the enumeration over GF(9), and
+    nothing tries to load numpy."""
     child = "\n".join([
         "import sys",
         "sys.modules['numpy'] = None",
         "import dickson.cli",
         "from dickson.analysis import enumerate_automorphisms",
+        "from dickson.doubling import zero_divisor_search",
         "from dickson.parsing import algebra_from_document",
         "from oracles import automorphism_images, oracle_automorphisms",
         "rc = dickson.cli.main(['division', '--coeff', 'gf(7,2)',",
         "                       '--sigma', 'frobenius:1', '--c', '0,1'])",
+        "D49 = algebra_from_document({'coeff': 'gf(7,2)',",
+        "                             'sigma': 'frobenius:1', 'c': '0,1'})",
+        "print('walk:', zero_divisor_search(D49)[0])",
         "D = algebra_from_document({'coeff': 'gf(3,2)',",
         "                           'sigma': 'frobenius:1', 'c': '0,1'})",
         "prints = sorted(automorphism_images(D, d)",
@@ -469,16 +470,14 @@ def test_decision_path_runs_without_numpy():
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
-    env = {k: v for k, v in os.environ.items()
-           if k != "DICKSON_MAX_EXHAUSTIVE"}
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(env, PYTHONPATH=os.pathsep.join((src,
-                                                                    tests))))
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join((src, tests))))
     assert proc.returncode == 0, proc.stderr
     assert "verdict:  proved-division" in proc.stdout
-    assert "no annihilating pair among all 5764801 ordered pairs" \
-        in proc.stdout
+    assert "c is not a square (Euler's criterion)" in proc.stdout
+    assert "walk: none" in proc.stdout
     assert "oracle agrees: True 4" in proc.stdout
 
 

@@ -404,26 +404,26 @@ def test_element_at_refuses_indices_outside_the_doubling():
             D.element_at(bad)
 
 
-def test_search_cap_counts_left_factors(monkeypatch):
-    # GF(49) doubled has 2401 left factors and 2401^2 ordered pairs
-    K = make_field(7, 2)
+def test_search_cap_counts_left_factors():
+    # GF(31^2) doubled has 923,521 left factors, under the cap of 10^6,
+    # though its ordered pairs are far over it
+    K = make_field(31, 2)
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
-    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "2400")
-    with pytest.raises(ValueError, match="2401 left factors"):
-        zero_divisor_search(D)
-    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "2401")
+    assert D.size() == 923521
     assert zero_divisor_search(D) == ("none", None)
 
 
 def test_search_cap_refuses_large_exhaustive(monkeypatch):
-    K = make_field(3, 2)
-    D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
-    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "10")
-    with pytest.raises(ValueError):
+    # GF(1009) doubled has 1,018,081 left factors: refused before any walk
+    def walk(D):
+        raise AssertionError("the search walked over the cap")
+
+    monkeypatch.setattr(doubling, "_first_singular_left_factor", walk)
+    K = make_field(1009, 1)
+    D = DicksonAlgebra(K, FrobeniusAut(K, 0), K.gen(), allow_identity=True)
+    with pytest.raises(ValueError, match="1018081 left factors, over the "
+                       r"cap of 10\^6"):
         zero_divisor_search(D)
-    monkeypatch.setenv("DICKSON_MAX_EXHAUSTIVE", "1000000")
-    status, _ = zero_divisor_search(D)
-    assert status == "none"
 
 
 def test_search_infinite_square_c_constructive():

@@ -5,10 +5,8 @@
 Every question that perfbench/workloads.py builds for the three workloads
 at each seed is asked through dickson.cli.main with --format json, with
 the program imported from the src/ of the checkout this script lives in.
-Finite-sweep questions run under the scan cap the benchmark client sets
-for them (GF49_PAIR_CAP).  OUT gets one JSON line per question: the
-question, the exit code, the envelope without its wall_time_s and
-anything written to stderr.
+OUT gets one JSON line per question: the question, the exit code, the
+envelope without its wall_time_s and anything written to stderr.
 
 A change keeps the answers when the files written from the two checkouts
 at the same seeds are byte-identical (`cmp parent.jsonl change.jsonl`).
@@ -28,7 +26,6 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PERFBENCH = os.path.join(ROOT, "perfbench")
-CAP = "DICKSON_MAX_EXHAUSTIVE"
 
 
 def ask(main, argv):
@@ -51,8 +48,7 @@ def ask(main, argv):
 
 
 def answer_lines(seeds):
-    """The lines of OUT, without newlines, one per question in order.
-    Sets or clears DICKSON_MAX_EXHAUSTIVE per workload and leaves it so;
+    """The lines of OUT, without newlines, one per question in order;
     the package is the dickson already imported, if any."""
     import dickson.cli
     spec = importlib.util.spec_from_file_location(
@@ -60,10 +56,6 @@ def answer_lines(seeds):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for workload in workloads.WORKLOADS:
-        if workload == "finite-sweep":
-            os.environ[CAP] = str(workloads.GF49_PAIR_CAP)
-        else:
-            os.environ.pop(CAP, None)
         for seed in seeds:
             for q in workloads.generate(workload, seed):
                 rc, envelope, stderr = ask(dickson.cli.main, q["argv"])
