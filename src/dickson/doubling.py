@@ -26,8 +26,14 @@ Nuclei, the commuting elements and the center are computed as kernels of
 exact F-linear systems, never assumed from theory.  Their associators
 and mul_by_constants, the second product used for cross-checks, are read
 off one structure tensor, kept per doubling and contracted the same way
-over every base field: on ints over GF(p), on ints over one common
-denominator over Q, and on PadicNumbers over Q_p.  The exhaustive
+over GF(p) and Q: on ints, over one common denominator over Q.  A
+doubling over Q_p(sqrt d) has its nuclei and construct's checks computed
+on its rational twin (rational_twin), the doubling over Q(sqrt d) with
+the same sigma, variant and c: every number such a question brings in is
+rational, and ranks and kernels do not change under field extension.
+p-adic arithmetic is left where a p-adic root enters: the b values of
+the automorphism and isomorphism searches, division and its
+not-division preimages.  The exhaustive
 zero-divisor search over finite fields is a rank test over GF(p): the
 doubled product is GF(p)-bilinear, so x has a right annihilator exactly
 when the matrix of left multiplication by x is singular.  Each such
@@ -42,16 +48,17 @@ which decides GF(p^n) by the squares instead.
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .fields import FiniteField, FrobeniusAut
 from .linalg import (FpOps, QOps, _integer_scaled, kernel_basis,
                      packed_layout, packed_singular, rref)
 from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt, _mod_sqrt,
-                     ext_is_square, ext_sqrt)
-from .quadratic import (QuadField, is_norm_from_quadfield, quad_is_square,
-                        rational_is_square, rational_sqrt)
-from .quaternions import InnerAut, QuaternionAlgebra, quat_is_square
+                     ext_is_square, ext_sqrt, rational_coords)
+from .quadratic import (QuadField, _quad, is_norm_from_quadfield,
+                        quad_is_square, rational_is_square, rational_sqrt)
+from .quaternions import (InnerAut, QuaternionAlgebra, _quaternion,
+                          quat_is_square)
 from .reports import NucleusReport, certify
 
 VARIANTS = ("commutative", "left", "middle", "right")
@@ -135,6 +142,16 @@ class _Coefficients:
 
     def sort_key(self, x):
         return tuple(x.coords())
+
+    def scaled_coords(self, x):
+        """(ints, den): the coordinates of x times den, as ints.  Here the
+        coordinates themselves and 1; a kind that keys on ints over one
+        denominator returns that key."""
+        return x.coords(), 1
+
+    def from_scaled_coords(self, vec, den):
+        """The element with coordinates vec / den (den is 1 here)."""
+        return self.from_coords(vec)
 
     def is_invertible(self, x):
         return not x.is_zero()
@@ -243,13 +260,26 @@ class _QuadraticCoefficients(_Coefficients):
 
 
 class QuadCoefficients(_QuadraticCoefficients):
-    """Q(sqrt(a)) over F = Q."""
+    """Q(sqrt(a)) over F = Q.  As the rational twin of a Q_p extension
+    (rational_twin), it keeps that extension as `padic` and draws its
+    random elements as the extension does."""
 
     kind = "quad"
     algebra = QuadField
 
+    def __init__(self, K, padic=None):
+        super().__init__(K)
+        self.padic = padic
+
     def base_ops(self):
         return QOps()
+
+    def scaled_coords(self, x):
+        X, Y, d = x._k
+        return [X, Y], d
+
+    def from_scaled_coords(self, vec, den):
+        return _quad(self.K, vec[0], vec[1], den)
 
     def is_square(self, x):
         return quad_is_square(x)
@@ -258,12 +288,22 @@ class QuadCoefficients(_QuadraticCoefficients):
         return "quad(%d)" % self.K.a
 
     def random_element(self, rng):
-        return self.K.element(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
-                              Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+        if self.padic is None:
+            return self.K.element(
+                Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
+                Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+        # the extension's draw, (x + y*alpha) * p**shift, from the ints
+        x, y, shift = self.padic.draw(rng)
+        p = self.padic.ctx.p
+        if shift < 0:
+            return _quad(self.K, x, y, p)
+        return _quad(self.K, x * p ** shift, y * p ** shift, 1)
 
 
 class PadicCoefficients(_QuadraticCoefficients):
-    """Q_p(alpha) over F = Q_p, bounded precision."""
+    """Q_p(alpha) over F = Q_p, bounded precision.  construct and the
+    nuclei run on the rational twin of a doubling (rational_twin); the
+    p-adic arithmetic serves the searches that take p-adic roots."""
 
     kind = "padic"
     algebra = PadicQuadExt
@@ -316,6 +356,12 @@ class QuatCoefficients(_Coefficients):
 
     def from_coords(self, vec):
         return self.B.element(*vec)
+
+    def scaled_coords(self, x):
+        return list(x._k[:4]), x._k[4]
+
+    def from_scaled_coords(self, vec, den):
+        return _quaternion(self.B, *vec, den)
 
     def is_invertible(self, x):
         return not self.B.ops.is_zero(x.norm())
@@ -551,6 +597,29 @@ class DicksonAlgebra:
         }
 
 
+def rational_twin(D):
+    """D itself, or for a doubling over Q_p(sqrt d) the doubling over
+    Q(sqrt d) with the same sigma, variant and c, kept on D.
+
+    Every number a Q_p question brings in is rational: d is p, u or u p
+    with u a prime below p, so d is squarefree; c is the rational pair its
+    literal names (padics.rational_coords); and the random elements of
+    construct are ints times p**shift.  So the structure tensor, the
+    identity trials and the nucleus systems of D are those of its twin
+    with the same coordinates, and the twin eliminates them exactly: rank
+    and kernels do not change under the extension from Q to Q_p.  Its
+    coefficients draw random elements as D's do, from the same rng calls."""
+    if D.coeff.kind != "padic":
+        return D
+    if "twin" not in D._memo:
+        ext = D.coeff.K
+        A = QuadCoefficients(QuadField(ext.d_int), padic=ext)
+        D._memo["twin"] = DicksonAlgebra(
+            A, D.sigma, A.K.element(*rational_coords(D.c)), D.variant,
+            allow_identity=True)
+    return D._memo["twin"]
+
+
 # ---------------------------------------------------------------------------
 # structure constants: an independent product path used for cross-checks
 
@@ -569,9 +638,9 @@ def _integer_constants(D):
     """The structure constants over one denominator, as (P, den, zero):
     P[i][j] is den times the coordinate row of e_i e_j, and zero is the
     zero of P's entries.  Over Q the entries are ints and den is one common
-    multiple of the table's denominators; over GF(p) and Q_p, P is the
-    table itself, of ints or PadicNumbers, with den = 1.  It is kept on D
-    beside the constants, so callers must not change it."""
+    multiple of the table's denominators; otherwise P is the table itself,
+    with den = 1.  It is kept on D beside the constants, so callers must
+    not change it."""
     if "integer" not in D._memo:
         n, ops, P = D.dim, D.coeff.base_ops(), structure_constants(D)
         den, zero = 1, ops.zero
@@ -583,25 +652,37 @@ def _integer_constants(D):
     return D._memo["integer"]
 
 
+def _scaled(D, x):
+    """(ints, den): the coordinates of x times den, as ints, from the
+    adapter's scaled_coords of its two halves."""
+    A = D.coeff
+    u, du = A.scaled_coords(x.u)
+    v, dv = A.scaled_coords(x.v)
+    if du == dv:
+        return u + v, du
+    den = lcm(du, dv)
+    return [t * (den // du) for t in u] + [t * (den // dv) for t in v], den
+
+
 def mul_by_constants(D, table, x, y):
     """x * y as the sum of x_i y_j (e_i e_j) over the structure constants
     table = structure_constants(D), contracted on their integer form
-    (_integer_constants).  Over Q the coordinates of x and of y are scaled
-    to ints over one denominator each, and one Fraction is built per
-    coordinate of the product; over GF(p) from_coords reduces the int sums
-    mod p, and over Q_p they are sums of PadicNumbers.  Only the nonzero
-    entries of the tensor add a term, kept on D as (k, entry) lists per
-    row: t + 0 is t over all three, and each coordinate still sums its
-    terms in the order of (i, j)."""
+    (_integer_constants).  The coordinates of x and of y come as ints over
+    one denominator each (_scaled): over Q the element's own key, over
+    GF(p) its residues.  The int sums over the product of the three
+    denominators make the product by from_scaled_coords, which divides out
+    the gcd over Q and reduces mod p over GF(p); no Fraction is made.  Only
+    the nonzero entries of the tensor add a term, kept on D as (k, entry)
+    lists per row, and each coordinate sums its terms in the order of
+    (i, j)."""
     if table is not D._memo.get("constants"):
         raise ValueError("table must be structure_constants(D)")
-    ops = D.coeff.base_ops()
     P, den, zero = _integer_constants(D)
     if "sparse" not in D._memo:
         D._memo["sparse"] = [[[(k, u) for k, u in enumerate(row) if u]
                               for row in Pa] for Pa in P]
-    xs, dx = _integer_scaled(D.coords(x), ops)
-    ys, dy = _integer_scaled(D.coords(y), ops)
+    xs, dx = _scaled(D, x)
+    ys, dy = _scaled(D, y)
     acc = [zero] * D.dim
     for a, Sa in zip(xs, D._memo["sparse"]):
         if a:
@@ -610,8 +691,10 @@ def mul_by_constants(D, table, x, y):
                     s = a * b
                     for k, u in row:
                         acc[k] = acc[k] + s * u
+    A, m = D.coeff, D.coeff.dim
     den *= dx * dy
-    return D.from_coords(acc if den == 1 else [Fraction(t, den) for t in acc])
+    return D.element(A.from_scaled_coords(acc[:m], den),
+                     A.from_scaled_coords(acc[m:], den))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +705,7 @@ def _associators(P, dim, ops, zero):
     """assoc[a][b][c], the coordinate row of (e_a e_b) e_c - e_a (e_b e_c),
     and comm[a][b], that of e_a e_b - e_b e_a, from the tensor P of
     _integer_constants, whose entries have the given zero: ints reduced mod
-    p over GF(p), unreduced ints over Q and PadicNumbers over Q_p.  For
+    p over GF(p), unreduced ints over Q.  For
     each pair (a, b), (e_a e_b) e_c for every c is one combination of the
     flattened tables P[m]; for each (b, c), e_a (e_b e_c) for every a is
     one of the flattened P[.][m].  Each combination sums its terms in the
@@ -664,19 +747,21 @@ def compute_nuclei(D):
     evaluated on basis pairs.  The left, middle and right systems are its
     three slot views, with the unknown w = sum w_i e_i in the first, second
     or third slot; the commuting system reads [e_i, e_j] off the tensor.
-    Rows come key by key in a fixed order, since over Q_p the pivot choice
-    of rref depends on it; the kernels themselves are canonical in the row
-    space.  One routine (_associators) contracts the tensor over every base
-    field: on ints over GF(p), on ints over Q once the tensor is scaled by
-    one common denominator (_integer_constants), since scaling a system
-    does not change its kernel, and on PadicNumbers over Q_p.  The report
-    is kept on D, so callers must not change it.
+    Rows come key by key in a fixed order; the kernels themselves are
+    canonical in the row space.  One routine (_associators) contracts the
+    tensor: on ints over GF(p), and on ints over Q once the tensor is
+    scaled by one common denominator (_integer_constants), since scaling a
+    system does not change its kernel.  Over Q_p the systems are those of
+    the rational twin (rational_twin), solved exactly over Q, and the
+    kernel vectors become elements of D at its precision.  The report is
+    kept on D, so callers must not change it.
     """
     if "nuclei" in D._memo:
         return D._memo["nuclei"]
     dim = D.dim
-    ops = D.coeff.base_ops()
-    P, _, zero = _integer_constants(D)
+    T = rational_twin(D)
+    ops = T.coeff.base_ops()
+    P, _, zero = _integer_constants(T)
     assoc, commutator = _associators(P, dim, ops, zero)
     idx = range(dim)
 

@@ -6,6 +6,15 @@ addition renormalizes and full cancellation collapses to exact zero.
 Squareness questions only ever need the valuation parity plus one residue
 digit, so the default window is generous.
 
+A literal names a rational: "v:u" is p^v * u and "a/b" is a/b.  An
+extension element made from two rationals keeps them (`exact`), and
+rational_coords reads them back; for any other element it reads the
+rational p^val * unit that the digits write.  The doubling module runs
+construct and the nuclei of a Q_p doubling on those rationals, over
+Q(sqrt d) (doubling.rational_twin), so the working precision N bounds
+only the p-adic work: square roots (Hensel lifting) and the searches
+that use them.
+
 The sum has one home, _sum on two (val, unit, prec) triples: `+` calls it
 on two numbers, and the Q_p(alpha) product calls it through _dot on the
 triples of its scalar products, which it never builds as numbers.
@@ -393,9 +402,16 @@ class PadicQuadExt:
         self._residue_field = None
 
     def element(self, x, y):
-        def lift(v):
-            return v if isinstance(v, PadicNumber) else self.ctx.from_fraction(Fraction(v))
-        return PadicExtElement(self, lift(x), lift(y))
+        """x + y*alpha from PadicNumbers or rationals.  Given two rationals
+        it keeps them, as the rationals the element names (rational_coords)."""
+        if isinstance(x, PadicNumber) or isinstance(y, PadicNumber):
+            def lift(v):
+                return (v if isinstance(v, PadicNumber)
+                        else self.ctx.from_fraction(v))
+            return PadicExtElement(self, lift(x), lift(y))
+        exact = (Fraction(x), Fraction(y))
+        return PadicExtElement(self, self.ctx.from_fraction(exact[0]),
+                               self.ctx.from_fraction(exact[1]), exact)
 
     def zero(self):
         return self.element(0, 0)
@@ -430,21 +446,20 @@ class PadicQuadExt:
             return self.element(scalar, 0)
         return self.element(0, scalar)
 
-    def random_element(self, rng):
+    def draw(self, rng):
+        """The ints (x, y, shift) of one random element, (x + y*alpha) *
+        p**shift: x, y in [-99, 99], not both 0, and shift 0, 1 or -1."""
         while True:
             x = rng.randrange(-99, 100)
             y = rng.randrange(-99, 100)
             if x or y:
                 break
-        shift = rng.choice([0, 0, 1, -1])
-        z = self.element(Fraction(x), Fraction(y))
-        if not shift:
-            return z
-        # z times p**shift, whose unit is 1 to full precision: only the
-        # valuations of the nonzero coordinates move
-        x, y = (_number(t.ctx, t.val + shift, t.unit, t.prec) if t.unit
-                else t for t in (z.x, z.y))
-        return PadicExtElement(self, x, y)
+        return x, y, rng.choice([0, 0, 1, -1])
+
+    def random_element(self, rng):
+        x, y, shift = self.draw(rng)
+        s = Fraction(self.ctx.p) ** shift
+        return self.element(x * s, y * s)
 
     def __eq__(self, other):
         if other is self:
@@ -461,16 +476,18 @@ class PadicQuadExt:
 
 class PadicExtElement(Element):
     """x + y*alpha over a PadicQuadExt; x and y are PadicNumbers, and
-    (x, 0) equals x."""
+    (x, 0) equals x.  `exact` is the pair of rationals the element was made
+    from by ext.element, or None; arithmetic results keep none."""
 
-    __slots__ = ("ext", "x", "y")
+    __slots__ = ("ext", "x", "y", "exact")
     parent = property(attrgetter("ext"))
     _scalars = (int, Fraction, PadicNumber)
 
-    def __init__(self, ext, x, y):
+    def __init__(self, ext, x, y, exact=None):
         self.ext = ext
         self.x = x
         self.y = y
+        self.exact = exact
 
     def _lift(self, s):
         return self.ext.element(s, 0)
@@ -561,6 +578,24 @@ class PadicExtElement(Element):
         cx = 0 if self.x.is_zero() or self.x.val > 0 else self.x.residue()
         cy = 0 if self.y.is_zero() or self.y.val > 0 else self.y.residue()
         return R.element([cx, cy])
+
+
+def _written(t):
+    """The rational p**val * unit that the digits of a PadicNumber write."""
+    if not t.unit:
+        return Fraction(0)
+    if t.val < 0:
+        return Fraction(t.unit, t.ctx.p ** -t.val)
+    return Fraction(t.unit * t.ctx.p ** t.val)
+
+
+def rational_coords(z):
+    """The rationals x, y that the extension element z = x + y*alpha
+    names: those it was made from (a literal, ext.element on rationals),
+    else those its digits write."""
+    if z.exact is not None:
+        return list(z.exact)
+    return [_written(z.x), _written(z.y)]
 
 
 def ext_is_square(z):

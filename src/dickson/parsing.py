@@ -29,8 +29,7 @@ from fractions import Fraction
 from .doubling import (DicksonAlgebra, FieldCoefficients, PadicCoefficients,
                        QuadCoefficients, QuatCoefficients)
 from .fields import FieldError, FrobeniusAut, make_field
-from .padics import (DEFAULT_PRECISION, PadicContext, PadicNumber,
-                     PadicQuadExt)
+from .padics import DEFAULT_PRECISION, PadicContext, PadicQuadExt
 from .quadratic import QuadField
 from .quaternions import InnerAut, QuaternionAlgebra
 
@@ -180,12 +179,13 @@ def parse_element(coeff, text):
         for part in parts:
             if ":" in part:
                 v, _, u = part.partition(":")
-                comps.append(_padic_from_parts(ctx, _int(v, "valuation"),
-                                               _int(u, "unit part")))
+                comps.append(_padic_rational(ctx, _int(v, "valuation"),
+                                             _int(u, "unit part")))
             else:
-                comps.append(ctx.from_fraction(_rational(part)))
+                comps.append(_rational(part))
         while len(comps) < 2:
-            comps.append(ctx.zero())
+            comps.append(Fraction(0))
+        # the element keeps the rationals the literal names
         return coeff.K.element(comps[0], comps[1])
     if len(parts) != 4:
         raise DescriptionError('quaternion literal is "x,y,z,w"')
@@ -195,11 +195,12 @@ def parse_element(coeff, text):
     return coeff.B.element(*[_rational(x) for x in parts])
 
 
-def _padic_from_parts(ctx, val, unit):
-    try:
-        return PadicNumber(ctx, val, unit, ctx.N)
-    except ValueError as exc:
-        raise DescriptionError("bad val:unit literal: %s" % exc) from None
+def _padic_rational(ctx, val, unit):
+    """p^val * unit, the rational a val:unit literal names."""
+    if unit % ctx.p == 0 and unit:
+        raise DescriptionError("bad val:unit literal: unit part divisible "
+                               "by p")
+    return Fraction(ctx.p) ** val * unit
 
 
 _KEYS = {"coeff", "sigma", "c", "variant", "allow_identity"}

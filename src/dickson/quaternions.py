@@ -56,10 +56,11 @@ class QuaternionAlgebra:
         self._ab = (na, da, nb, db, da * db, na * db, nb * da, na * nb)
 
     def scalar(self, v):
-        """v as a coordinate: a Fraction over Q; over GF(p) the residue of
-        n/d = v, n * d^-1 mod p, which does not exist when p divides d."""
+        """v as a coordinate: over Q a Fraction or an int, v itself when it
+        is one; over GF(p) the residue of n/d = v, n * d^-1 mod p, which
+        does not exist when p divides d."""
         if self.p is None:
-            return Fraction(v)
+            return v if isinstance(v, (Fraction, int)) else Fraction(v)
         n, d = v.as_integer_ratio()
         if d % self.p == 0:
             raise ZeroDivisionError("%s has no residue mod %d" % (v, self.p))

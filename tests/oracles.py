@@ -17,11 +17,15 @@ and not in the package:
     fields._smallest_irreducible prunes with;
   * the quaternion_* and quadratic_* functions are the Fraction formulas
     of the element operators, which now work on integer numerators;
+  * quadratic_doubling_nucleus_dims gives the nucleus dimensions of a
+    doubling of Q(sqrt d) as sympy nullspaces of associator systems
+    built from its own product on Fraction pairs;
   * the rest are small helpers: fixed subfields and subalgebras, norms to
     a fixed field, p-adic square classes and random invertible elements.
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 from dickson.analysis import apply_automorphism, enumerate_automorphisms
@@ -348,6 +352,69 @@ def quadratic_inverse(u):
     return [u.x / n, -u.y / n]
 
 
+
+
+def quadratic_doubling_nucleus_dims(d, c, conjugate):
+    """The dimensions compute_nuclei reports for the doubling of Q(sqrt d)
+    by c = (c0, c1), sigma the conjugation or the identity, each the
+    dimension of a sympy nullspace over QQ.  Elements are pairs of
+    coefficient pairs (x, y) = x + y sqrt(d) of Fractions; the product is
+    (u,v)(x,y) = (ux + c sigma(vy), uy + vx), the one every variant gives
+    over a commutative B, and each associator or commutator of basis
+    elements is multiplied out from it, with no structure tensor."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def mul(a, b):
+        return (a[0] * b[0] + d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def add(a, b, sign=1):
+        return (a[0] + sign * b[0], a[1] + sign * b[1])
+
+    def dmul(X, Y):
+        vy = mul(X[1], Y[1])
+        if conjugate:
+            vy = (vy[0], -vy[1])
+        return (add(mul(X[0], Y[0]), mul(c, vy)),
+                add(mul(X[0], Y[1]), mul(X[1], Y[0])))
+
+    def coords(X):
+        return [X[0][0], X[0][1], X[1][0], X[1][1]]
+
+    zero, one, root = (Fraction(0), Fraction(0)), (1, 0), (0, 1)
+    E = [(one, zero), (root, zero), (zero, one), (zero, root)]
+    m = len(E)
+    idx = range(m)
+
+    def assoc(x, y, z):
+        a, b = dmul(dmul(x, y), z), dmul(x, dmul(y, z))
+        return [s - t for s, t in zip(coords(a), coords(b))]
+
+    def rows(vector):
+        # one row per (key, coordinate): sum_i w_i vector(i, key)[r] = 0
+        out = []
+        for key in itertools.product(idx, repeat=2):
+            cols = [vector(i, *key) for i in idx]
+            out += [[col[r] for col in cols] for r in idx]
+        return out
+
+    left = rows(lambda i, j, k: assoc(E[i], E[j], E[k]))
+    middle = rows(lambda i, j, k: assoc(E[j], E[i], E[k]))
+    right = rows(lambda i, j, k: assoc(E[j], E[k], E[i]))
+    comm = rows(lambda i, j, k: [s - t for s, t in
+                                 zip(coords(dmul(E[i], E[j])),
+                                     coords(dmul(E[j], E[i])))])
+
+    def null_dim(system):
+        M = DomainMatrix([[QQ(t.numerator, t.denominator) for t in map(
+            Fraction, row)] for row in system], (len(system), m), QQ)
+        return M.nullspace().shape[0]
+
+    return {"left": null_dim(left), "middle": null_dim(middle),
+            "right": null_dim(right),
+            "nucleus": null_dim(left + middle + right),
+            "commuter": null_dim(comm),
+            "center": null_dim(left + middle + right + comm)}
 
 
 def fixed_subalgebra(aut):

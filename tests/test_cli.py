@@ -106,6 +106,29 @@ def test_readme_padic_unknown_exits_zero(capsys):
     assert "do not decide this case" in out
 
 
+@pytest.mark.parametrize("coeff, c", [("qp(5;sqrt_u;4)", "30:1,-30:1"),
+                                      ("qp(7;sqrt_up;16)", "1/7,3"),
+                                      ("qp(3;sqrt_p;8)", "2,-1:2")])
+def test_padic_construct_and_nuclei_take_no_padic_arithmetic(
+        capsys, monkeypatch, coeff, c):
+    """construct and nuclei over Q_p answer on the exact rational twin, so
+    they still answer when p-adic products and sums refuse to run."""
+    from dickson.padics import PadicNumber
+
+    def refuse(*args):
+        raise AssertionError("p-adic arithmetic")
+    monkeypatch.setattr(PadicNumber, "__mul__", refuse)
+    monkeypatch.setattr(PadicNumber, "__add__", refuse)
+    argv = ["--coeff=" + coeff, "--sigma=conjugate", "--c=" + c,
+            "--format=json"]
+    code, out, _ = run_cli(capsys, ["construct"] + argv)
+    assert code == 0 and json.loads(out)["result"]["all_passed"] is True
+    code, out, _ = run_cli(capsys, ["nuclei"] + argv)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["dims"]["center"] == 1
+    assert result["bases"]["center"] == [["0:1,0", "0,0"]]
+
+
 def test_readme_bad_input_exits_two(capsys):
     code, out, err = run_cli(capsys, [
         "construct", "--coeff", "qp(2)", "--sigma", "conjugate",

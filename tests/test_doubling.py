@@ -262,6 +262,30 @@ def test_rational_constants_product_makes_no_scalar_op_calls(monkeypatch):
         assert mul_by_constants(D, table, x, y) == want
 
 
+def test_rational_constants_product_makes_no_fraction(monkeypatch):
+    """Over Q the contraction reads each element's integer key and builds
+    the product from ints: no module it runs through makes a Fraction."""
+    from dickson import quadratic, quaternions
+    docs = [{"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
+            {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
+             "c": "1/2,2,-1/3,3/4", "variant": "right"}]
+    rng = random.Random(36)
+    cases = []
+    for doc in docs:
+        D = algebra_from_document(doc)
+        table = structure_constants(D)
+        x, y = D.random_element(rng), D.random_element(rng)
+        mul_by_constants(D, table, x, y)    # the tensor's integer form
+        cases.append((D, table, x, y, D.mul(x, y)))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was made")
+    for module in (doubling, linalg, quadratic, quaternions):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    for D, table, x, y, want in cases:
+        assert mul_by_constants(D, table, x, y) == want
+
+
 def test_product_grid_reproduces_products_exactly():
     """The oracle's index table must agree with the direct product on
     every ordered pair, for every variant tag."""

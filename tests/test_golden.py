@@ -123,10 +123,10 @@ COMMANDS["autgroup/quat/taus"] = (
     + ["--tau=id", "--tau=conjugation:0,1,0,0", "--tau=conjugation:0,0,1,0"])
 COMMANDS["autgroup/padic/order2"] = (
     ["autgroup"] + _inline(dict(_doc(QP5, "0,1"), coeff="qp(3;sqrt_p;16)")))
-# the known precision fault: at 4 digits the bounded p-adic sums break
-# both distributive laws and the structure-constants check, and this
-# records that answer as it stands, so that a change in the order of any
-# sum fails here; a fix of the fault changes it on purpose
+# once a precision fault: at 4 digits the bounded p-adic sums broke both
+# distributive laws and the structure-constants check.  construct runs on
+# the exact rational twin (doubling.rational_twin), which names c =
+# 5^30 + 5^-30 sqrt(2) exactly, so every check passes at any precision
 COMMANDS["construct/padic/fault"] = (
     ["construct"] + _inline(dict(_doc(QP5, "30:1,-30:1"),
                                  coeff="qp(5;sqrt_u;4)")))

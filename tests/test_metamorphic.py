@@ -4,9 +4,12 @@ Base change.  For a quadratic extension Q_p(sqrt d) of Q_p whose radicand
 d is an integer, Q(sqrt d) tensored with Q_p is Q_p(sqrt d), and a doubling
 over Q(sqrt d) with c = x + y sqrt(d) becomes the doubling over Q_p(sqrt d)
 with the same coordinates.  Its nuclei are kernels of one rational linear
-system, read over Q or over Q_p, so their dimensions must agree.  Over Q
-the system is eliminated exactly; over Q_p it goes through the p-adic
-arithmetic at a bounded precision N, so the relation checks that route.
+system, read over Q or over Q_p, so their dimensions must agree.  The
+program solves both on the rational system (doubling.rational_twin), so
+the dimensions are checked against sympy nullspaces of associator systems
+that tests/oracles.py multiplies out with its own product, at the
+precisions N = 4, 8 and 16.  construct on the two doublings of a twin
+pair must likewise pass on both or on neither.
 
 Field presentation.  GF(p^n) under two moduli is one field, and a
 doubling's invariants do not see how its elements are written.  Over
@@ -15,12 +18,16 @@ division verdict, nucleus dimensions, automorphism group order) must not
 depend on the modulus.
 """
 
+import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from oracles import quadratic_doubling_nucleus_dims
 
 from dickson.analysis import division_decide, enumerate_automorphisms
+from dickson.cli import main
 from dickson.doubling import DicksonAlgebra, compute_nuclei
 from dickson.fields import FrobeniusAut, make_field
 from dickson.parsing import algebra_from_document
@@ -37,21 +44,57 @@ def _doubling(coeff, sigma, c):
                                   "allow_identity": True})
 
 
-@pytest.mark.parametrize("rational, p, kind", TWINS)
-@pytest.mark.parametrize("sigma", ["conjugate", "id"])
-def test_base_change_keeps_nucleus_dimensions(rational, p, kind, sigma):
-    rng = random.Random("%s %d %s %s" % (rational, p, kind, sigma))
+def _constants(rng):
+    """Three literals x,y with small integer x and integer or fractional y,
+    not both 0."""
+    out = []
     for _ in range(3):
         x, y = 0, 0
         while not (x or y):
             x, y = rng.randrange(-9, 10), rng.randrange(-9, 10)
-        c = "%s,%s" % (x, rng.choice([y, "%d/%d" % (y, rng.randrange(1, 4))]))
+        out.append("%s,%s" % (x, rng.choice(
+            [y, "%d/%d" % (y, rng.randrange(1, 4))])))
+    return out
+
+
+@pytest.mark.parametrize("rational, p, kind", TWINS)
+@pytest.mark.parametrize("sigma", ["conjugate", "id"])
+def test_base_change_keeps_nucleus_dimensions(rational, p, kind, sigma):
+    rng = random.Random("%s %d %s %s" % (rational, p, kind, sigma))
+    for c in _constants(rng):
         D = _doubling(rational, sigma, c)
-        want = compute_nuclei(D).dims
-        for N in (8, 16):
+        d = D.coeff.K.a
+        want = quadratic_doubling_nucleus_dims(
+            d, [Fraction(t) for t in c.split(",")], sigma == "conjugate")
+        assert compute_nuclei(D).dims == want, c
+        for N in (4, 8, 16):
             E = _doubling("qp(%d;%s;%d)" % (p, kind, N), sigma, c)
-            assert E.coeff.K.d_int == D.coeff.K.a
+            assert E.coeff.K.d_int == d
             assert compute_nuclei(E).dims == want, (c, N)
+
+
+# the precision question: "30:1,-30:1" is 5^30 + 5^-30 sqrt(2) over
+# Q_5(sqrt 2), and its rational twin writes the integers out
+FAULT = ("qp(5;sqrt_u;4)", "30:1,-30:1",
+         "quad(2)", "%d,1/%d" % (5 ** 30, 5 ** 30))
+
+
+@pytest.mark.parametrize("padic, c, rational, rational_c",
+                         [("qp(%d;%s;%d)" % (p, kind, N), c, rational, c)
+                          for (rational, p, kind), N, c in zip(
+                              TWINS, (4, 8, 16, 4, 8, 16),
+                              ("1,1", "2,-1/3", "-3,2", "1/2,5", "7,0",
+                               "0,-2"))] + [FAULT])
+def test_construct_on_twins_passes_on_both_or_neither(capsys, padic, c,
+                                                      rational, rational_c):
+    passed = []
+    for coeff, literal in ((padic, c), (rational, rational_c)):
+        assert main(["construct", "--coeff=" + coeff, "--sigma=conjugate",
+                     "--c=" + literal, "--format=json"]) == 0
+        passed.append(json.loads(capsys.readouterr().out)
+                      ["result"]["all_passed"])
+    assert passed[0] == passed[1]
+    assert passed[0] is True
 
 
 # monic irreducible moduli, constant coefficient first

@@ -435,3 +435,42 @@ def test_division_example_rejects_zero_y():
     K = PadicQuadExt(ctx, "sqrt_p")
     with pytest.raises(ValueError):
         DicksonAlgebra(K, "conjugate", K.element(ctx.zero(), ctx.zero()))
+
+
+# ---------------------------------------------------------------------------
+# the rationals an element names, and the rational twin of a doubling
+
+def test_rational_coords_are_the_literal_or_the_digits():
+    from dickson.padics import rational_coords
+    from dickson.parsing import parse_coefficient, parse_element
+    A = parse_coefficient("qp(5;sqrt_u;4)")
+    # a literal names its rational exactly, beyond the 4 digits kept
+    z = parse_element(A, "30:1,-30:7")
+    assert rational_coords(z) == [Fraction(5) ** 30, Fraction(7, 5 ** 30)]
+    assert rational_coords(parse_element(A, "1/3")) == [Fraction(1, 3), 0]
+    # an arithmetic result names what its digits write: -1/3 at 4 digits
+    # is the unit 208, since 3 * 208 = 5^4 - 1
+    w = -parse_element(A, "3").inv()
+    assert rational_coords(w) == [Fraction(208), 0]
+    assert w == A.K.element(Fraction(-1, 3), 0)
+
+
+def test_rational_twin_draws_the_trials_of_the_padic_doubling():
+    from dickson.doubling import rational_twin
+    from dickson.padics import rational_coords
+    from dickson.parsing import algebra_from_document
+    D = algebra_from_document({"coeff": "qp(7;sqrt_up;8)",
+                               "sigma": "conjugate", "c": "1/7,-2:3"})
+    T = rational_twin(D)
+    assert rational_twin(D) is T and rational_twin(T) is T
+    assert T.coeff.describe() == "quad(%d)" % (3 * 7)
+    assert T.c.coords() == [Fraction(1, 7), Fraction(3, 49)]
+    assert (T.sigma, T.variant) == (D.sigma, D.variant)
+    seen = set()
+    r1, r2 = random.Random(5), random.Random(5)
+    for _ in range(60):
+        x, y = D.random_element(r1), T.random_element(r2)
+        assert rational_coords(x.u) + rational_coords(x.v) == T.coords(y)
+        seen.add(min(t.val for t in (x.u.x, x.u.y) if t.unit))
+    assert r1.random() == r2.random()
+    assert {-1, 0, 1} <= seen

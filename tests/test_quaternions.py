@@ -193,3 +193,12 @@ def test_quaternion_invalid_parameters():
         QuaternionAlgebra(0, 3)
     with pytest.raises(ValueError):
         QuaternionAlgebra(2, 3, p=4)
+
+
+def test_rational_scalar_takes_fractions_and_ints_as_they_are():
+    B = QuaternionAlgebra(2, 3)
+    half = Fraction(1, 2)
+    assert B.scalar(half) is half
+    assert B.scalar(7) == 7 and type(B.scalar(7)) is int
+    assert B.scalar("2/6") == Fraction(1, 3)
+    assert B.element(half, 7, "2/6", 0)._k == (3, 42, 2, 0, 6)
