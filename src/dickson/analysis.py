@@ -3,9 +3,9 @@ doubled algebras.
 
 The guiding rule: every positive claim is re-verified on the spot by
 direct computation (witness pairs are multiplied out, automorphism
-candidates are checked on a full basis) and anything the implemented
-criteria cannot settle is reported as "unknown" or "undetermined", never
-guessed.
+candidates are checked on a full basis or shown, on a basis, to be the
+composite of two checked ones) and anything the implemented criteria
+cannot settle is reported as "unknown" or "undetermined", never guessed.
 
 Automorphisms of D = B + B are represented as pairs (tau, b) acting by
 (u, v) -> (tau(u), tau(v) * b) where tau is an automorphism of the
@@ -15,10 +15,10 @@ coefficient algebra and b a coefficient element.
 from dataclasses import replace
 
 from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
-                       _norm_zero_pair, _quat_is_split, compute_nuclei,
-                       critical_constants)
+                       _norm_zero_pair, _quat_is_split, basis_products,
+                       compute_nuclei, critical_constants)
 from .fields import TABLE_BOUND, FrobeniusAut, make_field
-from .linalg import kernel_basis, solve
+from .linalg import solve
 from .padics import padic_is_square
 from .quadratic import (find_norm_preimage, is_norm_from_quadfield,
                         rational_is_square, rational_sqrt)
@@ -241,23 +241,29 @@ def compose_descriptors(D, d1, d2):
 
 
 def _map_failure(D1, D2, desc):
-    """Why (u,v) -> (tau(u), tau(v) b) is not an isomorphism D1 -> D2
-    (unital, multiplicative on a full basis, bijective), or None."""
-    basis = D1.basis()
+    """Why phi: (u,v) -> (tau(u), tau(v) b) is not an isomorphism D1 -> D2,
+    or None.  phi is F-linear, and three facts make it an isomorphism:
+      * it fixes the unit;
+      * it is bijective, checked as b being invertible: tau is a bijection
+        of B, and right multiplication by b on the finite-dimensional
+        associative algebra B is bijective exactly when b is invertible
+        (a bijection has some v with v b = 1, and a one-sided inverse in
+        such an algebra is two-sided);
+      * phi(e_i e_j) = phi(e_i) phi(e_j) on every basis pair, with e_i e_j
+        read from D1's table of basis products (basis_products), made
+        once per doubling and shared by every candidate checked against
+        D1."""
     if apply_automorphism(D2, desc, D1.unit()) != D2.unit():
         return "candidate does not fix the unit"
+    if not D2.coeff.is_invertible(desc[1]):
+        return "candidate is not bijective"
+    basis, products = basis_products(D1)
     images = [apply_automorphism(D2, desc, e) for e in basis]
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            lhs = apply_automorphism(D2, desc, D1.mul(x, y))
-            rhs = D2.mul(images[i], images[j])
-            if lhs != rhs:
+    for i, row in enumerate(products):
+        for j, xy in enumerate(row):
+            if apply_automorphism(D2, desc, xy) != D2.mul(images[i], images[j]):
                 return ("candidate is not multiplicative on basis pair "
                         "(%d, %d)" % (i, j))
-    ops = D2.coeff.base_ops()
-    rows = list(zip(*(D2.coords(im) for im in images)))
-    if kernel_basis(rows, D2.dim, ops):
-        return "candidate is not bijective"
     return None
 
 
@@ -276,8 +282,75 @@ def _b_candidates(D1, D2, tau):
     return D2.coeff.b_candidates(_c_ratio(D1, D2, tau), D2.sigma)
 
 
+def _prove_members(D, elements, table):
+    """Prove every element an automorphism of D and every row of its
+    composition table right, taking the elements in order.
+
+    Each element k is proved by the first rule that applies:
+      (a) it is the identity descriptor (id, 1), and it fixes every basis
+          vector;
+      (b) it is table[i][j] for members i and j already proved.  Row i is
+          already checked, so apply(d_k) equals apply(d_i) after
+          apply(d_j) on every basis vector; both maps are F-linear, so
+          they are the same map, a composite of two automorphisms;
+      (c) otherwise the full check, verify_automorphism.
+    Then its row, where table[k][l] is the member whose map is apply(d_k)
+    after apply(d_l), or None when no member's is:
+      (a) table[k][l] = l;
+      (b) table[k][l] = table[i][table[j][l]], since composition of maps
+          is associative and rows i and j are already checked;
+      (c) apply(d_k) to the basis images of every member l, and look the
+          result up among the members' basis images; so too an entry of
+          (b) whose table[j][l] is None.
+    A failed check in (a) or (b) or of a row is a program fault and
+    raises; (c) raises AssertionError as verify_automorphism does."""
+    basis = D.basis()
+    one = D.coeff.one()
+    images = [tuple(apply_automorphism(D, d, e) for e in basis)
+              for d in elements]
+    members = {}
+    for k, im in enumerate(images):
+        members.setdefault(im, k)
+
+    def applied(k, l):
+        return members.get(tuple(apply_automorphism(D, elements[k], x)
+                                 for x in images[l]))
+
+    # an element index -> the first pair of proved members whose table
+    # entry it is
+    reached = {}
+    proved = []
+    for k, desc in enumerate(elements):
+        if desc[0].is_identity() and desc[1] == one:
+            certify(images[k] == tuple(basis),
+                    "the identity descriptor fixes every basis vector")
+            row = list(range(len(elements)))
+        elif k in reached:
+            i, j = reached[k]
+            row = [applied(k, l) if m is None else table[i][m]
+                   for l, m in enumerate(table[j])]
+        else:
+            verify_automorphism(D, desc)
+            row = [applied(k, l) for l in range(len(elements))]
+        certify(table[k] == row, "row %d of the composition table is the "
+                "composite of its maps" % k)
+        proved.append(k)
+        for i in proved:
+            reached.setdefault(table[i][k], (i, k))
+            reached.setdefault(table[k][i], (k, i))
+
+
 def enumerate_automorphisms(D, taus=None):
-    """All automorphisms of the doubled shape (tau, b), each re-verified.
+    """All automorphisms of the doubled shape (tau, b), each proved.
+
+    The composition table comes first, read off compose_descriptors; then
+    _prove_members proves each element and checks each row of the table:
+    the identity on sight, a product of two members already proved from
+    their checked rows, anything else by the full verify_automorphism and
+    its row by applying it.  Building a group's members and table from
+    checked generators is standard (D. F. Holt, B. Eick and E. A. O'Brien,
+    Handbook of Computational Group Theory, 2005); each shortcut is still
+    a check on the spot, not a theorem taken on trust.
 
     Finite field, quadratic and p-adic coefficients: the list is complete
     and has order exactly 2 |J(c) and C(sigma)|.  Quaternion coefficients:
@@ -290,8 +363,6 @@ def enumerate_automorphisms(D, taus=None):
     sub = subgroups(D, taus)
     elements = [(tau, b) for tau in sub.intersection
                 for b in sorted(_b_candidates(D, D, tau), key=A.sort_key)]
-    for desc in elements:
-        verify_automorphism(D, desc)
     order = len(elements)
     certify(order == 2 * len(sub.intersection),
             "the order is 2 |J and C|, not %d" % order)
@@ -302,6 +373,7 @@ def enumerate_automorphisms(D, taus=None):
         index.setdefault(desc, k)
     table = [[index.get(compose_descriptors(D, d1, d2)) for d2 in elements]
              for d1 in elements]
+    _prove_members(D, elements, table)
     complete = not A.witness_relative and all(None not in row for row in table)
     labels = [{"tau": t.label, "b": b.literal()} for t, b in elements]
     return AutGroupReport(elements, labels, order, table, "undetermined",
@@ -468,8 +540,10 @@ def wene_inner_check(D):
 
 
 def verify_isomorphism(D1, D2, tau, b):
-    """(u,v) -> (tau(u), tau(v) b) as a map D1 -> D2: unital,
-    multiplicative on all basis pairs, bijective."""
+    """(u,v) -> (tau(u), tau(v) b) as a map D1 -> D2: unital, bijective
+    (b is invertible) and multiplicative on all basis pairs (_map_failure).
+    The basis products of D1 are made once and kept on D1, so the census
+    and iso_test check every candidate against one table."""
     return _map_failure(D1, D2, (tau, b)) is None
 
 

@@ -309,6 +309,8 @@ class PadicCoefficients(_QuadraticCoefficients):
     algebra = PadicQuadExt
 
     def base_ops(self):
+        """The scalar ops of Q_p; mul_by_constants reads their zero, and no
+        system is eliminated with them (linalg.rref refuses them)."""
         return PadicOps(self.K.ctx)
 
     def sort_key(self, x):
@@ -507,7 +509,9 @@ class DicksonAlgebra:
         self.c = c
         self.variant = variant
         self.sigma_is_id = sigma.is_identity()
-        self._memo = {}  # the constants in three forms, the nuclei
+        # the basis products as elements, the constants in three forms,
+        # the nuclei and a Q_p doubling's rational twin
+        self._memo = {}
 
     # -- elements -----------------------------------------------------------
 
@@ -624,13 +628,26 @@ def rational_twin(D):
 # structure constants: an independent product path used for cross-checks
 
 
-def structure_constants(D):
-    """The F-tensor of basis products, built from the defining formula once;
-    contracting against it is a second way to multiply.  It is kept on D,
-    so callers must not change it."""
-    if "constants" not in D._memo:
+def basis_products(D):
+    """(basis, products): the basis of D and products[i][j] = e_i e_j as
+    elements of D, each made once by the defining formula and kept on D,
+    so callers must not change them.  structure_constants reads its
+    coordinates off them, and every (tau, b) map out of D is checked
+    against them (analysis._map_failure)."""
+    if "products" not in D._memo:
         basis = D.basis()
-        D._memo["constants"] = [[D.coords(D.mul(x, y)) for y in basis] for x in basis]
+        D._memo["products"] = basis, [[D.mul(x, y) for y in basis]
+                                      for x in basis]
+    return D._memo["products"]
+
+
+def structure_constants(D):
+    """The F-tensor of basis products, the coordinates of the elements of
+    basis_products; contracting against it is a second way to multiply.
+    It is kept on D, so callers must not change it."""
+    if "constants" not in D._memo:
+        _, products = basis_products(D)
+        D._memo["constants"] = [[D.coords(z) for z in row] for row in products]
     return D._memo["constants"]
 
 

@@ -1,21 +1,20 @@
 """Exact dense linear algebra over a pluggable scalar field.
 
-The scalar type is abstracted behind a small ops object so the same solver
-serves GF(p) (ints mod p), the rationals (fractions.Fraction) and
-bounded-precision p-adic numbers.  Matrices are small throughout the
-package (nucleus systems top out at a few hundred rows and eight
-columns).
+The scalar type is abstracted behind a small ops object so the same
+solver serves GF(p) (ints mod p) and the rationals (fractions.Fraction).
+Matrices are small throughout the package (nucleus systems top out at a
+few hundred rows and eight columns).  No system is eliminated over Q_p:
+the nuclei of a Q_p doubling are those of its rational twin, and a
+(tau, b) map is bijective when b is invertible.
 
-Over Q_p, rref is plain Gauss-Jordan elimination on lists of lists
-through the ops object; the pivot choice is the ops' (lowest valuation),
-and it depends on the row order.  Over Q, rref is fraction-free: each row
-is cleared of denominators and divided by the gcd of its entries, rows
-are eliminated by cross-multiplication on ints (in the spirit of
-E. H. Bareiss, Math. Comp. 22 (1968) 565-578), and each pivot row is
-divided by its pivot only once, at the end.  A caller that builds Q
-systems from a tensor clears its denominators once with _integer_scaled,
-which scales vectors to one denominator the same way; scaling a system
-does not change its kernel.
+Over Q, rref is fraction-free: each row is cleared of denominators and
+divided by the gcd of its entries, rows are eliminated by
+cross-multiplication on ints (in the spirit of E. H. Bareiss, Math.
+Comp. 22 (1968) 565-578), and each pivot row is divided by its pivot
+only once, at the end.  A caller that builds Q systems from a tensor
+clears its denominators once with _integer_scaled, which scales vectors
+to one denominator the same way; scaling a system does not change its
+kernel.
 
 Over GF(p), rref eliminates on lane-packed ints: several residues share
 one word and the reduction mod p is delayed, the standard remedy for
@@ -27,7 +26,8 @@ is a fixed number of big-int operations however many rows there are
 packs its matrices of left multiplication the same way.
 
 The reduced row echelon form of a row space is unique, so every route
-gives the same rows and pivots as the generic loop through the ops.
+gives the same rows and pivots as plain Gauss-Jordan elimination through
+the ops, which tests/oracles.py keeps as their reference (rref_loop).
 
 Element, the operator protocol of the coefficient element kinds, lives
 here too, so every element module can import it without a cycle.
@@ -193,37 +193,7 @@ def rref(rows, ops):
         return _rref_integer(rows)
     if isinstance(ops, FpOps):
         return _rref_packed(rows, ops.p)
-    return _rref_loop(rows, ops)
-
-
-def _rref_loop(rows, ops):
-    """Gauss-Jordan elimination through the scalar ops; rref's route over
-    Q_p, and the reference the other routes are tested against."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        best = None
-        for i in range(r, len(rows)):
-            if not ops.is_zero(rows[i][col]):
-                if best is None or ops.prefer_pivot(rows[i][col], rows[best][col]):
-                    best = i
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        inv = ops.inv(rows[r][col])
-        rows[r] = [ops.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not ops.is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+    raise TypeError("rref eliminates over GF(p) or Q, not with %r" % (ops,))
 
 
 # ---------------------------------------------------------------------------

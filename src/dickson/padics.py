@@ -631,7 +631,10 @@ def ext_sqrt(z):
 
 
 class PadicOps:
-    """linalg scalar ops over PadicNumbers of one context."""
+    """linalg scalar ops over PadicNumbers of one context.  The package
+    eliminates no system over Q_p (linalg.rref refuses these ops); the
+    tests run the reference elimination of tests/oracles.py through
+    them."""
 
     def __init__(self, ctx):
         self.ctx = ctx

@@ -20,6 +20,9 @@ and not in the package:
   * quadratic_doubling_nucleus_dims gives the nucleus dimensions of a
     doubling of Q(sqrt d) as sympy nullspaces of associator systems
     built from its own product on Fraction pairs;
+  * rref_loop is plain Gauss-Jordan elimination through the scalar ops,
+    the reference for linalg's packed GF(p) and integer Q routes, and the
+    one elimination that takes PadicOps;
   * the rest are small helpers: fixed subfields and subalgebras, norms to
     a fixed field, p-adic square classes and random invertible elements.
 """
@@ -35,6 +38,37 @@ from dickson.fields import (FieldError, _is_irreducible, _is_primitive,
 from dickson.linalg import FpOps, kernel_basis, rank, solve
 from dickson.padics import PadicExtElement
 from dickson.quaternions import Quaternion
+
+
+def rref_loop(rows, ops):
+    """Gauss-Jordan elimination through the scalar ops, in place, with the
+    pivots linalg.rref returns; the pivot choice is the ops' (lowest
+    valuation over Q_p) and depends on the row order."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        best = None
+        for i in range(r, len(rows)):
+            if not ops.is_zero(rows[i][col]):
+                if best is None or ops.prefer_pivot(rows[i][col], rows[best][col]):
+                    best = i
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        inv = ops.inv(rows[r][col])
+        rows[r] = [ops.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not ops.is_zero(rows[i][col]):
+                f = rows[i][col]
+                rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
 
 
 def in_span(vectors, target, ops):

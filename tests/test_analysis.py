@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import time
 import pytest
 
 import dickson
-from dickson import analysis, doubling
+from dickson import analysis, cli, doubling
 from dickson.analysis import (apply_automorphism, census, compose_descriptors,
                               division_decide, enumerate_automorphisms,
                               group_structure, iso_test, subgroups,
@@ -372,6 +373,157 @@ def test_apply_and_compose_descriptors():
                 z = D.random_element(rng)
                 assert apply_automorphism(D, comp, z) == \
                     apply_automorphism(D, d1, apply_automorphism(D, d2, z))
+
+
+# one doubling of every coefficient kind, with the witness conjugations of
+# the quaternion ones
+EVERY_KIND = [
+    {"coeff": "gf(3,3)", "sigma": "frobenius:1", "c": "0,1,0"},
+    {"coeff": "gf(3,3)", "sigma": "frobenius:1", "c": "2,0,0"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3,1"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3,0"},
+    {"coeff": "qp(5;sqrt_p)", "sigma": "conjugate", "c": "2"},
+    {"coeff": "qp(3;sqrt_u;16)", "sigma": "conjugate", "c": "1,1"},
+    {"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", "c": "2,0,0,0",
+     "variant": "left"},
+    {"coeff": "quat(1,2;5)", "sigma": "conjugation:0,1,0,0", "c": "0,0,1,0",
+     "variant": "left"},
+]
+
+
+def _enumerated(doc):
+    D = algebra_from_document(doc)
+    taus = ["id", D.sigma] if D.coeff.witness_relative else None
+    return D, taus
+
+
+@pytest.mark.parametrize("doc", EVERY_KIND, ids=lambda d: d["coeff"])
+def test_compose_descriptors_is_the_composite_map_on_a_basis(doc):
+    D, taus = _enumerated(doc)
+    elements = enumerate_automorphisms(D, taus).elements
+    for d1 in elements:
+        for d2 in elements:
+            comp = compose_descriptors(D, d1, d2)
+            for e in D.basis():
+                assert apply_automorphism(D, comp, e) == \
+                    apply_automorphism(D, d1, apply_automorphism(D, d2, e))
+
+
+@pytest.mark.parametrize("doc", EVERY_KIND, ids=lambda d: d["coeff"])
+def test_a_compose_fault_fails_the_certificate(doc, monkeypatch):
+    """compose_descriptors without the factor tau1(b2): the table it
+    writes disagrees with the maps, and enumeration raises."""
+    D, taus = _enumerated(doc)
+    monkeypatch.setattr(analysis, "compose_descriptors",
+                        lambda D, d1, d2: (d1[0].compose(d2[0]), d1[1]))
+    with pytest.raises(RuntimeError, match="certificate failed"):
+        enumerate_automorphisms(D, taus)
+
+
+def _reported_groups(argvs):
+    """(D, report) for every autgroup the command line answers."""
+    seen = []
+    real = cli.group_structure
+
+    def keep(D, report):
+        seen.append((D, report))
+        return real(D, report)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "group_structure", keep)
+        for argv in argvs:
+            assert cli.main(argv + ["--format=json"]) == 0
+    assert len(seen) == len(argvs)
+    return seen
+
+
+def _seed_one_autgroup_questions(kinds):
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [q["argv"] for w in ("rational-structure", "padic-structure")
+            for q in workloads.generate(w, 1)
+            if q["argv"][0] == "autgroup"
+            and any(a.startswith("--coeff=" + k) for a in q["argv"]
+                    for k in kinds)]
+
+
+def test_every_reported_automorphism_passes_the_full_check(capsys):
+    """The golden autgroup questions and the seed-1 benchmark autgroup
+    questions over Q(sqrt a) and Q_p: each element the command prints,
+    however it was proved, passes verify_automorphism."""
+    from test_golden import COMMANDS
+    argvs = [argv for name, argv in sorted(COMMANDS.items())
+             if name.startswith("autgroup/")]
+    bench = _seed_one_autgroup_questions(("quad", "qp"))
+    assert {a.split("(")[0] for argv in bench for a in argv
+            if a.startswith("--coeff=")} == {"--coeff=quad", "--coeff=qp"}
+    for D, report in _reported_groups(argvs + bench):
+        assert report.order == len(report.elements)
+        for desc in report.elements:
+            assert verify_automorphism(D, desc)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_every_enumerated_automorphism_of_small_fields_passes(q):
+    """Every unit c and every sigma, the identity included."""
+    p = min(r for r in range(2, q + 1) if q % r == 0)
+    n = {p ** k: k for k in range(1, 4)}[q]
+    K = make_field(p, n)
+    for k in range(n):
+        for c in K.elements():
+            if c.is_zero():
+                continue
+            D = DicksonAlgebra(K, FrobeniusAut(K, k), c, allow_identity=True)
+            rep = enumerate_automorphisms(D)
+            assert rep.complete
+            for desc in rep.elements:
+                assert verify_automorphism(D, desc)
+
+
+def test_gf_3_8_group_takes_at_most_three_full_checks(monkeypatch):
+    """Order 16 = 2n over GF(3^8): the identity, (id, -1) and one
+    generator above it are all the full checks; the rest are composites."""
+    D = _gf(3, 8, [0, 1, 0, 0, 0, 0, 0, 0])
+    calls = []
+    real = analysis.verify_automorphism
+
+    def counted(D, desc):
+        calls.append(desc)
+        return real(D, desc)
+
+    monkeypatch.setattr(analysis, "verify_automorphism", counted)
+    rep = enumerate_automorphisms(D)
+    assert rep.order == 16 and rep.complete
+    assert len(calls) <= 3
+
+
+def test_a_map_with_non_invertible_b_is_not_bijective():
+    """b = 0, and b a zero divisor of the split quat(1,1;5): the check on b
+    refuses both, and in each a nonzero (0, w) maps to zero."""
+    K = make_field(3, 2)
+    D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
+    tau = FrobeniusAut(K, 0)
+    desc = (tau, K.zero())
+    assert not D.coeff.is_invertible(K.zero())
+    assert analysis._map_failure(D, D, desc) == "candidate is not bijective"
+    assert apply_automorphism(D, desc, D.adjoined()).is_zero()
+    with pytest.raises(AssertionError, match="not bijective"):
+        verify_automorphism(D, desc)
+    assert not verify_isomorphism(D, D, tau, K.zero())
+
+    B = QuaternionAlgebra(1, 1, 5)
+    D = DicksonAlgebra(B, InnerAut(B.element(0, 1, 0, 0)),
+                       B.element(2, 0, 0, 0), "left")
+    b, w = B.element(1, 1, 0, 0), B.element(1, -1, 0, 0)
+    assert b.norm() == 0 and (w * b).is_zero()
+    desc = (InnerAut(B.one()), b)
+    assert not D.coeff.is_invertible(b)
+    assert analysis._map_failure(D, D, desc) == "candidate is not bijective"
+    assert apply_automorphism(D, desc, D.element(B.zero(), w)).is_zero()
 
 
 def test_rejected_automorphism_candidate():

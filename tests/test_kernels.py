@@ -6,8 +6,8 @@ elimination runs on ints over common denominators, GF(p) elimination on
 lane-packed ints, and the Q_p(alpha) product on (val, unit, prec)
 triples without building its scalar products.  Each is compared here
 with the plain formula through the scalar ops or on Fractions, kept as
-the reference (in oracles.py for the element operators): values and
-types must agree exactly.
+the reference (in oracles.py, for the element operators and the
+elimination): values and types must agree exactly.
 """
 
 import random
@@ -29,7 +29,7 @@ from oracles import (quadratic_conjugate, quadratic_difference,
                      quadratic_inverse, quadratic_product, quadratic_sum,
                      quaternion_conjugate, quaternion_difference,
                      quaternion_inverse, quaternion_norm, quaternion_product,
-                     quaternion_sum)
+                     quaternion_sum, rref_loop)
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -339,9 +339,10 @@ def rational_matrices(draw):
 
 
 def _generic(fn, *args):
-    """fn run with linalg's Gauss-Jordan loop through QOps."""
+    """fn run with the reference Gauss-Jordan loop, oracles.rref_loop,
+    through QOps."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "rref", linalg._rref_loop)
+        mp.setattr(linalg, "rref", rref_loop)
         return fn(*args)
 
 
@@ -350,7 +351,7 @@ def _generic(fn, *args):
 def test_rational_rref_matches_generic_loop(rows):
     got, want = [list(r) for r in rows], [list(r) for r in rows]
     pivots = rref(got, QOps())
-    assert pivots == linalg._rref_loop(want, QOps())
+    assert pivots == rref_loop(want, QOps())
     r = len(pivots)
     assert len(got) == len(rows)
     for g, w in zip(got[:r], want[:r]):
@@ -431,7 +432,7 @@ def prime_field_matrices(draw):
 def _check_packed_rref(p, rows):
     got, want = [list(r) for r in rows], [list(r) for r in rows]
     pivots = rref(got, FpOps(p))
-    assert pivots == linalg._rref_loop(want, FpOps(p))
+    assert pivots == rref_loop(want, FpOps(p))
     assert got == want
     assert all(type(t) is int and 0 <= t < p for row in got for t in row)
 
@@ -461,7 +462,7 @@ def test_packed_rref_reduces_entries_outside_range_p(case, rng):
     p, rows = case
     shifted = [[x + p * rng.randint(-3, 3) for x in row] for row in rows]
     got, want = [list(r) for r in shifted], [list(r) for r in rows]
-    assert rref(got, FpOps(p)) == linalg._rref_loop(want, FpOps(p))
+    assert rref(got, FpOps(p)) == rref_loop(want, FpOps(p))
     assert got == want
 
 
@@ -512,4 +513,4 @@ def test_packed_singular_matches_rank(p, m, rng):
     want = [[sum(l * t[r][j] for l, t in zip(ls, mats)) % p for j in range(m)]
             for r in range(m)]
     assert g.unpack(M) == want
-    assert packed_singular(M, g) is (len(linalg._rref_loop(want, FpOps(p))) < m)
+    assert packed_singular(M, g) is (len(rref_loop(want, FpOps(p))) < m)

@@ -8,15 +8,24 @@ the program imported from the src/ of the checkout this script lives in.
 OUT gets one JSON line per question: the question, the exit code, the
 envelope without its wall_time_s and anything written to stderr.
 
+An OUT whose name ends in .sha256 gets, instead, one line per question
+with the sha256 of its JSON line, the workload, the seed and the
+question id.
+
 A change keeps the answers when the files written from the two checkouts
 at the same seeds are byte-identical (`cmp parent.jsonl change.jsonl`).
-The seed-1 file is committed as tests/answers_seed1.jsonl, and
-tests/test_answers.py compares it with a fresh one; a change that is
-meant to alter answers rewrites that file with this script.
+The seed-1 file is committed as tests/answers_seed1.jsonl and the
+digests of seeds 2 and 3 as tests/answers_seed2_3.sha256, and
+tests/test_answers.py compares both with fresh ones; a change that is
+meant to alter answers rewrites them with this script:
+
+    python3 tools/answers.py tests/answers_seed1.jsonl 1
+    python3 tools/answers.py tests/answers_seed2_3.sha256 2 3
 """
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -65,6 +74,14 @@ def answer_lines(seeds):
                      "stderr": stderr}, sort_keys=True)
 
 
+def digest_line(line):
+    """The .sha256 line of one answer line: its digest, workload, seed
+    and question id."""
+    q = json.loads(line)
+    return "%s %s %d %s" % (hashlib.sha256(line.encode()).hexdigest(),
+                            q["workload"], q["seed"], q["id"])
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="file to write, one JSON line per question")
@@ -77,10 +94,11 @@ def main():
         raise SystemExit("dickson was imported from %s, not from %s"
                          % (dickson.__file__, SRC))
 
+    digests = args.out.endswith(".sha256")
     count = 0
     with open(args.out, "w") as fh:
         for line in answer_lines(args.seeds):
-            fh.write(line + "\n")
+            fh.write((digest_line(line) if digests else line) + "\n")
             count += 1
     print("%d questions -> %s" % (count, args.out))
 
