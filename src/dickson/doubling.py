@@ -25,8 +25,8 @@ surface.
 Nuclei, the commuting elements and the center are computed as kernels of
 exact F-linear systems, never assumed from theory.  Their associators
 and mul_by_constants, the second product used for cross-checks, are read
-off one structure tensor, kept per doubling and contracted the same way
-over GF(p) and Q: on ints, over one common denominator over Q.  A
+off one structure tensor kept per doubling: its entries over one common
+denominator, ints over GF(p) (where it is 1) and Q, summed from int 0.  A
 doubling over Q_p(sqrt d) has its nuclei and construct's checks computed
 on its rational twin (rational_twin), the doubling over Q(sqrt d) with
 the same sigma, variant and c: every number such a question brings in is
@@ -51,8 +51,8 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .fields import FiniteField, FrobeniusAut
-from .linalg import (FpOps, QOps, _integer_scaled, kernel_basis,
-                     packed_layout, packed_singular, rref)
+from .linalg import (FpOps, QOps, kernel_basis, packed_layout,
+                     packed_singular, rref)
 from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt, _mod_sqrt,
                      ext_is_square, ext_sqrt, rational_coords)
 from .quadratic import (QuadField, _quad, is_norm_from_quadfield,
@@ -309,8 +309,8 @@ class PadicCoefficients(_QuadraticCoefficients):
     algebra = PadicQuadExt
 
     def base_ops(self):
-        """The scalar ops of Q_p; mul_by_constants reads their zero, and no
-        system is eliminated with them (linalg.rref refuses them)."""
+        """The scalar ops of Q_p.  No system is eliminated with them
+        (linalg.rref refuses them); the nuclei are the rational twin's."""
         return PadicOps(self.K.ctx)
 
     def sort_key(self, x):
@@ -509,8 +509,8 @@ class DicksonAlgebra:
         self.c = c
         self.variant = variant
         self.sigma_is_id = sigma.is_identity()
-        # the basis products as elements, the constants in three forms,
-        # the nuclei and a Q_p doubling's rational twin
+        # the basis products as elements, their structure tensor and its
+        # sparse rows, the nuclei and a Q_p doubling's rational twin
         self._memo = {}
 
     # -- elements -----------------------------------------------------------
@@ -631,8 +631,8 @@ def rational_twin(D):
 def basis_products(D):
     """(basis, products): the basis of D and products[i][j] = e_i e_j as
     elements of D, each made once by the defining formula and kept on D,
-    so callers must not change them.  structure_constants reads its
-    coordinates off them, and every (tau, b) map out of D is checked
+    so callers must not change them.  structure_constants reads them as
+    ints over one denominator, and every (tau, b) map out of D is checked
     against them (analysis._map_failure)."""
     if "products" not in D._memo:
         basis = D.basis()
@@ -642,31 +642,20 @@ def basis_products(D):
 
 
 def structure_constants(D):
-    """The F-tensor of basis products, the coordinates of the elements of
-    basis_products; contracting against it is a second way to multiply.
-    It is kept on D, so callers must not change it."""
+    """(P, den), the F-tensor of basis products over one denominator: P[i][j]
+    is den times the coordinate row of e_i e_j of basis_products, read as
+    ints over one denominator each (_scaled) and brought to den, their
+    least common multiple.  Over GF(p) the entries are residues and den
+    is 1, over Q ints, and over Q_p PadicNumbers with den = 1; no Fraction
+    is made.  Contracting against it is a second way to multiply.  It is
+    kept on D, so callers must not change it."""
     if "constants" not in D._memo:
         _, products = basis_products(D)
-        D._memo["constants"] = [[D.coords(z) for z in row] for row in products]
+        scaled = [[_scaled(D, z) for z in row] for row in products]
+        den = lcm(*(d for row in scaled for _, d in row))
+        D._memo["constants"] = [[v if d == den else [t * (den // d) for t in v]
+                                 for v, d in row] for row in scaled], den
     return D._memo["constants"]
-
-
-def _integer_constants(D):
-    """The structure constants over one denominator, as (P, den, zero):
-    P[i][j] is den times the coordinate row of e_i e_j, and zero is the
-    zero of P's entries.  Over Q the entries are ints and den is one common
-    multiple of the table's denominators; otherwise P is the table itself,
-    with den = 1.  It is kept on D beside the constants, so callers must
-    not change it."""
-    if "integer" not in D._memo:
-        n, ops, P = D.dim, D.coeff.base_ops(), structure_constants(D)
-        den, zero = 1, ops.zero
-        if isinstance(ops, QOps):
-            flat, den = _integer_scaled([t for m in P for row in m for t in row], ops)
-            rows = [flat[k:k + n] for k in range(0, n ** 3, n)]
-            P, zero = [rows[i * n:(i + 1) * n] for i in range(n)], 0
-        D._memo["integer"] = P, den, zero
-    return D._memo["integer"]
 
 
 def _scaled(D, x):
@@ -681,26 +670,23 @@ def _scaled(D, x):
     return [t * (den // du) for t in u] + [t * (den // dv) for t in v], den
 
 
-def mul_by_constants(D, table, x, y):
-    """x * y as the sum of x_i y_j (e_i e_j) over the structure constants
-    table = structure_constants(D), contracted on their integer form
-    (_integer_constants).  The coordinates of x and of y come as ints over
-    one denominator each (_scaled): over Q the element's own key, over
-    GF(p) its residues.  The int sums over the product of the three
-    denominators make the product by from_scaled_coords, which divides out
-    the gcd over Q and reduces mod p over GF(p); no Fraction is made.  Only
-    the nonzero entries of the tensor add a term, kept on D as (k, entry)
-    lists per row, and each coordinate sums its terms in the order of
-    (i, j)."""
-    if table is not D._memo.get("constants"):
-        raise ValueError("table must be structure_constants(D)")
-    P, den, zero = _integer_constants(D)
+def mul_by_constants(D, x, y):
+    """x * y as the sum of x_i y_j (e_i e_j) over the tensor (P, den) of
+    structure_constants(D).  The coordinates of x and of y come as ints
+    over one denominator each (_scaled): over Q the element's own key, over
+    GF(p) its residues.  The sums, from int 0, over the product of the
+    three denominators make the product by from_scaled_coords, which
+    divides out the gcd over Q and reduces mod p over GF(p); no Fraction is
+    made.  Only the nonzero entries of the tensor add a term, kept on D as
+    (k, entry) lists per row, and each coordinate sums its terms in the
+    order of (i, j)."""
+    P, den = structure_constants(D)
     if "sparse" not in D._memo:
         D._memo["sparse"] = [[[(k, u) for k, u in enumerate(row) if u]
                               for row in Pa] for Pa in P]
     xs, dx = _scaled(D, x)
     ys, dy = _scaled(D, y)
-    acc = [zero] * D.dim
+    acc = [0] * D.dim
     for a, Sa in zip(xs, D._memo["sparse"]):
         if a:
             for b, row in zip(ys, Sa):
@@ -718,15 +704,14 @@ def mul_by_constants(D, table, x, y):
 # nuclei
 
 
-def _associators(P, dim, ops, zero):
+def _associators(P, dim, ops):
     """assoc[a][b][c], the coordinate row of (e_a e_b) e_c - e_a (e_b e_c),
-    and comm[a][b], that of e_a e_b - e_b e_a, from the tensor P of
-    _integer_constants, whose entries have the given zero: ints reduced mod
-    p over GF(p), unreduced ints over Q.  For
+    and comm[a][b], that of e_a e_b - e_b e_a, from the int tensor P of
+    structure_constants: reduced mod p over GF(p), unreduced over Q.  For
     each pair (a, b), (e_a e_b) e_c for every c is one combination of the
     flattened tables P[m]; for each (b, c), e_a (e_b e_c) for every a is
     one of the flattened P[.][m].  Each combination sums its terms in the
-    order of m, skipping zero scalars, from a row of zeros."""
+    order of m, skipping zero scalars, from a row of int zeros."""
     idx = range(dim)
     p = ops.p if isinstance(ops, FpOps) else None
 
@@ -736,7 +721,7 @@ def _associators(P, dim, ops, zero):
         return [(x - y) % p for x, y in zip(u, v)]
 
     def comb(scalars, mats):
-        acc = [zero] * (dim * dim)
+        acc = [0] * (dim * dim)
         for s, mat in zip(scalars, mats):
             if s:
                 acc = [x + s * y for x, y in zip(acc, mat)]
@@ -766,9 +751,9 @@ def compute_nuclei(D):
     or third slot; the commuting system reads [e_i, e_j] off the tensor.
     Rows come key by key in a fixed order; the kernels themselves are
     canonical in the row space.  One routine (_associators) contracts the
-    tensor: on ints over GF(p), and on ints over Q once the tensor is
-    scaled by one common denominator (_integer_constants), since scaling a
-    system does not change its kernel.  Over Q_p the systems are those of
+    tensor (P, den) of structure_constants on its ints: residues over
+    GF(p), and over Q den times the constants, since scaling a system does
+    not change its kernel.  Over Q_p the systems are those of
     the rational twin (rational_twin), solved exactly over Q, and the
     kernel vectors become elements of D at its precision.  The report is
     kept on D, so callers must not change it.
@@ -778,8 +763,8 @@ def compute_nuclei(D):
     dim = D.dim
     T = rational_twin(D)
     ops = T.coeff.base_ops()
-    P, _, zero = _integer_constants(T)
-    assoc, commutator = _associators(P, dim, ops, zero)
+    P, _ = structure_constants(T)
+    assoc, commutator = _associators(P, dim, ops)
     idx = range(dim)
 
     def reduced(column, keys):
@@ -876,12 +861,12 @@ def _first_singular_left_factor(D):
     singular over GF(p), as (coordinates of x, rows of L_x mod p); None
     when every L_x is invertible, that is, when D is division.
 
-    L_x[r][j] = sum_i x_i * table[i][j][r] mod p, from the structure
-    constants table[i][j] = coords(e_i e_j).  Since L_{lx} = l * L_x, only
-    the x whose first nonzero coordinate is 1 are tested, (q^2 - 1)/(p - 1)
-    of them.  D's index order is the lexicographic order of the
-    coordinates, and that x is the smallest member of its class {l x}, so
-    walking x in that order finds the index-first singular one.
+    L_x[r][j] = sum_i x_i * P[i][j][r] mod p, from the structure
+    constants (P, 1), P[i][j] = coords(e_i e_j).  Since L_{lx} = l * L_x,
+    only the x whose first nonzero coordinate is 1 are tested,
+    (q^2 - 1)/(p - 1) of them.  D's index order is the lexicographic order
+    of the coordinates, and that x is the smallest member of its class
+    {l x}, so walking x in that order finds the index-first singular one.
 
     Each L_x is one lane-packed int (linalg.PackedLayout): entry (r, j)
     is the lane at bit (r * m + j) * W for m = 2n.  Packing is linear, so
@@ -891,11 +876,11 @@ def _first_singular_left_factor(D):
     keeps every lane below 2^w while it eliminates.
     """
     p, m = D.coeff.K.p, D.dim
-    table = structure_constants(D)
+    P, _ = structure_constants(D)
     g = packed_layout(p, m, m, m * (p - 1) ** 2)
     # scaled[i][l]: l * T_i packed, where T_i[r][j] is the coordinate r of
     # e_i e_j
-    packed = [g.pack([[table[i][j][r] for j in range(m)] for r in range(m)])
+    packed = [g.pack([[P[i][j][r] for j in range(m)] for r in range(m)])
               for i in range(m)]
     scaled = [[l * t for l in range(p)] for t in packed]
 

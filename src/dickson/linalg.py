@@ -11,10 +11,7 @@ Over Q, rref is fraction-free: each row is cleared of denominators and
 divided by the gcd of its entries, rows are eliminated by
 cross-multiplication on ints (in the spirit of E. H. Bareiss, Math.
 Comp. 22 (1968) 565-578), and each pivot row is divided by its pivot
-only once, at the end.  A caller that builds Q systems from a tensor
-clears its denominators once with _integer_scaled, which scales vectors
-to one denominator the same way; scaling a system does not change its
-kernel.
+only once, at the end.
 
 Over GF(p), rref eliminates on lane-packed ints: several residues share
 one word and the reduction mod p is delayed, the standard remedy for
@@ -391,7 +388,7 @@ def _rref_integer(rows):
 def _integer_scaled(values, ops):
     """(ints, den): a list of ints and Fractions times den, one common
     multiple of their denominators, as ints, when ops is a QOps; otherwise
-    (values, 1).  Kernels of linear systems read off it are unchanged."""
+    (values, 1).  Q(sqrt a) and quaternion elements key on it."""
     if not isinstance(ops, QOps):
         return values, 1
     den = lcm(*(x.denominator for x in values))

@@ -219,6 +219,37 @@ def test_construct_forms_each_trial_product_once(capsys, monkeypatch, coeff,
     assert len(calls) == 1 + dim ** 2 + 200 * per_trial
 
 
+@pytest.mark.parametrize("coeff, sigma, c, variant", [
+    ("gf(3,2)", "frobenius:1", "0,1", "commutative"),
+    ("quad(2)", "conjugate", "3/2,-1/3", "commutative"),
+    ("quat(2,3)", "conjugation:0,1,0,0", "1/2,2,-1/3,3/4", "middle"),
+    ("qp(5;sqrt_u;16)", "conjugate", "2,3", "commutative"),
+])
+def test_construct_catches_one_wrong_structure_constant(capsys, monkeypatch,
+                                                        coeff, sigma, c,
+                                                        variant):
+    """The second product path is only a check if a wrong tensor fails it:
+    one entry of the kept tensor (the rational twin's over Q_p) is changed
+    before construct runs."""
+    from dickson import cli, doubling
+    build = cli.algebra_from_document
+
+    def corrupted(doc):
+        D = build(doc)
+        P, den = doubling.structure_constants(doubling.rational_twin(D))
+        P[0][0][0] += den
+        return D
+
+    monkeypatch.setattr(cli, "algebra_from_document", corrupted)
+    code, out, err = run_cli(capsys, [
+        "construct", "--coeff", coeff, "--sigma", sigma, "--c", c,
+        "--variant", variant, "--format", "json"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["checks"]["matches_structure_constants"] is False
+    assert result["all_passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # envelope determinism
 

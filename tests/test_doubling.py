@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -193,10 +194,9 @@ def test_commutative_doubling_is_commutative_but_not_associative():
 def test_structure_constant_contraction_agrees():
     K = make_field(3, 2)
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
-    table = structure_constants(D)
     for x in D.elements():
         for y in D.elements():
-            assert mul_by_constants(D, table, x, y) == D.mul(x, y)
+            assert mul_by_constants(D, x, y) == D.mul(x, y)
 
 
 @pytest.mark.parametrize("doc", [
@@ -210,13 +210,10 @@ def test_structure_constant_contraction_agrees():
 ], ids=lambda doc: doc["coeff"])
 def test_structure_constant_contraction_agrees_on_random_pairs(doc):
     D = algebra_from_document(doc)
-    table = structure_constants(D)
     rng = random.Random(33)
     for _ in range(40):
         x, y = D.random_element(rng), D.random_element(rng)
-        assert mul_by_constants(D, table, x, y) == D.mul(x, y)
-    with pytest.raises(ValueError):
-        mul_by_constants(D, [list(row) for row in table], x, y)
+        assert mul_by_constants(D, x, y) == D.mul(x, y)
 
 
 @pytest.mark.parametrize("doc", [
@@ -225,23 +222,29 @@ def test_structure_constant_contraction_agrees_on_random_pairs(doc):
     {"coeff": "quat(2,3;5)", "sigma": "conjugation:1,1,0,0",
      "c": "1,2,4,3", "variant": "right"},
 ], ids=lambda doc: doc["coeff"])
-def test_integer_constants_are_the_table_itself_outside_q(doc):
+def test_structure_constants_have_denominator_one_outside_q(doc):
     D = algebra_from_document(doc)
-    P, den, _ = doubling._integer_constants(D)
-    assert P is structure_constants(D) and den == 1
+    P, den = structure_constants(D)
+    _, products = doubling.basis_products(D)
+    assert den == 1
+    assert P == [[D.coords(z) for z in row] for row in products]
 
 
-def test_integer_constants_over_q_are_ints_over_one_denominator():
-    D = algebra_from_document({"coeff": "quat(1/2,-3/5)",
-                               "sigma": "conjugation:1,1/3,0,2",
-                               "c": "1/2,2,-1/3,3/4", "variant": "middle"})
-    P, den, zero = doubling._integer_constants(D)
-    table = structure_constants(D)
-    assert den > 1 and zero == 0
-    for P_i, table_i in zip(P, table):
-        for row, want in zip(P_i, table_i):
+@pytest.mark.parametrize("doc", [
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
+    {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
+     "c": "1/2,2,-1/3,3/4", "variant": "middle"},
+], ids=lambda doc: doc["coeff"])
+def test_structure_constants_over_q_are_ints_over_one_denominator(doc):
+    D = algebra_from_document(doc)
+    P, den = structure_constants(D)
+    _, products = doubling.basis_products(D)
+    coords = [t for row in products for z in row for t in D.coords(z)]
+    assert den > 1 and den == math.lcm(*(t.denominator for t in coords))
+    for P_i, products_i in zip(P, products):
+        for row, z in zip(P_i, products_i):
             assert all(type(t) is int for t in row)
-            assert [Fraction(t, den) for t in row] == want
+            assert [Fraction(t, den) for t in row] == D.coords(z)
 
 
 def test_rational_constants_product_makes_no_scalar_op_calls(monkeypatch):
@@ -250,22 +253,30 @@ def test_rational_constants_product_makes_no_scalar_op_calls(monkeypatch):
              "c": "1/2,2,-1/3,3/4", "variant": "middle"}]
     algebras = [algebra_from_document(doc) for doc in docs]
     rng = random.Random(35)
-    cases = [(D, structure_constants(D), D.random_element(rng),
-              D.random_element(rng)) for D in algebras]
-    products = [D.mul(x, y) for D, _, x, y in cases]
+    cases = [(D, D.random_element(rng), D.random_element(rng))
+             for D in algebras]
+    products = [D.mul(x, y) for D, x, y in cases]
 
     def refuse(*args):
         raise AssertionError("a QOps scalar call")
     for name in ("add", "sub", "neg", "mul", "inv", "is_zero"):
         monkeypatch.setattr(QOps, name, refuse)
-    for (D, table, x, y), want in zip(cases, products):
-        assert mul_by_constants(D, table, x, y) == want
+    for (D, x, y), want in zip(cases, products):
+        assert mul_by_constants(D, x, y) == want
+
+
+def _refuse_fractions(monkeypatch):
+    from dickson import quadratic, quaternions
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was made")
+    for module in (doubling, linalg, quadratic, quaternions):
+        monkeypatch.setattr(module, "Fraction", refuse)
 
 
 def test_rational_constants_product_makes_no_fraction(monkeypatch):
     """Over Q the contraction reads each element's integer key and builds
     the product from ints: no module it runs through makes a Fraction."""
-    from dickson import quadratic, quaternions
     docs = [{"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
             {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
              "c": "1/2,2,-1/3,3/4", "variant": "right"}]
@@ -273,17 +284,42 @@ def test_rational_constants_product_makes_no_fraction(monkeypatch):
     cases = []
     for doc in docs:
         D = algebra_from_document(doc)
-        table = structure_constants(D)
         x, y = D.random_element(rng), D.random_element(rng)
-        mul_by_constants(D, table, x, y)    # the tensor's integer form
-        cases.append((D, table, x, y, D.mul(x, y)))
+        mul_by_constants(D, x, y)    # the tensor and its sparse rows
+        cases.append((D, x, y, D.mul(x, y)))
+    _refuse_fractions(monkeypatch)
+    for D, x, y, want in cases:
+        assert mul_by_constants(D, x, y) == want
 
-    def refuse(*args):
-        raise AssertionError("a Fraction was made")
-    for module in (doubling, linalg, quadratic, quaternions):
-        monkeypatch.setattr(module, "Fraction", refuse)
-    for D, table, x, y, want in cases:
-        assert mul_by_constants(D, table, x, y) == want
+
+def test_rational_structure_constants_make_no_fraction(monkeypatch):
+    """The tensor over Q is read off the basis products' integer keys."""
+    docs = [{"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
+            {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:1,1/3,0,2",
+             "c": "1/2,2,-1/3,3/4", "variant": "middle"}]
+    algebras = [algebra_from_document(doc) for doc in docs]
+    for D in algebras:
+        doubling.basis_products(D)
+    _refuse_fractions(monkeypatch)
+    for D in algebras:
+        P, den = structure_constants(D)
+        assert den > 1 and type(P[0][0][0]) is int
+
+
+def test_padic_constants_product_reads_no_base_ops(monkeypatch):
+    D = algebra_from_document({"coeff": "qp(5;sqrt_u;16)",
+                               "sigma": "conjugate", "c": "2,3"})
+    rng = random.Random(37)
+    cases = [(x, y, D.mul(x, y)) for x, y in
+             ((D.random_element(rng), D.random_element(rng))
+              for _ in range(20))]
+    cases.append((D.zero(), D.unit(), D.zero()))
+
+    def refuse(self):
+        raise AssertionError("base_ops was read")
+    monkeypatch.setattr(doubling.PadicCoefficients, "base_ops", refuse)
+    for x, y, want in cases:
+        assert mul_by_constants(D, x, y) == want
 
 
 def test_product_grid_reproduces_products_exactly():
@@ -412,9 +448,9 @@ def test_rank_test_lanes_hold_every_partial_sum(p, n, monkeypatch):
             continue
         D = DicksonAlgebra(K, FrobeniusAut(K, 1), c)
         doubling._first_singular_left_factor(D)
-        table = structure_constants(D)
+        P, _ = structure_constants(D)
         m = D.dim
-        largest = max(sum((p - 1) * table[i][j][r] for i in range(m))
+        largest = max(sum((p - 1) * P[i][j][r] for i in range(m))
                       for j in range(m) for r in range(m))
         assert largest <= layouts[-1].lane
 
