@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Each subcommand reads an algebra description (a JSON file via --spec, or
-the same fields inline via --coeff/--sigma/--c/--variant), runs one of
-the analysis engines and prints a report.  A subcommand is one row of
-COMMANDS: its name, help, flags and run function.  A row reaches the
-engines by their module-level names at call time, through a def or a
-lambda, and never holds their function objects: tools that wrap an engine
-by replacing its name here (perfbench/trace_layers.py) would be bypassed.  With --format json the report
-is a single envelope object
+the same fields inline via --coeff/--sigma/--c/--variant and
+--allow-identity, never both), runs one of the analysis engines and
+prints a report.  A subcommand is one row of COMMANDS: its name, help,
+flags and run function.  A row reaches the engines by their module-level
+names at call time, through a def or a lambda, and never holds their
+function objects: tools that wrap an engine by replacing its name here
+(perfbench/trace_layers.py) would be bypassed.  With --format json the
+report is a single envelope object
 
     {"version", "command", "input", "result", "wall_time_s"}
 
@@ -40,20 +41,20 @@ from .parsing import (DescriptionError, algebra_from_document, load_document,
                       parse_element, parse_sigma)
 
 
+# the inline algebra flags, each named as its document field
+_INLINE = ("coeff", "sigma", "c", "variant", "allow_identity")
+
+
 def _document(args):
+    doc = {k: getattr(args, k) for k in _INLINE if getattr(args, k)}
     if args.spec is not None:
-        if args.coeff or args.sigma or args.c:
+        if doc:
             raise DescriptionError("give either --spec or inline flags, "
                                    "not both")
         return load_document(args.spec)
     if not (args.coeff and args.sigma and args.c):
         raise DescriptionError("need --spec FILE or all of --coeff, "
                                "--sigma, --c")
-    doc = {"coeff": args.coeff, "sigma": args.sigma, "c": args.c}
-    if args.variant:
-        doc["variant"] = args.variant
-    if args.allow_identity:
-        doc["allow_identity"] = True
     return doc
 
 

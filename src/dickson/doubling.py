@@ -34,16 +34,9 @@ rational, and ranks and kernels do not change under field extension.
 p-adic arithmetic is left where a p-adic root enters: the b values of
 the automorphism and isomorphism searches, division and its
 not-division preimages.  The exhaustive
-zero-divisor search over finite fields is a rank test over GF(p): the
-doubled product is GF(p)-bilinear, so x has a right annihilator exactly
-when the matrix of left multiplication by x is singular.  Each such
-2n x 2n matrix is one lane-packed int, entry (r, j) in the lane at bit
-(r * 2n + j) * W (linalg.PackedLayout), summed along the walk over x as
-an int; its lanes start at most 2n (p - 1)^2 and stay at most
-max(2n (p - 1)^2, (2p - 1)(p - 1)) during elimination, the bound the
-lane width is derived from.  The search refuses more than 10^6 left
-factors.  It is the independent reference for analysis.division_decide,
-which decides GF(p^n) by the squares instead.
+zero-divisor search over finite fields, the tests' reference for
+analysis.division_decide, is a rank test over GF(p)
+(_first_singular_left_factor).
 """
 
 from fractions import Fraction
@@ -51,9 +44,9 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .fields import FiniteField, FrobeniusAut
-from .linalg import (FpOps, QOps, kernel_basis, packed_layout,
-                     packed_singular, rref)
-from .padics import (DEFAULT_PRECISION, PadicOps, PadicQuadExt, _mod_sqrt,
+from .linalg import (FpOps, QOps, _packed_pivots, kernel_basis,
+                     packed_layout, rref)
+from .padics import (DEFAULT_PRECISION, PadicQuadExt, _mod_sqrt,
                      ext_is_square, ext_sqrt, rational_coords)
 from .quadratic import (QuadField, _quad, is_norm_from_quadfield,
                         quad_is_square, rational_is_square, rational_sqrt)
@@ -307,11 +300,6 @@ class PadicCoefficients(_QuadraticCoefficients):
 
     kind = "padic"
     algebra = PadicQuadExt
-
-    def base_ops(self):
-        """The scalar ops of Q_p.  No system is eliminated with them
-        (linalg.rref refuses them); the nuclei are the rational twin's."""
-        return PadicOps(self.K.ctx)
 
     def sort_key(self, x):
         """p-adic numbers do not order; their (valuation, unit) pairs do."""
@@ -872,8 +860,9 @@ def _first_singular_left_factor(D):
     is the lane at bit (r * m + j) * W for m = 2n.  Packing is linear, so
     the walk keeps its partial sums of l * T_i, l in range(p), as ints,
     one addition per step; a sum has lanes at most m (p - 1)^2, the top
-    the layout's lane width w is chosen for, and linalg.packed_singular
-    keeps every lane below 2^w while it eliminates.
+    the layout's lane width w is chosen for, and rref's column step
+    (linalg._packed_pivots) keeps every lane below 2^w while it
+    eliminates.  L_x is singular when it finds fewer than m pivots.
     """
     p, m = D.coeff.K.p, D.dim
     P, _ = structure_constants(D)
@@ -888,7 +877,9 @@ def _first_singular_left_factor(D):
         """The first singular x extending the prefix x (coordinates before
         k), whose partial sum of scaled T_i is acc."""
         if k == m:
-            return (x, g.unpack(acc)) if packed_singular(acc, g) else None
+            if len(_packed_pivots(acc, g)[1]) < m:
+                return x, g.unpack(acc)
+            return None
         for l in range(p):
             found = first(k + 1, acc + scaled[k][l], x + (l,))
             if found:

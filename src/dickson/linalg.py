@@ -19,8 +19,9 @@ word-size prime fields (J.-G. Dumas, P. Giorgi and C. Pernet, ACM TOMS
 35 (2008)).  Here the word is one Python int holding the whole matrix,
 one lane of bits per entry (PackedLayout), and a column of elimination
 is a fixed number of big-int operations however many rows there are
-(packed_singular).  The exhaustive rank test of the doubling module
-packs its matrices of left multiplication the same way.
+(_packed_pivots).  The exhaustive rank test of the doubling module packs
+its matrices of left multiplication the same way and runs rref's column
+step on them.
 
 The reduced row echelon form of a row space is unique, so every route
 gives the same rows and pivots as plain Gauss-Jordan elimination through
@@ -136,9 +137,6 @@ class FpOps:
     def is_zero(self, a):
         return a % self.p == 0
 
-    def prefer_pivot(self, a, b):
-        return False
-
 
 class QOps:
     """Arithmetic of the rationals on fractions.Fraction (ints mix in).
@@ -148,9 +146,7 @@ class QOps:
     module docstring), so neither goes through these methods.  What is
     left, back-substitution in kernel_basis and solve, quaternion norm
     tests and canonical witnesses, is light, so the methods are the plain
-    operators: the early returns on an exact-zero operand that once
-    spared a Fraction per coordinate of every element sum and product
-    have nothing left to save.
+    operators.
     """
 
     zero = Fraction(0)
@@ -174,10 +170,6 @@ class QOps:
 
     def is_zero(self, a):
         return a == 0
-
-    def prefer_pivot(self, a, b):
-        # Pivot choice does not affect exactness over Q.
-        return False
 
 
 def rref(rows, ops):
@@ -211,7 +203,9 @@ class PackedLayout:
     floor(x * magic / 2^shift) = floor(x / p) (round-up division by an
     invariant integer, Granlund and Montgomery, PLDI 1994), with
     shift = w + bitlen(p), magic = ceil(2^shift / p) and W = w + shift,
-    so no lane's product reaches the next lane.
+    so no lane's product reaches the next lane.  rref packs with top
+    p - 1, the doubling module's rank test with a larger one; both
+    eliminate by rref's column step (_packed_pivots).
     """
 
     def __init__(self, p, nrows, ncols, top):
@@ -261,50 +255,24 @@ def packed_layout(p, nrows, ncols, top):
     return PackedLayout(p, nrows, ncols, top)
 
 
-def packed_singular(M, g):
-    """Is the square matrix M, packed by layout g, singular over GF(p)?
+def _packed_pivots(M, g):
+    """Gauss-Jordan elimination over GF(p) of the matrix M packed by
+    layout g: (M eliminated, its lanes unreduced; the (column, row
+    offset) of each pivot, as many as the rank).
 
-    Forward elimination, one column at a time, each a fixed number of
-    big-int operations whatever the number of rows.  Every lane is
-    reduced (see PackedLayout); C, the column's lanes moved to the heads
-    of the rows, picks the pivot row P, the last row whose lane a is
-    nonzero, and M becomes a * M + (p - C) * P.  (p - C) has a multiplier
-    p - b in range(1, p + 1) at the head of each row, so the product is
-    the outer product of those multipliers with P: row r gains
-    (p - b_r) * P, and its lane in the column becomes
-    a * b_r + (p - b_r) * a = 0 mod p.  P itself becomes p * P, zero mod
-    p, so it leaves the elimination.  No lane goes negative, and none
-    exceeds (p - 1)^2 + p (p - 1) before the next reduction.  The first
-    column where no row is left with a nonzero lane proves M singular.
-    """
+    One column at a time, each a fixed number of big-int operations
+    whatever the number of rows.  Every lane is reduced first (see
+    PackedLayout); C, the column's lanes moved to the heads of the rows,
+    picks the pivot row P, the last row not yet a pivot row whose lane a
+    is nonzero, and M becomes a * M + (p - C - (p - a) at P's head) * P.
+    Row r gains (p - b_r) * P, a multiplier in range(1, p + 1), and its
+    lane in the column becomes a * b_r + (p - b_r) * a = 0 mod p.  P's
+    multiplier is 0, so P is only scaled by a; later pivots clear it of
+    their columns.  No lane goes negative, and none exceeds
+    (p - 1)^2 + p (p - 1) before the next reduction."""
     p, W, S = g.p, g.W, g.S
     magic, shift, lanes = g.magic, g.shift, g.lanes
     column, row, pones = g.column, g.row, g.pones
-    for col in range(0, S, W):
-        M -= p * (M * magic >> shift & lanes)
-        C = M >> col & column
-        if not C:
-            return True
-        off = (C.bit_length() - 1) // S * S
-        M = (C >> off) * M + (pones - C) * (M >> off & row)
-    return False
-
-
-def _rref_packed(rows, p):
-    """rref over GF(p): Gauss-Jordan on the packed matrix, with the column
-    step of packed_singular except that a pivot row stays.  Its
-    multiplier is 0, so it only scales by a, and it leaves the rows a
-    later pivot may come from; every other row, earlier pivot rows
-    included, is cleared of the column.  Each pivot row is divided by its
-    pivot lane at the end."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    g = packed_layout(p, len(rows), ncols, p - 1)
-    W, S = g.W, g.S
-    magic, shift, lanes = g.magic, g.shift, g.lanes
-    column, row, pones = g.column, g.row, g.pones
-    M = g.pack(rows)
     live = column
     found = []
     for col in range(0, S, W):
@@ -317,8 +285,19 @@ def _rref_packed(rows, p):
         live ^= g.lane << off
         found.append((col // W, off))
         M = a * M + (pones - C - (p - a << off)) * (M >> off & row)
-    reduced = [g.unpack_row(M >> off & row,
-                            pow(M >> off + col * W & g.lane, -1, p))
+    return M, found
+
+
+def _rref_packed(rows, p):
+    """rref over GF(p): the rows packed, eliminated by _packed_pivots, and
+    each pivot row divided by its pivot lane as it is unpacked."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    g = packed_layout(p, len(rows), ncols, p - 1)
+    M, found = _packed_pivots(g.pack(rows), g)
+    reduced = [g.unpack_row(M >> off & g.row,
+                            pow(M >> off + col * g.W & g.lane, -1, p))
                for col, off in found]
     rows[:] = reduced + [[0] * ncols for _ in range(len(rows) - len(reduced))]
     return [col for col, _ in found]

@@ -658,6 +658,3 @@ class PadicOps:
 
     def is_zero(self, a):
         return a.is_zero()
-
-    def prefer_pivot(self, a, b):
-        return a.val < b.val

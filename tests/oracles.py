@@ -42,21 +42,20 @@ from dickson.quaternions import Quaternion
 
 def rref_loop(rows, ops):
     """Gauss-Jordan elimination through the scalar ops, in place, with the
-    pivots linalg.rref returns; the pivot choice is the ops' (lowest
-    valuation over Q_p) and depends on the row order."""
+    pivots linalg.rref returns.  The pivot row is the first with a nonzero
+    entry in the column, or over Q_p, whose entries carry a valuation
+    .val, the first of lowest valuation; so it depends on the row order."""
     if not rows:
         return []
     ncols = len(rows[0])
     pivots = []
     r = 0
     for col in range(ncols):
-        best = None
-        for i in range(r, len(rows)):
-            if not ops.is_zero(rows[i][col]):
-                if best is None or ops.prefer_pivot(rows[i][col], rows[best][col]):
-                    best = i
-        if best is None:
+        nonzero = [i for i in range(r, len(rows))
+                   if not ops.is_zero(rows[i][col])]
+        if not nonzero:
             continue
+        best = min(nonzero, key=lambda i: getattr(rows[i][col], "val", 0))
         rows[r], rows[best] = rows[best], rows[r]
         inv = ops.inv(rows[r][col])
         rows[r] = [ops.mul(inv, x) for x in rows[r]]

@@ -290,6 +290,21 @@ def test_spec_and_inline_flags_conflict(capsys, tmp_path):
         "division", "--spec", str(spec), "--coeff", "gf(3,2)"])
     assert code == 2
     assert "not both" in err
+    # --variant and --allow-identity are inline flags too: neither may be
+    # dropped in silence nor applied to the file's algebra
+    quat = tmp_path / "quat.json"
+    quat.write_text('{"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", '
+                    '"c": "1,2,0,0"}')
+    code, out, err = run_cli(capsys, [
+        "construct", "--spec", str(quat), "--variant", "middle"])
+    assert (code, out) == (2, "")
+    assert "not both" in err
+    ident = tmp_path / "id.json"
+    ident.write_text('{"coeff": "gf(3,2)", "sigma": "id", "c": "0,1"}')
+    code, out, err = run_cli(capsys, [
+        "division", "--spec", str(ident), "--allow-identity"])
+    assert (code, out) == (2, "")
+    assert "not both" in err
 
 
 def test_inline_flags_must_be_complete(capsys):

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickson import linalg
-from dickson.linalg import (FpOps, QOps, PackedLayout, kernel_basis,
-                            packed_singular, rank, rref, solve)
+from dickson.linalg import (FpOps, QOps, PackedLayout, kernel_basis, rank,
+                            rref, solve)
 from dickson.padics import (PadicContext, PadicNumber, PadicOps,
                             PadicQuadExt, PrecisionError)
 from dickson.quadratic import QuadField
@@ -498,9 +498,10 @@ def test_packed_reduction_is_exact_below_the_lane_width(p):
 @given(st.sampled_from(PRIMES), st.integers(1, 8),
        st.randoms(use_true_random=False))
 def test_packed_singular_matches_rank(p, m, rng):
-    """packed_singular on sums of l_i * T_i, l_i in range(p), the way the
-    rank test builds L_x, so lanes start as high as m (p - 1)^2: singular
-    or not, against the rank of the list loop on the reduced sum."""
+    """rref's column step (linalg._packed_pivots) on sums of l_i * T_i,
+    l_i in range(p), the way the rank test builds L_x, so lanes start as
+    high as m (p - 1)^2: the pivot columns, and so singular or not, are
+    those of the list loop on the reduced sum."""
     g = PackedLayout(p, m, m, m * (p - 1) ** 2)
     mats = [[[rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(m)]
              for _ in range(m)] for _ in range(m)]
@@ -513,4 +514,23 @@ def test_packed_singular_matches_rank(p, m, rng):
     want = [[sum(l * t[r][j] for l, t in zip(ls, mats)) % p for j in range(m)]
             for r in range(m)]
     assert g.unpack(M) == want
-    assert packed_singular(M, g) is (len(rref_loop(want, FpOps(p))) < m)
+    _, found = linalg._packed_pivots(M, g)
+    pivots = rref_loop(want, FpOps(p))
+    assert [col for col, _ in found] == pivots
+
+
+def test_rref_loop_pivots_on_the_lowest_valuation_over_q_p():
+    """Over Q_p the reference loop takes the first entry of lowest
+    valuation in the column, not the first nonzero one."""
+    ctx = PadicContext(5)
+    five, one, zero = ctx.from_int(5), ctx.one(), ctx.zero()
+    divisors = []
+
+    class Recording(PadicOps):
+        def inv(self, a):
+            divisors.append(a.val)
+            return super().inv(a)
+
+    rows = [[five, one], [five * five, zero], [one, zero], [one, one]]
+    assert rref_loop(rows, Recording(ctx)) == [0, 1]
+    assert divisors[0] == 0
