@@ -192,18 +192,6 @@ def _intertwines(D1, D2, tau):
     return all(tau(D1.sigma(e)) == D2.sigma(tau(e)) for e in D2.coeff.basis())
 
 
-def _c_ratio(D1, D2, tau):
-    """tau(c1) / c2: (u,v) -> (tau(u), tau(v) b) takes D1 onto D2 only when
-    b is a root of it (sigma2(b)^2, or b^2 with b central)."""
-    return tau(D1.c) * D2.c.inv()
-
-
-def _j_member(D, tau):
-    """tau is in J(c) when tau(c)/c is a square (of the right central kind
-    for quaternion coefficients)."""
-    return D.coeff.square_root(_c_ratio(D, D, tau)) is not None
-
-
 def _closure_ok(group):
     members = set(group)
     return all(t1.compose(t2) in members for t1 in group for t2 in group) \
@@ -214,16 +202,18 @@ def subgroups(D, taus=None):
     """J(c), C(sigma), their intersection and the isotropy group of c,
     inside Aut_F(B).  For quaternion coefficients the ambient list is
     witness-relative: it is whatever conjugations the caller supplies
-    (the identity is always added)."""
+    (the identity is always added).  tau is in J(c) when _b_candidates
+    finds some b for it; the report keeps those lists as roots."""
     A = D.coeff
     auts = A.automorphisms(taus)
-    j = [t for t in auts if _j_member(D, t)]
+    roots = {t: _b_candidates(D, D, t) for t in auts}
+    j = [t for t in auts if roots[t]]
     csig = [t for t in auts if _intertwines(D, D, t)]
     inter = [t for t in j if t in csig]
     iso = [t for t in auts if t(D.c) == D.c]
     closure = all(_closure_ok(g) for g in (j, csig, inter, iso))
     labels = {t: t.label for t in auts}
-    return SubgroupReport(auts, j, csig, inter, iso, labels, closure)
+    return SubgroupReport(auts, j, csig, inter, iso, labels, closure, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +268,9 @@ def verify_automorphism(D, desc):
 
 def _b_candidates(D1, D2, tau):
     """Every b for which (tau, b) can map D1 onto D2, in the order the
-    coefficient kind reports them."""
-    return D2.coeff.b_candidates(_c_ratio(D1, D2, tau), D2.sigma)
+    coefficient kind reports them: the roots of tau(c1) / c2, as
+    sigma2(b)^2, or b^2 with b central."""
+    return D2.coeff.b_candidates(tau(D1.c) * D2.c.inv(), D2.sigma)
 
 
 def _prove_members(D, elements, table):
@@ -362,7 +353,7 @@ def enumerate_automorphisms(D, taus=None):
         raise ValueError("automorphism enumeration expects odd characteristic")
     sub = subgroups(D, taus)
     elements = [(tau, b) for tau in sub.intersection
-                for b in sorted(_b_candidates(D, D, tau), key=A.sort_key)]
+                for b in sorted(sub.roots[tau], key=A.sort_key)]
     order = len(elements)
     certify(order == 2 * len(sub.intersection),
             "the order is 2 |J and C|, not %d" % order)

@@ -17,7 +17,8 @@ is_zero(), literal()) and their coordinates (coords()), and every
 automorphism carries its own action (tau(x), compose, inverse,
 is_identity, order, label).  Each coefficient algebra is wrapped by a
 small adapter for what neither can know: which automorphisms the kind
-has, the per-kind facts of the (tau, b) searches, plus enumeration when
+has, its square roots (is_square, and b_candidates: every b for one tau
+of the (tau, b) searches, found in one call), plus enumeration when
 finite.  Everything downstream (nuclei, zero-divisor scans, automorphism
 machinery) works through the elements, the automorphisms and that one
 surface.
@@ -46,8 +47,8 @@ from math import gcd, lcm
 from .fields import FiniteField, FrobeniusAut
 from .linalg import (FpOps, QOps, _packed_pivots, kernel_basis,
                      packed_layout, rref)
-from .padics import (DEFAULT_PRECISION, PadicQuadExt, _mod_sqrt,
-                     ext_is_square, ext_sqrt, rational_coords)
+from .padics import (DEFAULT_PRECISION, PadicQuadExt, _mod_sqrt, ext_sqrt,
+                     rational_coords)
 from .quadratic import (QuadField, _quad, is_norm_from_quadfield,
                         quad_is_square, rational_is_square, rational_sqrt)
 from .quaternions import (InnerAut, QuaternionAlgebra, _quaternion,
@@ -149,17 +150,12 @@ class _Coefficients:
     def is_invertible(self, x):
         return not x.is_zero()
 
-    def square_root(self, t):
-        """Some r with r^2 = t, or None."""
-        ok, r = self.is_square(t)
-        return r if ok else None
-
     def b_candidates(self, t, sigma):
         """Both b with sigma(b)^2 = t, as [b0, -b0], or [] when there are
         none.  For t = tau(c1)/c2 these are the b for which
         (u,v) -> (tau(u), tau(v) b) can take one doubling onto another."""
-        r = self.square_root(t)
-        if r is None:
+        ok, r = self.is_square(t)
+        if not ok:
             return []
         b = sigma.inverse()(r)
         return [b, -b]
@@ -306,11 +302,8 @@ class PadicCoefficients(_QuadraticCoefficients):
         return (x.x.val, x.x.unit, x.y.val, x.y.unit)
 
     def is_square(self, x):
-        if x.is_zero():
-            return True, self.K.zero()
-        if not ext_is_square(x):
-            return False, None
-        return True, ext_sqrt(x)
+        r = ext_sqrt(x)
+        return r is not None, r
 
     def describe(self):
         ctx = self.K.ctx
@@ -384,24 +377,22 @@ class QuatCoefficients(_Coefficients):
             out.insert(0, ident)
         return out
 
-    def square_root(self, t):
-        """A central square root of the central element t taken inside the
-        base field (over GF(p) the smaller residue), or None."""
+    def b_candidates(self, t, sigma):
+        """Both central b with b^2 = t, as [b0, -b0], or [] (sigma fixes
+        central elements): b0 is the root of the central t taken inside
+        the base field, over GF(p) the smaller residue."""
         if not t.is_central():
-            return None
+            return []
         p = self.B.p
         if p is None:
             r = rational_sqrt(t.x)
         else:
             r = _mod_sqrt(t.x, p)
             r = min(r, p - r) if r else None
-        return None if r is None else self.B.element(r, 0, 0, 0)
-
-    def b_candidates(self, t, sigma):
-        """Both central b with b^2 = t, as [b0, -b0], or [] (sigma fixes
-        central elements)."""
-        b = self.square_root(t)
-        return [] if b is None else [b, -b]
+        if r is None:
+            return []
+        b = self.B.element(r, 0, 0, 0)
+        return [b, -b]
 
     def is_square(self, x):
         return quat_is_square(x)

@@ -28,8 +28,8 @@ Quadratic extensions come in the three square classes of conductors:
     sqrt_u   unramified, alpha^2 = u   (u the smallest positive non-residue)
     sqrt_up  ramified,   alpha^2 = u*p
 The uniformizer is alpha for the ramified kinds and p otherwise, and the
-residue field is GF(p) or GF(p^2) accordingly; squareness of units is read
-off in the residue field and square roots are Hensel-lifted from it.
+residue field is GF(p) or GF(p^2) accordingly; ext_sqrt reads squareness
+off there and Hensel-lifts the residue's root in one walk.
 
 p = 2 is rejected outright; none of the analyses here need it and the
 square theory is different there.
@@ -349,10 +349,8 @@ def _dot(a, b, c, d):
 
 
 def padic_is_square(z):
-    """Is z a square?  Accepts a PadicNumber or a quadratic-extension
-    element; needs the valuation parity and one residue digit."""
-    if isinstance(z, PadicExtElement):
-        return ext_is_square(z)
+    """Is the PadicNumber z a square?  Needs the valuation parity and one
+    residue digit; ext_sqrt decides squareness in the extension."""
     if not isinstance(z, PadicNumber):
         raise TypeError("expected a PadicNumber")
     if z.is_zero():
@@ -599,27 +597,31 @@ def rational_coords(z):
 
 
 def ext_is_square(z):
-    """Squareness in the quadratic extension: even pi-valuation plus a
-    square residue (Hensel lifting provides the converse for odd p)."""
+    """Squareness in the quadratic extension: whether ext_sqrt finds a
+    root."""
     if z.is_zero():
         raise ValueError("squareness of zero is not asked here")
-    if z.val_pi() % 2:
-        return False
-    R = z.ext.residue_field()
-    return R.is_square(z.unit_part().residue())
+    return ext_sqrt(z) is not None
 
 
 def ext_sqrt(z):
-    """A square root of z in the extension via Hensel lifting, or None."""
+    """A square root of z in the extension, or None, deciding squareness
+    on the way: z is a square exactly when its pi-valuation is even and
+    the residue of its unit part is a square (Hensel lifting provides the
+    converse for odd p), and that residue's root is the one lifted."""
     if z.is_zero():
         return z.ext.zero()
-    if not ext_is_square(z):
+    v = z.val_pi()
+    if v % 2:
         return None
     ext = z.ext
-    v = z.val_pi()
     w = z.unit_part()
     R = ext.residue_field()
-    r0 = R.sqrt(w.residue())
+    r = w.residue()
+    # needs no index tables, so a non-square is a verdict above them too
+    if not R.is_square(r):
+        return None
+    r0 = R.sqrt(r)
     s = ext.element(r0.coeffs[0], 0) if ext.ramified else ext.element(r0.coeffs[0], r0.coeffs[1])
     half = ext.element(Fraction(1, 2), 0)
     for _ in range(ext.ctx.N.bit_length() + 2):

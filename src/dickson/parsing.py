@@ -78,7 +78,7 @@ def parse_coefficient(text):
             n = _int(pn[1], "degree")
             modulus = None
             if len(parts) > 1:
-                modulus = [_int(x, "modulus coefficient") % p
+                modulus = [_int(x, "modulus coefficient")
                            for x in parts[1].split(",")]
             return FieldCoefficients(make_field(p, n, modulus))
         if head == "quad":

@@ -11,6 +11,10 @@ coords(), the read-only x and y, norm() and literal().  Radicands are
 normalized to squarefree integers, so Q(sqrt(8/9)) and Q(sqrt(2))
 construct the same field.
 
+element_sqrt is the one square-root rule of Q(sqrt a) and of the
+quaternion algebras over Q: the root in Q[z] from the norm, and for a
+rational z a root on a basis axis.
+
 The division criterion for a doubled quadratic field uses these: the
 doubling of K = Q(sqrt(a)) by c fails to be division exactly when
 N(c) = s^2 for a rational s such that s or -s is a norm from K.  Norm
@@ -37,21 +41,20 @@ def _as_fraction(x):
     raise TypeError("expected a rational, got %r" % (x,))
 
 
-def rational_is_square(r):
-    """True iff r >= 0 and numerator and denominator are perfect squares."""
+def rational_sqrt(r):
+    """Exact nonnegative square root, or None when r is not a square:
+    r >= 0 with numerator and denominator perfect squares."""
     r = _as_fraction(r)
     if r < 0:
-        return False
-    n, d = r.numerator, r.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-
-def rational_sqrt(r):
-    """Exact nonnegative square root, or None when r is not a square."""
-    r = _as_fraction(r)
-    if not rational_is_square(r):
         return None
-    return Fraction(isqrt(r.numerator), isqrt(r.denominator))
+    n, d = isqrt(r.numerator), isqrt(r.denominator)
+    if n * n != r.numerator or d * d != r.denominator:
+        return None
+    return Fraction(n, d)
+
+
+def rational_is_square(r):
+    return rational_sqrt(r) is not None
 
 
 def squarefree_part(n):
@@ -169,6 +172,9 @@ class QuadField:
     def root(self):
         return self.element(0, 1)
 
+    def basis(self):
+        return [self.one(), self.root()]
+
     def __eq__(self, other):
         return isinstance(other, QuadField) and other.a == self.a
 
@@ -271,38 +277,45 @@ class QuadElement(Element):
         return "%s,%s" % (self.x, self.y)
 
 
-def quad_is_square(z):
-    """Exact squareness of z in its quadratic field, with a witness root.
-
-    Returns (True, w) with w*w = z, or (False, None).  For z = x + y sqrt(a)
-    with y != 0: z is a square iff N(z) = d^2 for rational d >= 0 and
-    (x + d)/2 or (x - d)/2 is a nonzero rational square (then s from that
-    square root and t = y/(2s) give w = s + t sqrt(a)).  For rational z:
-    square iff x or x/a is a rational square.
-    """
-    K = z.field
-    if z.is_zero():
-        return True, K.zero()
-    if z.y == 0:
-        r = rational_sqrt(z.x)
-        if r is not None:
-            return True, K.element(r, 0)
-        r = rational_sqrt(z.x / K.a)
-        if r is not None:
-            return True, K.element(0, r)
-        return False, None
-    d = rational_sqrt(z.norm())
-    if d is None:
-        return False, None
-    for sgn in (1, -1):
-        cand = (z.x + sgn * d) / 2
-        if cand != 0:
+def element_sqrt(z):
+    """A square root of z over Q, or None: the one root rule of Q(sqrt a)
+    and of the quaternion algebras over Q.  For z not rational it is the
+    root in Q[z], w = s + (z - x)/(2s) with x the rational part of z and
+    s^2 = (x + d)/2, else (x - d)/2, where d^2 = N(z).  For rational z it
+    is the first t*e, e over the basis (1, sqrt(a) or 1, i, j, k) and t a
+    rational root of z / e^2; a quaternion root off those axes is not
+    tried.  Every root is checked by squaring it back."""
+    x = z._scalar()
+    if x is None:
+        d = rational_sqrt(z.norm())
+        if d is None:
+            return None
+        coords = z.coords()
+        x = coords[0]
+        for cand in ((x + d) / 2, (x - d) / 2):
             s = rational_sqrt(cand)
-            if s is not None and s != 0:
-                w = K.element(s, z.y / (2 * s))
-                certify(w * w == z, "the square root squares back")
-                return True, w
-    return False, None
+            if s:
+                w = z.parent.element(s, *(t / (2 * s) for t in coords[1:]))
+                break
+        else:
+            return None
+    else:
+        for e in z.parent.basis():
+            t = rational_sqrt(x / (e * e)._scalar())
+            if t is not None:
+                w = e * t
+                break
+        else:
+            return None
+    certify(w * w == z, "the square root squares back")
+    return w
+
+
+def quad_is_square(z):
+    """Exact squareness of z in its quadratic field, with a witness root:
+    (True, w) with w*w = z, or (False, None), by element_sqrt."""
+    w = element_sqrt(z)
+    return w is not None, w
 
 
 def norm_support(s, a):

@@ -12,6 +12,7 @@ b enter over their own denominators) and build each result through
 _quaternion, which divides out the gcd over Q and reduces mod p over
 GF(p).  Fractions are made only at the edges: coords(), the read-only
 x, y, z, w, norm() and literal(), which give residues over GF(p).
+Square roots over Q follow quadratic.element_sqrt, the rule of Q(sqrt a).
 
 Inner automorphisms x -> m^-1 x m are the only automorphism witnesses
 this package handles on quaternions (Skolem-Noether says that is no
@@ -26,8 +27,7 @@ from operator import attrgetter
 
 from .fields import is_prime
 from .linalg import Element, FpOps, QOps, _integer_scaled
-from .quadratic import rational_sqrt
-from .reports import certify
+from .quadratic import element_sqrt
 
 
 class QuaternionAlgebra:
@@ -267,9 +267,8 @@ class InnerAut:
         return self._minv * q * self.witness
 
     def compose(self, other):
-        """self after other: witness product other.witness * ... note
-        (mm')^-1 x (mm') applies m' last, so self-after-other has witness
-        other.witness * self.witness."""
+        """self after other: with m = self.witness and m' = other.witness it
+        is x -> m^-1 (m'^-1 x m') m = (m'm)^-1 x (m'm), of witness m'm."""
         return InnerAut(other.witness * self.witness)
 
     def inverse(self):
@@ -304,43 +303,14 @@ class InnerAut:
 
 
 def quat_is_square(c):
-    """Exact-where-possible squareness of c over Q, with witness.
-
-    Returns (True, m), (False, None), or (None, None) when undecided.
-    Non-central c: c = m^2 solvable iff N(c) = d^2 in Q and (c0 + d)/2 or
-    (c0 - d)/2 is a nonzero rational square (m = s + pure(c)/(2s)).
-    Central c: decided via the scalar square root or a coordinate axis;
-    general representability by the pure-part form is not attempted.
+    """Squareness of c with element_sqrt's root: (True, m), (False, None),
+    or (None, None) when undecided, over GF(p) and for a central c with no
+    root on the axes 1, i, j, k (pure quaternions off them are not tried).
     """
     alg = c.alg
     if alg.p is not None:
         return None, None
-    if c.is_zero():
-        return True, alg.zero()
-    if not c.is_central():
-        d = rational_sqrt(c.norm())
-        if d is None:
-            return False, None
-        for sgn in (1, -1):
-            cand = (c.x + sgn * d) / 2
-            if cand > 0:
-                s = rational_sqrt(cand)
-                if s is not None:
-                    half = 1 / (2 * s)
-                    m = alg.element(s, c.y * half, c.z * half, c.w * half)
-                    certify(m * m == c, "the square root squares back")
-                    return True, m
-        return False, None
-    c0 = c.x
-    r = rational_sqrt(c0)
-    if r is not None:
-        return True, alg.element(r, 0, 0, 0)
-    for val, mk in ((c0 / alg.a, lambda t: alg.element(0, t, 0, 0)),
-                    (c0 / alg.b, lambda t: alg.element(0, 0, t, 0)),
-                    (-c0 / (alg.a * alg.b), lambda t: alg.element(0, 0, 0, t))):
-        t = rational_sqrt(val)
-        if t is not None:
-            m = mk(t)
-            certify(m * m == c, "the square root squares back")
-            return True, m
-    return None, None
+    m = element_sqrt(c)
+    if m is not None:
+        return True, m
+    return (None if c.is_central() else False), None

@@ -75,6 +75,7 @@ class SubgroupReport:
     isotropy: list            # tau with tau(c) = c
     labels: dict              # descriptor -> printable label
     closure_checked: bool
+    roots: dict               # tau -> its b values, [] when tau is not in J(c)
 
     def to_dict(self):
         lab = self.labels

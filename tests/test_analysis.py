@@ -614,6 +614,33 @@ def test_enumeration_keeps_its_subgroups_and_a_latin_table(doc):
         assert all(sorted(col) == everything for col in zip(*rep.table))
 
 
+
+# the adapter method that takes a tau's root: is_square behind the default
+# b_candidates, and the quaternion b_candidates itself
+@pytest.mark.parametrize("doc, root_call", [
+    ({"coeff": "gf(3,2)", "sigma": "frobenius:1", "c": "0,1"}, "is_square"),
+    ({"coeff": "quad(2)", "sigma": "conjugate", "c": "3,1"}, "is_square"),
+    ({"coeff": "qp(5;sqrt_u;8)", "sigma": "conjugate", "c": "2,1"},
+     "is_square"),
+    ({"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", "c": "0,0,1,0",
+      "variant": "left"}, "b_candidates"),
+])
+def test_each_tau_has_its_roots_taken_once(doc, root_call, monkeypatch):
+    D = algebra_from_document(doc)
+    A = D.coeff
+    taus = ["id", D.sigma] if A.witness_relative else None
+    calls = []
+    take = getattr(type(A), root_call)
+    monkeypatch.setattr(type(A), root_call, lambda self, t, *rest: (
+        calls.append(t) or take(self, t, *rest)))
+    rep = enumerate_automorphisms(D, taus)
+    sub = rep.subgroups
+    assert len(calls) == len(sub.aut_base)
+    assert sub.j_group == [t for t in sub.aut_base if sub.roots[t]]
+    for tau in sub.intersection:
+        assert [b for t, b in rep.elements if t == tau] == sorted(
+            sub.roots[tau], key=A.sort_key)
+
 # ---------------------------------------------------------------------------
 # p-adic and quaternion coefficient groups
 
@@ -913,4 +940,5 @@ def test_readme_library_snippet():
     aut = enumerate_automorphisms(D)
     assert aut.order == 4
     assert len(aut.subgroups.intersection) == 2
+    assert len(aut.subgroups.roots[phi]) == 2
     assert compute_nuclei(D).dims["middle"] == 2

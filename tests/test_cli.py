@@ -150,6 +150,15 @@ def test_extra_coefficient_parts_exit_two(capsys, coeff, sigma, c):
     assert err.startswith("error: coefficient spec %r:" % coeff)
 
 
+
+def test_bad_characteristic_with_a_modulus_exits_two(capsys):
+    # the characteristic is checked before the modulus is reduced by it
+    code, out, err = run_cli(capsys, [
+        "division", "--coeff", "gf(0,2;1,1,1)", "--sigma", "id",
+        "--c", "1,0"])
+    assert code == 2 and out == ""
+    assert "characteristic must be an int" in err
+
 def test_readme_iso_spec_files(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -415,6 +415,36 @@ def test_ext_alpha_is_not_a_square_in_ramified_extension():
     assert not ext_is_square(alpha)
 
 
+
+def test_ext_sqrt_walks_the_residue_once(monkeypatch):
+    # a square's root and a non-square's verdict each read the residue of
+    # the unit part once, in ext_sqrt itself
+    from dickson import padics
+    from dickson.doubling import PadicCoefficients
+
+    K = PadicQuadExt(PadicContext(5, 8), "sqrt_u")
+    A = PadicCoefficients(K)
+    calls = []
+    residue = padics.PadicExtElement.residue
+    monkeypatch.setattr(padics.PadicExtElement, "residue",
+                        lambda z: calls.append(z) or residue(z))
+    z = K.element(2, 1)
+    ok, r = A.is_square(z * z)
+    assert ok and r * r == z * z and len(calls) == 1
+    ok, r = A.is_square(K.element(0, 1))
+    assert (ok, r) == (False, None) and len(calls) == 2
+
+
+def test_ext_non_squares_decided_above_the_table_bound():
+    # GF(10007) has no index tables, so no residue root can be read; a
+    # non-square residue is still a verdict by Euler's criterion
+    ctx = PadicContext(10007, 8)
+    K = PadicQuadExt(ctx, "sqrt_p")
+    assert ext_sqrt(K.element(5, 0)) is None
+    assert not ext_is_square(K.element(5, 0))
+    D = DicksonAlgebra(K, "id", K.element(5, 0), allow_identity=True)
+    assert division_decide(D).status == "proved-division"
+
 # ---------------------------------------------------------------------------
 # the worked division example
 
