@@ -24,8 +24,14 @@ machinery) works through the elements, the automorphisms and that one
 surface.
 
 Nuclei, the commuting elements and the center are computed as kernels of
-exact F-linear systems, never assumed from theory.  Their associators
-and mul_by_constants, the second product used for cross-checks, are read
+exact F-linear systems.  With sigma not the identity, each nucleus is
+{(a, 0) : f(a) = 0} for one F-linear map f of B that compute_nuclei
+proves from the variant, so its system has n = dim B columns; the two
+quaternion cases where that fails and sigma the identity take the
+general route, the associator systems over every basis pair
+(_nuclei_from_associators), which the tests keep as the reference for
+the others.  The associators, the commutators and
+mul_by_constants, the second product used for cross-checks, are read
 off one structure tensor kept per doubling: its entries over one common
 denominator, ints over GF(p) (where it is 1) and Q, summed from int 0.  A
 doubling over Q_p(sqrt d) has its nuclei and construct's checks computed
@@ -482,8 +488,8 @@ class DicksonAlgebra:
         if sigma.is_identity() and not allow_identity:
             raise ValueError("sigma is the identity; pass allow_identity=True "
                              "to construct the degenerate doubling anyway")
-        if c.is_zero():
-            raise ValueError("c must be nonzero")
+        if not self.coeff.is_invertible(c):
+            raise ValueError("c must be invertible")
         self.sigma = sigma
         self.c = c
         self.variant = variant
@@ -683,21 +689,23 @@ def mul_by_constants(D, x, y):
 # nuclei
 
 
+def _difference(u, v, p):
+    """u - v entrywise: reduced mod p over GF(p), unreduced (p None) over Q."""
+    if p is None:
+        return [x - y for x, y in zip(u, v)]
+    return [(x - y) % p for x, y in zip(u, v)]
+
+
 def _associators(P, dim, ops):
     """assoc[a][b][c], the coordinate row of (e_a e_b) e_c - e_a (e_b e_c),
-    and comm[a][b], that of e_a e_b - e_b e_a, from the int tensor P of
-    structure_constants: reduced mod p over GF(p), unreduced over Q.  For
-    each pair (a, b), (e_a e_b) e_c for every c is one combination of the
-    flattened tables P[m]; for each (b, c), e_a (e_b e_c) for every a is
-    one of the flattened P[.][m].  Each combination sums its terms in the
-    order of m, skipping zero scalars, from a row of int zeros."""
+    from the int tensor P of structure_constants: reduced mod p over
+    GF(p), unreduced over Q.  For each pair (a, b), (e_a e_b) e_c for
+    every c is one combination of the flattened tables P[m]; for each
+    (b, c), e_a (e_b e_c) for every a is one of the flattened P[.][m].
+    Each combination sums its terms in the order of m, skipping zero
+    scalars, from a row of int zeros."""
     idx = range(dim)
     p = ops.p if isinstance(ops, FpOps) else None
-
-    def sub(u, v):
-        if p is None:
-            return [x - y for x, y in zip(u, v)]
-        return [(x - y) % p for x, y in zip(u, v)]
 
     def comb(scalars, mats):
         acc = [0] * (dim * dim)
@@ -712,59 +720,184 @@ def _associators(P, dim, ops):
     cols = [slice(c * dim, (c + 1) * dim) for c in idx]
     left = [[comb(P[a][b], by_left) for b in idx] for a in idx]
     right = [[comb(P[b][c], by_right) for c in idx] for b in idx]
-    assoc = [[[sub(left[a][b][cols[c]], right[b][c][cols[a]]) for c in idx]
-              for b in idx] for a in idx]
-    comm = [[sub(P[a][b], P[b][a]) for b in idx] for a in idx]
-    return assoc, comm
+    return [[[_difference(left[a][b][cols[c]], right[b][c][cols[a]], p)
+              for c in idx] for b in idx] for a in idx]
 
 
-def compute_nuclei(D):
-    """Left/middle/right nuclei, their intersection, the commuting elements
-    and the center, each as the kernel of an exact linear system ranging
-    the other associator slots over a basis.
+def _reduced_rows(column, keys, dim, ops):
+    """The reduced rows of sum_i w_i column(i, *key) = 0 over all keys:
+    each key's nonzero coordinate rows, in coordinate order, eliminated."""
+    rows = [list(row) for key in keys
+            for row in zip(*(column(i, *key) for i in range(dim))) if any(row)]
+    pivots = rref(rows, ops)
+    return rows[:len(pivots)]
+
+
+def _commuter_rows(T, ops):
+    """The reduced system of the commuting elements of T: sum_i w_i
+    [e_i, e_j] = 0 for every j, the commutators read off the tensor of
+    structure_constants."""
+    P, _ = structure_constants(T)
+    p = ops.p if isinstance(ops, FpOps) else None
+    idx = range(T.dim)
+    comm = [[_difference(P[a][b], P[b][a], p) for b in idx] for a in idx]
+    return _reduced_rows(lambda i, j: comm[i][j], [(j,) for j in idx],
+                         T.dim, ops)
+
+
+def _nuclei_from_associators(D):
+    """The six subspaces of compute_nuclei, each as the kernel of an exact
+    linear system ranging the other associator slots over a basis; the
+    route for the doublings no theorem of compute_nuclei covers, and the
+    tests' reference for the others.
 
     The associator [e_a, e_b, e_c] of every basis triple is contracted once
-    from the structure-constant tensor, so the doubled product is only
-    evaluated on basis pairs.  The left, middle and right systems are its
-    three slot views, with the unknown w = sum w_i e_i in the first, second
-    or third slot; the commuting system reads [e_i, e_j] off the tensor.
-    Rows come key by key in a fixed order; the kernels themselves are
-    canonical in the row space.  One routine (_associators) contracts the
-    tensor (P, den) of structure_constants on its ints: residues over
-    GF(p), and over Q den times the constants, since scaling a system does
-    not change its kernel.  Over Q_p the systems are those of
-    the rational twin (rational_twin), solved exactly over Q, and the
-    kernel vectors become elements of D at its precision.  The report is
-    kept on D, so callers must not change it.
-    """
-    if "nuclei" in D._memo:
-        return D._memo["nuclei"]
+    from the structure-constant tensor (_associators), so the doubled
+    product is only evaluated on basis pairs.  The left, middle and right
+    systems are its three slot views, with the unknown w = sum w_i e_i in
+    the first, second or third slot.  Over GF(p) the tensor's entries are
+    residues, and over Q they are den times the constants, since scaling
+    a system does not change its kernel.  The report is not kept on D."""
     dim = D.dim
     T = rational_twin(D)
     ops = T.coeff.base_ops()
     P, _ = structure_constants(T)
-    assoc, commutator = _associators(P, dim, ops)
-    idx = range(dim)
-
-    def reduced(column, keys):
-        """The reduced rows of sum_i w_i column(i, *key) = 0 over all keys:
-        each key's nonzero coordinate rows, in coordinate order."""
-        rows = [list(row) for key in keys
-                for row in zip(*(column(i, *key) for i in idx)) if any(row)]
-        pivots = rref(rows, ops)
-        return rows[:len(pivots)]
+    assoc = _associators(P, dim, ops)
+    pairs = [(j, k) for j in range(dim) for k in range(dim)]
+    left = _reduced_rows(lambda i, j, k: assoc[i][j][k], pairs, dim, ops)
+    middle = _reduced_rows(lambda i, j, k: assoc[j][i][k], pairs, dim, ops)
+    right = _reduced_rows(lambda i, j, k: assoc[j][k][i], pairs, dim, ops)
+    comm = _commuter_rows(T, ops)
 
     def kernel(rows):
         return [D.from_coords(vec) for vec in kernel_basis(rows, dim, ops)]
 
-    pairs = [(j, k) for j in idx for k in idx]
-    left = reduced(lambda i, j, k: assoc[i][j][k], pairs)
-    middle = reduced(lambda i, j, k: assoc[j][i][k], pairs)
-    right = reduced(lambda i, j, k: assoc[j][k][i], pairs)
-    comm = reduced(lambda i, j: commutator[i][j], [(j,) for j in idx])
-    D._memo["nuclei"] = NucleusReport(kernel(left), kernel(middle), kernel(right),
-                                      kernel(left + middle + right), kernel(comm),
-                                      kernel(left + middle + right + comm))
+    return NucleusReport(kernel(left), kernel(middle), kernel(right),
+                         kernel(left + middle + right), kernel(comm),
+                         kernel(left + middle + right + comm))
+
+
+def _nucleus_conditions(D):
+    """(left, middle, right): for each nucleus, the coordinate rows over
+    the base field of the F-linear map f of B with that nucleus
+    {(a, 0) : f(a) = 0} (see compute_nuclei), zero rows dropped; None
+    when no statement proved there covers D."""
+    if D.sigma_is_id:
+        return None
+    A, s, c = D.coeff, D.sigma, D.c
+    basis = A.basis()
+
+    def rows(f):
+        # f(sum a_i e_i) = sum a_i f(e_i): row r holds coordinate r of each
+        # f(e_i)
+        return [list(r) for r in zip(*(A.coords(f(e)) for e in basis))
+                if any(r)]
+
+    fixed = rows(lambda a: s(a) - a)
+    if D.variant == "middle":
+        return fixed, rows(lambda a: s(a) * c - c * s(a)), fixed
+    if D.variant == "right":
+        twisted = rows(lambda a: s(a) * c - c * a)
+        return (fixed, [], twisted) if twisted else None
+    twisted = rows(lambda a: c * s(a) - a * c)
+    return (twisted, [], fixed) if twisted else None
+
+
+def compute_nuclei(D):
+    """Left/middle/right nuclei, their intersection, the commuting elements
+    and the center, each as the kernel basis of an exact F-linear system.
+
+    With c invertible and sigma not the identity, each nucleus is
+    {(a, 0) : f(a) = 0} for one F-linear map f of B, given by the variant:
+
+        variant              left nucleus      middle            right
+        commutative / left   c s(a) - a c      0 (all of B)      s(a) - a
+        middle               s(a) - a          s(a) c - c s(a)   s(a) - a
+        right                s(a) - a          0 (all of B)      s(a) c - c a
+
+    with s = sigma, except where f_L(a) = c s(a) - a c (left variant) or
+    f_R(a) = s(a) c - c a (right variant) is the zero map.  On a
+    commutative B every entry has the kernel Fix(sigma) but the middle
+    ones, B: the left and right nuclei of Dickson's commutative
+    semifields are Fix(sigma) and the middle one is K (D. E. Knuth,
+    J. Algebra 2 (1965) 182-217).  The proof below covers every
+    coefficient kind here; the doubling of a central simple algebra is
+    that of arXiv 1902.11016.
+
+    Proof.  Write X = (a, b), Y = (x, y), Z = (z, w).  As B is
+    associative, the associator [X, Y, Z] expands, per variant, to
+        left    (c s(b) s(y) (z - s(z)) + f_L(a) s(y) s(w),
+                 c s(b) s(y) w - b c s(y) s(w))
+        middle  (s(b) c s(y) (z - s(z)) + (s(a) - a) s(y) c s(w)
+                   + s(b) (s(x) c - c s(x)) s(w),
+                 s(b) c s(y) w - b s(y) c s(w))
+        right   (s(b) s(y) (c z - s(z) c) + (s(a) - a) s(y) s(w) c,
+                 s(b) s(y) c w - b s(y) s(w) c).
+    Membership: with b = 0 (resp. y = 0, w = 0) all that is left is the
+    one term with a (resp. x, z), if any, and it vanishes for every other
+    pair exactly when the table's f does (take the free factors 1 to see
+    necessity; c is invertible).  Containment rests on one lemma: the
+    image of each map a -> s(a) - a, c s(a) - a c, c a - s(a) c that is not
+    zero contains a unit of B.  Then, taking
+        left nucleus    Y = (0, 1), Z = (z, 0): s(b) c (z - s(z)) = 0 in
+                        the middle variant, c s(b) (z - s(z)) and
+                        s(b) (c z - s(z) c) in the others, so b = 0;
+        middle nucleus  X = (0, 1), Z = (z, 0): c s(y) (z - s(z)) = 0
+                        (left, middle), and X = (u, 0), Z = (0, 1):
+                        (s(u) - u) s(y) c = 0 (right), so y = 0;
+        right nucleus   X = (u, 0), Y = (0, 1): f_L(u) s(w) = 0 (left),
+                        (s(u) - u) c s(w) = 0 (middle),
+                        (s(u) - u) s(w) c = 0 (right), so w = 0.
+    The lemma: over a field B every nonzero element is a unit, and the
+    three maps are s - id or c (s - id) up to sign, nonzero as sigma is
+    not the identity.
+    Over a quaternion algebra, s(x) = m^-1 x m and the images are
+    m^-1 [m, B], [c m^-1, B] m and m^-1 [m c, B].  For g not central,
+    [g, B] is a plane of pure quaternions (the centralizer of g is F[g]),
+    and the norm form, nondegenerate on the pure quaternions since the
+    characteristic is not 2, has no totally isotropic plane, so the image
+    holds an element of nonzero norm.  []
+
+    The two exceptions are quaternion only: f_L = 0 when c is in F m and
+    f_R = 0 when c m is in F, and then the right (left) nucleus holds
+    elements (0, b) with b in F[m].  These doublings and those with sigma
+    the identity (allow_identity) take the general route,
+    _nuclei_from_associators.
+
+    A nucleus is solved as f's rows over the first half alone, its
+    kernel vectors padded with zeros: that is the kernel of the 2n-column
+    system of f's rows with n zero columns appended, stacked with the n
+    rows that force the second half to 0.  The intersection stacks the
+    three maps, and the center adds the commuting system, restricted to
+    the first half.  The commuting elements are solved as on the general
+    route, from the commutators of the structure tensor.  A kernel basis
+    depends only on the kernel (its rref is unique), so both routes print
+    the same bases.  Over Q_p every system is that of the rational twin
+    (rational_twin), solved exactly over Q, and the kernel vectors become
+    elements of D at its precision.  The report is kept on D, so callers
+    must not change it.
+    """
+    if "nuclei" in D._memo:
+        return D._memo["nuclei"]
+    T = rational_twin(D)
+    conditions = _nucleus_conditions(T)
+    if conditions is None:
+        D._memo["nuclei"] = _nuclei_from_associators(D)
+        return D._memo["nuclei"]
+    ops = T.coeff.base_ops()
+    n = T.coeff.dim
+    pad = [ops.zero] * n
+
+    def kernel(rows):
+        return [D.from_coords(vec + pad) for vec in kernel_basis(rows, n, ops)]
+
+    left, middle, right = conditions
+    comm = _commuter_rows(T, ops)
+    nucleus = left + middle + right
+    D._memo["nuclei"] = NucleusReport(
+        kernel(left), kernel(middle), kernel(right), kernel(nucleus),
+        [D.from_coords(vec) for vec in kernel_basis(comm, D.dim, ops)],
+        kernel(nucleus + [row[:n] for row in comm]))
     return D._memo["nuclei"]
 
 

@@ -151,6 +151,18 @@ def test_extra_coefficient_parts_exit_two(capsys, coeff, sigma, c):
 
 
 
+@pytest.mark.parametrize("command", ["autgroup", "nuclei", "division",
+                                     "construct"])
+@pytest.mark.parametrize("coeff", ["quat(1,1)", "quat(1,1;7)"])
+def test_noninvertible_c_exits_two(capsys, command, coeff):
+    # c = j + k has norm -b + ab = 0 in (1, 1 | F)
+    code, out, err = run_cli(capsys, [
+        command, "--coeff", coeff, "--sigma", "conjugation:1,0,1,1",
+        "--c=0,0,1,1", "--variant", "left"])
+    assert code == 2 and out == ""
+    assert err == "error: c must be invertible\n"
+
+
 def test_bad_characteristic_with_a_modulus_exits_two(capsys):
     # the characteristic is checked before the modulus is reduced by it
     code, out, err = run_cli(capsys, [

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               zero_divisor_search, _field_grid)
 from dickson.fields import FrobeniusAut, make_field
 from dickson.linalg import FpOps, QOps, kernel_basis
-from dickson.padics import PadicOps
+from dickson.padics import PadicOps, PadicQuadExt
 from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
@@ -718,6 +719,167 @@ def test_nuclei_match_systems_built_from_products(doc):
         assert report.dims == {k: len(v) for k, v in direct.items()}
     else:
         assert report.literals == direct
+
+
+def _small_field_doublings():
+    """Every doubling of GF(q), q <= 125 and n >= 2, with sigma a
+    Frobenius power other than the identity and c any nonzero element:
+    1,241 of them.  The variant cycles through all four, so each row of
+    compute_nuclei's table is read; over a field they give one product."""
+    i = 0
+    for p, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                 (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]:
+        K = make_field(p, n)
+        for k in range(1, n):
+            for c in K.elements():
+                if not c.is_zero():
+                    i += 1
+                    yield DicksonAlgebra(K, FrobeniusAut(K, k), c,
+                                         doubling.VARIANTS[i % 4])
+
+
+def test_nuclei_closed_form_matches_associators_over_small_fields():
+    count = 0
+    for D in _small_field_doublings():
+        report = compute_nuclei(D)
+        assert report.literals == \
+            doubling._nuclei_from_associators(D).literals, D.describe()
+        count += 1
+    assert count == 1241
+
+
+def _quaternion_doublings(B, rng, count):
+    """Seeded doublings over the quaternion algebra B in every variant:
+    sigma conjugation by a random non-central m, and c random, central,
+    in F[m], in F m or in F m^-1 (the last two are the exceptions of
+    compute_nuclei's table in the left and right variants)."""
+    def scalar():
+        if B.p is None:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+        return rng.randrange(B.p)
+
+    for _ in range(count):
+        m = random_invertible(B, rng)
+        if m.is_central():
+            continue
+        lam, mu = scalar(), scalar()
+        for c in (random_invertible(B, rng), B.element(lam, 0, 0, 0),
+                  B.element(lam, 0, 0, 0) + m * mu, m * lam, m.inv() * lam):
+            if B.ops.is_zero(c.norm()):
+                continue
+            for variant in ("left", "middle", "right"):
+                yield DicksonAlgebra(B, InnerAut(m), c, variant)
+
+
+def _seeded_doublings():
+    """Q(sqrt a), Q_p and quaternion doublings over Q and GF(p), seeded;
+    every c has a nonzero first coordinate."""
+    rng = random.Random(28)
+
+    def c():
+        return "%d/%d,%d/%d" % (rng.choice([-1, 1]) * rng.randrange(1, 21),
+                                rng.randrange(1, 6), rng.randrange(-20, 21),
+                                rng.randrange(1, 6))
+
+    for _ in range(40):
+        yield algebra_from_document({
+            "coeff": "quad(%d)" % rng.choice([-7, -3, -2, -1, 2, 3, 5, 6]),
+            "sigma": "conjugate", "c": c(),
+            "variant": rng.choice(doubling.VARIANTS)})
+    for _ in range(40):
+        yield algebra_from_document({
+            "coeff": "qp(%d;%s;%d)" % (rng.choice([3, 5, 7]),
+                                       rng.choice(PadicQuadExt.KINDS),
+                                       rng.choice([8, 16])),
+            "sigma": "conjugate", "c": c(),
+            "variant": rng.choice(doubling.VARIANTS)})
+    for B in (QuaternionAlgebra(2, 3), QuaternionAlgebra(-1, -1),
+              QuaternionAlgebra(1, 1), QuaternionAlgebra(Fraction(1, 2), -5),
+              QuaternionAlgebra(2, 3, 5), QuaternionAlgebra(-1, -1, 7)):
+        yield from _quaternion_doublings(B, rng, 2)
+
+
+def test_nuclei_closed_form_matches_associators_over_other_kinds():
+    kinds = Counter()
+    for D in _seeded_doublings():
+        assert compute_nuclei(D).literals == \
+            doubling._nuclei_from_associators(D).literals, D.describe()
+        kinds[D.coeff.kind] += 1
+    assert set(kinds) == {"quad", "padic", "quat"}
+    assert min(kinds.values()) >= 40
+
+
+def _counting_associators(monkeypatch):
+    """Count the calls of doubling._associators, which only the general
+    route of compute_nuclei makes."""
+    calls = []
+    real = doubling._associators
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(doubling, "_associators", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant, sigma, c", [
+    # m = 2i + k and c = -3/2 m: c lies in F m and c m in F
+    ("left", "conjugation:0,2,0,1", "0,-3,0,-3/2"),
+    ("right", "conjugation:0,2,0,1", "0,-3,0,-3/2"),
+    # m = 1 + i and c = m: c is in F m, but c m = 3 + 2i is not in F
+    ("left", "conjugation:1,1,0,0", "1,1,0,0"),
+    # m = 1 + i and c = 1 - i = -m^-1: c m is in F, but c is not in F m
+    ("right", "conjugation:1,1,0,0", "1,-1,0,0"),
+])
+def test_nuclei_quaternion_exceptions_take_the_associator_systems(
+        monkeypatch, variant, sigma, c):
+    # the right nucleus of the left variant (the left nucleus of the
+    # right variant) holds (0, b) for b in F[m] besides Fix(sigma) + 0
+    calls = _counting_associators(monkeypatch)
+    D = algebra_from_document({"coeff": "quat(2,3)", "sigma": sigma,
+                               "c": c, "variant": variant})
+    nucleus = getattr(compute_nuclei(D), {"left": "right",
+                                          "right": "left"}[variant])
+    assert len(nucleus) == 4
+    assert any(not b.v.is_zero() for b in nucleus)
+    assert calls == [1]
+
+
+def test_nuclei_identity_sigma_takes_the_associator_systems(monkeypatch):
+    calls = _counting_associators(monkeypatch)
+    K = make_field(3, 2)
+    D = DicksonAlgebra(K, FrobeniusAut(K, 0), K.gen(), allow_identity=True)
+    assert compute_nuclei(D).dims == {"left": 4, "middle": 4, "right": 4,
+                                      "nucleus": 4, "commuter": 4,
+                                      "center": 4}
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("doc", [
+    {"coeff": "gf(3,4)", "sigma": "frobenius:2", "c": "0,1,0,0"},
+    {"coeff": "gf(2,3)", "sigma": "frobenius:1", "c": "0,1,0",
+     "variant": "middle"},
+    {"coeff": "quad(-3)", "sigma": "conjugate", "c": "1,2",
+     "variant": "right"},
+    {"coeff": "qp(5;sqrt_up;8)", "sigma": "conjugate", "c": "2,3"},
+    {"coeff": "quat(2,3)", "sigma": "conjugation:0,2,0,1",
+     "c": "0,-3,0,-3/2", "variant": "middle"},
+    {"coeff": "quat(2,3)", "sigma": "conjugation:1,1,0,0", "c": "1,1,0,0",
+     "variant": "right"},
+    {"coeff": "quat(-1,-1;7)", "sigma": "conjugation:1,2,0,0",
+     "c": "1,2,3,4", "variant": "left"},
+])
+def test_nuclei_covered_doublings_never_contract_associators(monkeypatch,
+                                                             doc):
+    def refuse(*args):
+        raise AssertionError("the associator systems were built")
+
+    monkeypatch.setattr(doubling, "_associators", refuse)
+    D = algebra_from_document(doc)
+    report = compute_nuclei(D)
+    for name in ("left", "middle", "right", "nucleus", "center"):
+        assert all(b.v.is_zero() for b in getattr(report, name))
 
 
 def test_constants_and_nuclei_are_computed_once_per_doubling(monkeypatch):
