@@ -126,9 +126,9 @@ def division_decide(D):
       2. sigma = id: the critical values are the squares of B.  Over GF(q)
          they are the squares for every sigma = frobenius^k: the g-th
          powers, g = gcd(q - 1, 2, p^k - 1) (critical_constants), which are
-         the squares for odd q and every unit for even q.  Euler's
-         criterion needs no index tables; the square root of a square c
-         above fields.TABLE_BOUND is refused;
+         the squares for odd q and every unit for even q.  FiniteField.sqrt
+         decides it and gives the root at every q, by Tonelli-Shanks above
+         fields.TABLE_BOUND;
       3. every critical value has a square norm;
       4. over Q(sqrt a), N(c) = s^2 with neither s nor -s a norm proves
          division (the converse holds there too);

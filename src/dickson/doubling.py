@@ -18,10 +18,11 @@ automorphism carries its own action (tau(x), compose, inverse,
 is_identity, order, label).  Each coefficient algebra is wrapped by a
 small adapter for what neither can know: which automorphisms the kind
 has, its square roots (is_square, and b_candidates: every b for one tau
-of the (tau, b) searches, found in one call), plus enumeration when
-finite.  Everything downstream (nuclei, zero-divisor scans, automorphism
-machinery) works through the elements, the automorphisms and that one
-surface.
+of the (tau, b) searches, found in one call; over GF(q), and over the
+GF(p) of finite quaternions, both read FiniteField.sqrt), plus
+enumeration when finite.  Everything downstream (nuclei, zero-divisor
+scans, automorphism machinery) works through the elements, the
+automorphisms and that one surface.
 
 Nuclei, the commuting elements and the center are computed as kernels of
 exact F-linear systems.  With sigma not the identity, each nucleus is
@@ -53,7 +54,7 @@ from math import gcd, lcm
 from .fields import FiniteField, FrobeniusAut
 from .linalg import (FpOps, QOps, _packed_pivots, kernel_basis,
                      packed_layout, rref)
-from .padics import (DEFAULT_PRECISION, PadicQuadExt, _mod_sqrt, ext_sqrt,
+from .padics import (DEFAULT_PRECISION, PadicQuadExt, ext_sqrt,
                      rational_coords)
 from .quadratic import (QuadField, _quad, is_norm_from_quadfield,
                         quad_is_square, rational_is_square, rational_sqrt)
@@ -194,11 +195,8 @@ class FieldCoefficients(_Coefficients):
         return sorted(super().b_candidates(t, sigma), key=self.sort_key)
 
     def is_square(self, x):
-        if x.is_zero():
-            return True, self.K.zero()
-        if not self.K.is_square(x):
-            return False, None
-        return True, self.K.sqrt(x)
+        r = self.K.sqrt(x)
+        return r is not None, r
 
     def is_finite(self):
         return True
@@ -334,6 +332,11 @@ class QuatCoefficients(_Coefficients):
             raise TypeError("expected a QuaternionAlgebra")
         self.B = B
 
+    @cached_property
+    def F(self):
+        """GF(p) for B over GF(p), where b_candidates takes its roots."""
+        return FiniteField(self.B.p, 1)
+
     def base_ops(self):
         return self.B.ops
 
@@ -389,12 +392,11 @@ class QuatCoefficients(_Coefficients):
         the base field, over GF(p) the smaller residue."""
         if not t.is_central():
             return []
-        p = self.B.p
-        if p is None:
+        if self.B.p is None:
             r = rational_sqrt(t.x)
         else:
-            r = _mod_sqrt(t.x, p)
-            r = min(r, p - r) if r else None
+            r = self.F.sqrt(self.F.from_int(t.x))
+            r = None if r is None else r.coeffs[0]
         if r is None:
             return []
         b = self.B.element(r, 0, 0, 0)

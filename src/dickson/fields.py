@@ -12,7 +12,10 @@ Z(k) = log(1 + g^k) (K. Huber, IEEE Trans. Inform. Theory 36 (1990)
 log by p^k.  The polynomial helpers build them on a field's first use, an
 lru_cache shares them between equal fields, and each field interns one
 FieldElement per value.  Above the bound, elements are multiplied as
-polynomials reduced by the modulus.
+polynomials reduced by the modulus.  FiniteField.sqrt is the one square
+root of GF(q), residue roots of Q_p and of quaternions over GF(p)
+included: a table read up to the bound, Tonelli-Shanks above it.  Only
+primitive(), which the census reads, still needs the tables.
 
 When no modulus is supplied the field uses the
 lexicographically smallest monic irreducible of that degree, comparing
@@ -32,6 +35,7 @@ from math import gcd
 from operator import attrgetter
 
 from .linalg import Element
+from .reports import certify
 
 
 class FieldError(ValueError):
@@ -376,21 +380,18 @@ class FiniteField:
         return a ** ((self.order - 1) // (self.p - 1))
 
     def is_square(self, a):
-        """Squareness in GF(q): an even log for odd q (a^((q-1)/2) = 1
-        above TABLE_BOUND); always true for q even."""
+        """Squareness in GF(q), as sqrt decides it: always for q even."""
         if a.is_zero():
             raise FieldError("squareness of zero is not defined here")
-        if self.order % 2 == 0:
-            return True
-        if self._tables() is None:
-            return a ** ((self.order - 1) // 2) == self.one()
-        return self._log[a.index] % 2 == 0
+        return self.sqrt(a) is not None
 
     def sqrt(self, a):
-        """Some square root, or None.  Of the two roots +-r it returns the
-        one with the smaller index, the first that a scan in element order
-        meets.  Read off the log tables, so capped at TABLE_BOUND."""
-        self.primitive()
+        """The square root of a, or None when a is not a square.  Of the
+        two roots +-r it returns the one with the smaller index, the first
+        that a scan in element order meets.  Up to TABLE_BOUND it is read
+        off the log tables; above, _tonelli_shanks finds it."""
+        if self._tables() is None:
+            return self._tonelli_shanks(a)
         log, m = self._log[a.index], self.order - 1
         if log is None:
             return self._elems[0]
@@ -399,6 +400,35 @@ class FiniteField:
         # (m + 1) / 2 halves an even log, and is 1 / 2 mod m when m is odd
         r = self._exp[log * (m + 1) // 2 % m]
         return self._elems[min(r, self._neg[r])]
+
+    def _tonelli_shanks(self, a):
+        """sqrt without tables (H. Cohen, A Course in Computational
+        Algebraic Number Theory, Alg. 1.5.1): a^(q/2) for even q; for odd
+        q - 1 = 2^e s, the root a^((s+1)/2) is corrected by powers of z^s,
+        z the first non-square in index order, until its error a^s dies.
+        The root is certified by squaring back."""
+        q, one = self.order, self.one()
+        if a.is_zero() or q % 2 == 0:
+            r = a ** (q // 2)
+        else:
+            e, s = 0, q - 1
+            while s % 2 == 0:
+                e, s = e + 1, s // 2
+            z = next(z for z in map(self.element_at, range(1, q))
+                     if z ** ((q - 1) // 2) != one)
+            y, r, b = z ** s, a ** ((s + 1) // 2), a ** s
+            while b != one:
+                k, b2 = 0, b
+                while b2 != one:
+                    k, b2 = k + 1, b2 * b2
+                if k == e:  # b has order 2^e: a is not a square
+                    return None
+                t = y ** (1 << (e - k - 1))
+                e, y = k, t * t
+                r, b = r * t, b * y
+            r = min(r, -r, key=attrgetter("index"))
+        certify(r * r == a, "the Tonelli-Shanks root squares back")
+        return r
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField) and other.p == self.p
@@ -470,8 +500,8 @@ def _smallest_irreducible(p, n):
     adjoined generator is a non-square in the default field.  For n > 1
     a primitive X has a norm (-1)^n m(0) that generates GF(p)^*, so only
     the constant terms m(0) that give one are searched."""
-    heads = [c for c in range(p) if n == 1
-             or c and _is_primitive([(-1) ** n * c % p], [0, 1], p)]
+    heads = (c for c in range(p) if n == 1
+             or c and _is_primitive([(-1) ** n * c % p], [0, 1], p))
     for head in heads:
         for tail in itertools.product(range(p), repeat=n - 1):
             m = [head, *tail, 1]

@@ -29,7 +29,9 @@ Quadratic extensions come in the three square classes of conductors:
     sqrt_up  ramified,   alpha^2 = u*p
 The uniformizer is alpha for the ramified kinds and p otherwise, and the
 residue field is GF(p) or GF(p^2) accordingly; ext_sqrt reads squareness
-off there and Hensel-lifts the residue's root in one walk.
+off there and Hensel-lifts the residue's root in one walk.  Every residue
+root, padic_sqrt's in GF(p) included, is FiniteField.sqrt's, which works
+at every p.
 
 p = 2 is rejected outright; none of the analyses here need it and the
 square theory is different there.
@@ -48,34 +50,6 @@ DEFAULT_PRECISION = 32
 
 class PrecisionError(ArithmeticError):
     """A verdict would need p-adic digits beyond the working precision."""
-
-
-def _mod_sqrt(a, p):
-    """A square root of a mod an odd prime p (Tonelli-Shanks), or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 class _PowerTable(dict):
@@ -363,13 +337,15 @@ def padic_is_square(z):
 
 
 def padic_sqrt(z):
-    """The canonical square root in Q_p (smaller unit residue), or None."""
+    """The canonical square root in Q_p (smaller unit residue), or None;
+    the residue root it lifts is GF(p)'s FiniteField.sqrt."""
     if z.is_zero():
         return z.ctx.zero()
     if not padic_is_square(z):
         return None
     p, prec = z.ctx.p, z.prec
-    x = _mod_sqrt(z.unit, p)
+    F = FiniteField(p, 1)
+    x = F.sqrt(F.from_int(z.unit)).coeffs[0]
     k = 1
     while k < prec:
         k = min(2 * k, prec)
@@ -596,14 +572,6 @@ def rational_coords(z):
     return [_written(z.x), _written(z.y)]
 
 
-def ext_is_square(z):
-    """Squareness in the quadratic extension: whether ext_sqrt finds a
-    root."""
-    if z.is_zero():
-        raise ValueError("squareness of zero is not asked here")
-    return ext_sqrt(z) is not None
-
-
 def ext_sqrt(z):
     """A square root of z in the extension, or None, deciding squareness
     on the way: z is a square exactly when its pi-valuation is even and
@@ -617,11 +585,9 @@ def ext_sqrt(z):
     ext = z.ext
     w = z.unit_part()
     R = ext.residue_field()
-    r = w.residue()
-    # needs no index tables, so a non-square is a verdict above them too
-    if not R.is_square(r):
+    r0 = R.sqrt(w.residue())
+    if r0 is None:
         return None
-    r0 = R.sqrt(r)
     s = ext.element(r0.coeffs[0], 0) if ext.ramified else ext.element(r0.coeffs[0], r0.coeffs[1])
     half = ext.element(Fraction(1, 2), 0)
     for _ in range(ext.ctx.N.bit_length() + 2):

@@ -386,13 +386,12 @@ def test_census_over_limit_errors(capsys):
 
 
 GF101_2 = ["--coeff", "gf(101,2)", "--sigma", "frobenius:1", "--c", "0,1"]
-NO_TABLES = "error: no index tables for GF(101^2): they stop at p^n <= 10000\n"
 
 
-def test_autgroup_above_the_table_bound_names_it(capsys):
-    code, out, err = run_cli(capsys, ["autgroup"] + GF101_2)
-    assert code == 2 and out == ""
-    assert err == NO_TABLES
+def test_autgroup_above_the_table_bound_answers(capsys):
+    # the b equations need only square roots, which need no index tables
+    result = json.loads(_json_run(capsys, ["autgroup"] + GF101_2))["result"]
+    assert result["order"] == 4 and result["complete"] is True
 
 
 def _no_walk(monkeypatch):
@@ -411,13 +410,65 @@ def test_division_above_the_table_bound_answers_a_nonsquare(
     assert "verdict:  proved-division" in out
 
 
-def test_division_above_the_table_bound_refuses_before_the_walk(
-        capsys, monkeypatch):
-    # 4 is a square, and its root is read off the index tables
+@pytest.mark.parametrize("p, n, c", [(101, 2, "4,0"), (3, 20, "0,0,1"),
+                                     (2, 14, "0,1")])
+def test_division_above_the_table_bound_proves_a_square(
+        capsys, monkeypatch, p, n, c):
+    # c's root comes from Tonelli-Shanks; the witness is the theorem pair
+    # of (sqrt c, 1, 1), ((r, 1), (-r, 1)), without the rank walk
     _no_walk(monkeypatch)
-    code, out, err = run_cli(capsys, ["division"] + GF101_2[:-1] + ["4,0"])
-    assert code == 2 and out == ""
-    assert err == NO_TABLES
+    c = ",".join((c.split(",") + ["0"] * n)[:n])
+    result = json.loads(_json_run(capsys, [
+        "division", "--coeff", "gf(%d,%d)" % (p, n), "--sigma",
+        "frobenius:1", "--c", c]))["result"]
+    assert result["verdict"] == "proved-not-division"
+    K = dickson.make_field(p, n)
+    (r, one), (neg_r, one_again) = [
+        [K.element([int(x) for x in lit.split(",")]) for lit in half]
+        for half in result["witness"]]
+    assert one == one_again == K.one() and neg_r == -r
+    assert r * r == K.element([int(x) for x in c.split(",")])
+    assert r.index <= neg_r.index
+
+
+def test_iso_and_wene_above_the_table_bound(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"coeff": "gf(101,2)", "sigma": "frobenius:1", "c": "4,0"}')
+    b.write_text('{"coeff": "gf(101,2)", "sigma": "frobenius:1", "c": "9,0"}')
+    result = json.loads(_json_run(capsys, [
+        "iso", "--spec", str(a), "--spec2", str(b)]))["result"]
+    # b = 2/3 or -2/3 with b^2 = 4/9; 33 = -2/3 mod 101 has the smaller index
+    assert result["status"] == "yes"
+    assert result["witness"] == {"b": "33,0", "tau": "frobenius^0"}
+    result = json.loads(_json_run(capsys, [
+        "wene", "--coeff", "gf(101,2)", "--sigma", "frobenius:1",
+        "--c", "3,0"]))["result"]
+    assert result["consistent"] is True
+
+
+def test_autgroup_over_qp_above_the_table_bound(capsys):
+    # the residue field GF(101^2) of the unramified extension has no tables
+    result = json.loads(_json_run(capsys, [
+        "autgroup", "--coeff", "qp(101;sqrt_u;8)", "--sigma", "conjugate",
+        "--c", "2,1"]))["result"]
+    assert result["order"] == 4 and result["complete"] is True
+
+
+def test_autgroup_over_finite_quaternions_above_the_table_bound(capsys):
+    # the central roots are taken in GF(10007): 1 has the roots +-1 and
+    # -1 (for conj-by j) none, since 10007 = 3 mod 4
+    result = json.loads(_json_run(capsys, [
+        "autgroup", "--coeff", "quat(-1,-1;10007)", "--sigma",
+        "conjugation:1,1,0,0", "--c", "0,1,0,0", "--variant", "left",
+        "--tau", "conjugation:0,0,1,0", "--tau",
+        "conjugation:1,1,0,0"]))["result"]
+    assert result["order"] == 4 and result["complete"] is False
+    assert result["elements"] == [
+        {"b": b, "tau": tau}
+        for tau in ("conj-by(1,0,0,0)", "conj-by(1,1,0,0)")
+        for b in ("1,0,0,0", "10006,0,0,0")]
+    assert result["subgroups"]["J_c"] == ["conj-by(1,0,0,0)",
+                                          "conj-by(1,1,0,0)"]
 
 
 def test_census_reruns_from_its_echoed_input(capsys):

@@ -11,7 +11,7 @@ import dickson
 from dickson.analysis import division_decide
 from dickson.doubling import DicksonAlgebra
 from dickson.padics import (PadicContext, PadicNumber, PadicQuadExt,
-                            PrecisionError, ext_is_square, ext_sqrt,
+                            PrecisionError, ext_sqrt,
                             padic_is_square, padic_sqrt)
 from oracles import square_class
 
@@ -249,13 +249,16 @@ def test_results_carry_the_left_operand_context():
 
 
 # A certificate must hold under ``python -O`` too: plant a wrong first
-# residue for the Hensel lift and expect the root check to raise.
+# residue for the Hensel lifts, then a wrong Tonelli-Shanks root, and
+# expect each root check to raise.
 _WRONG_ROOT_SCRIPT = textwrap.dedent("""
     import dickson.fields as fields
     import dickson.padics as padics
 
+    sqrt = fields.FiniteField.sqrt
+    # 1 is not a root of 4 mod 7, nor of 4 in GF(25)
+    fields.FiniteField.sqrt = lambda self, e: self.from_int(1)
     ctx = padics.PadicContext(7)
-    padics._mod_sqrt = lambda a, p: 1          # 1 is not a root of 4 mod 7
     try:
         r = padics.padic_sqrt(ctx.from_fraction(4))
         print("returned", r)
@@ -264,9 +267,19 @@ _WRONG_ROOT_SCRIPT = textwrap.dedent("""
 
     K = padics.PadicQuadExt(padics.PadicContext(5), "sqrt_u")
     z = K.element(4, 0)
-    fields.FiniteField.sqrt = lambda self, e: self.element([1, 0])
     try:
         r = padics.ext_sqrt(z)
+        print("returned", r)
+    except RuntimeError as exc:
+        print("raised", exc)
+
+    # above the index tables: a negation that answers 1 makes the root of
+    # smaller index 1, which is not a root of 4 in GF(101^2)
+    fields.FiniteField.sqrt = sqrt
+    fields.FieldElement.__neg__ = lambda self: self.field.one()
+    F = fields.make_field(101, 2)
+    try:
+        r = F.sqrt(F.from_int(4))
         print("returned", r)
     except RuntimeError as exc:
         print("raised", exc)
@@ -281,7 +294,7 @@ def test_sqrt_certificates_run_under_optimize():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert all(line.startswith("raised ") for line in lines), lines
 
 
@@ -402,7 +415,7 @@ def test_ext_squares_have_hensel_roots():
             if z.is_zero():
                 continue
             sq = z * z
-            assert ext_is_square(sq)
+            assert ext_sqrt(sq) is not None
             r = ext_sqrt(sq)
             assert r * r == sq
 
@@ -412,7 +425,7 @@ def test_ext_alpha_is_not_a_square_in_ramified_extension():
     K = PadicQuadExt(ctx, "sqrt_p")
     alpha = K.element(ctx.zero(), ctx.one())
     # N(alpha) = -5 has odd valuation, and -1 is a square in Q_5
-    assert not ext_is_square(alpha)
+    assert ext_sqrt(alpha) is None
 
 
 
@@ -436,12 +449,13 @@ def test_ext_sqrt_walks_the_residue_once(monkeypatch):
 
 
 def test_ext_non_squares_decided_above_the_table_bound():
-    # GF(10007) has no index tables, so no residue root can be read; a
-    # non-square residue is still a verdict by Euler's criterion
+    # GF(10007) has no index tables; its residue roots come from
+    # Tonelli-Shanks, which decides a non-square residue on the way
     ctx = PadicContext(10007, 8)
     K = PadicQuadExt(ctx, "sqrt_p")
     assert ext_sqrt(K.element(5, 0)) is None
-    assert not ext_is_square(K.element(5, 0))
+    r = ext_sqrt(K.element(4, 0))
+    assert r * r == K.element(4, 0)
     D = DicksonAlgebra(K, "id", K.element(5, 0), allow_identity=True)
     assert division_decide(D).status == "proved-division"
 
