@@ -24,26 +24,23 @@ enumeration when finite.  Everything downstream (nuclei, zero-divisor
 scans, automorphism machinery) works through the elements, the
 automorphisms and that one surface.
 
-Nuclei, the commuting elements and the center are computed as kernels of
-exact F-linear systems.  With sigma not the identity, each nucleus is
-{(a, 0) : f(a) = 0} for one F-linear map f of B that compute_nuclei
-proves from the variant, so its system has n = dim B columns; the two
-quaternion cases where that fails and sigma the identity take the
-general route, the associator systems over every basis pair
-(_nuclei_from_associators), which the tests keep as the reference for
-the others.  The associators, the commutators and
-mul_by_constants, the second product used for cross-checks, are read
-off one structure tensor kept per doubling: its entries over one common
-denominator, ints over GF(p) (where it is 1) and Q, summed from int 0.  A
-doubling over Q_p(sqrt d) has its nuclei and construct's checks computed
-on its rational twin (rational_twin), the doubling over Q(sqrt d) with
-the same sigma, variant and c: every number such a question brings in is
-rational, and ranks and kernels do not change under field extension.
-p-adic arithmetic is left where a p-adic root enters: the b values of
-the automorphism and isomorphism searches, division and its
-not-division preimages.  The exhaustive
-zero-divisor search over finite fields, the tests' reference for
-analysis.division_decide, is a rank test over GF(p)
+Nuclei, the commuting elements and the center are kernels of exact
+F-linear systems.  With sigma not the identity, compute_nuclei proves one
+F-linear map of B per nucleus; the two quaternion cases where that fails
+and sigma the identity take the associator systems over every basis pair
+(_nuclei_from_associators), the tests' reference for the others.  Both
+take the commuter in closed form.  The associators and mul_by_constants,
+the second product used for cross-checks, are read off one structure
+tensor kept per doubling: its entries over one common denominator, ints
+over GF(p) (where it is 1) and Q, summed from int 0.  A doubling over
+Q_p(sqrt d) has its nuclei and construct's checks computed on its
+rational twin (rational_twin), the doubling over Q(sqrt d) with the same
+sigma, variant and c: every number such a question brings in is rational,
+and ranks and kernels do not change under field extension.  p-adic
+arithmetic is left where a p-adic root enters: the b values of the
+automorphism and isomorphism searches, division and its not-division
+preimages.  The exhaustive zero-divisor search over finite fields, the
+tests' reference for analysis.division_decide, is a rank test over GF(p)
 (_first_singular_left_factor).
 """
 
@@ -549,9 +546,6 @@ class DicksonAlgebra:
     def associator(self, x, y, z):
         return self.mul(self.mul(x, y), z) - self.mul(x, self.mul(y, z))
 
-    def commutator(self, x, y):
-        return self.mul(x, y) - self.mul(y, x)
-
     # -- enumeration ---------------------------------------------------------
 
     def is_finite(self):
@@ -691,13 +685,6 @@ def mul_by_constants(D, x, y):
 # nuclei
 
 
-def _difference(u, v, p):
-    """u - v entrywise: reduced mod p over GF(p), unreduced (p None) over Q."""
-    if p is None:
-        return [x - y for x, y in zip(u, v)]
-    return [(x - y) % p for x, y in zip(u, v)]
-
-
 def _associators(P, dim, ops):
     """assoc[a][b][c], the coordinate row of (e_a e_b) e_c - e_a (e_b e_c),
     from the int tensor P of structure_constants: reduced mod p over
@@ -722,7 +709,8 @@ def _associators(P, dim, ops):
     cols = [slice(c * dim, (c + 1) * dim) for c in idx]
     left = [[comb(P[a][b], by_left) for b in idx] for a in idx]
     right = [[comb(P[b][c], by_right) for c in idx] for b in idx]
-    return [[[_difference(left[a][b][cols[c]], right[b][c][cols[a]], p)
+    return [[[[(x - y) % p if p else x - y for x, y in
+               zip(left[a][b][cols[c]], right[b][c][cols[a]])]
               for c in idx] for b in idx] for a in idx]
 
 
@@ -735,16 +723,15 @@ def _reduced_rows(column, keys, dim, ops):
     return rows[:len(pivots)]
 
 
-def _commuter_rows(T, ops):
-    """The reduced system of the commuting elements of T: sum_i w_i
-    [e_i, e_j] = 0 for every j, the commutators read off the tensor of
-    structure_constants."""
-    P, _ = structure_constants(T)
-    p = ops.p if isinstance(ops, FpOps) else None
-    idx = range(T.dim)
-    comm = [[_difference(P[a][b], P[b][a], p) for b in idx] for a in idx]
-    return _reduced_rows(lambda i, j: comm[i][j], [(j,) for j in idx],
-                         T.dim, ops)
+def _commuter_conditions(T, ops):
+    """The commuter's system (see compute_nuclei): no rows over a
+    commutative B; over quaternions unit rows on the pure coordinates of
+    both halves, and on b's scalar in the middle variant, c not in F."""
+    if T.coeff.commutative:
+        return []
+    scalar = T.variant == "middle" and not T.c.is_central()
+    return [[ops.one if k == j else ops.zero for k in range(8)]
+            for j in range(1, 8) if j != 4 or scalar]
 
 
 def _nuclei_from_associators(D):
@@ -759,7 +746,8 @@ def _nuclei_from_associators(D):
     systems are its three slot views, with the unknown w = sum w_i e_i in
     the first, second or third slot.  Over GF(p) the tensor's entries are
     residues, and over Q they are den times the constants, since scaling
-    a system does not change its kernel.  The report is not kept on D."""
+    a system does not change its kernel.  The commuting elements are
+    compute_nuclei's.  The report is not kept on D."""
     dim = D.dim
     T = rational_twin(D)
     ops = T.coeff.base_ops()
@@ -769,7 +757,7 @@ def _nuclei_from_associators(D):
     left = _reduced_rows(lambda i, j, k: assoc[i][j][k], pairs, dim, ops)
     middle = _reduced_rows(lambda i, j, k: assoc[j][i][k], pairs, dim, ops)
     right = _reduced_rows(lambda i, j, k: assoc[j][k][i], pairs, dim, ops)
-    comm = _commuter_rows(T, ops)
+    comm = _commuter_conditions(T, ops)
 
     def kernel(rows):
         return [D.from_coords(vec) for vec in kernel_basis(rows, dim, ops)]
@@ -866,13 +854,21 @@ def compute_nuclei(D):
     the identity (allow_identity) take the general route,
     _nuclei_from_associators.
 
+    The commuting elements are all of D over a commutative B, and F + F
+    over quaternions, or F + 0 in the middle variant with c not in F
+    (R. D. Schafer, An Introduction to Nonassociative Algebras, 1966,
+    ch. II).  Proof: XY - YX = ([a, x] + k, [a, y] + [b, x]), where k is
+    c s([b, y]), s(b) c s(y) - s(y) c s(b) or s([b, y]) c by variant; all
+    of it is 0 over a commutative B.  Over quaternions y = 0 forces a, b
+    into F, and then k = 0 but in the middle variant, where k = b [c, s(y)].
+    Neither sigma nor c's invertibility enters, so both routes use it.  []
+
     A nucleus is solved as f's rows over the first half alone, its
     kernel vectors padded with zeros: that is the kernel of the 2n-column
     system of f's rows with n zero columns appended, stacked with the n
     rows that force the second half to 0.  The intersection stacks the
-    three maps, and the center adds the commuting system, restricted to
-    the first half.  The commuting elements are solved as on the general
-    route, from the commutators of the structure tensor.  A kernel basis
+    three maps, and the center adds the commuter's unit rows
+    (_commuter_conditions) restricted to the first half.  A kernel basis
     depends only on the kernel (its rref is unique), so both routes print
     the same bases.  Over Q_p every system is that of the rational twin
     (rational_twin), solved exactly over Q, and the kernel vectors become
@@ -894,7 +890,7 @@ def compute_nuclei(D):
         return [D.from_coords(vec + pad) for vec in kernel_basis(rows, n, ops)]
 
     left, middle, right = conditions
-    comm = _commuter_rows(T, ops)
+    comm = _commuter_conditions(T, ops)
     nucleus = left + middle + right
     D._memo["nuclei"] = NucleusReport(
         kernel(left), kernel(middle), kernel(right), kernel(nucleus),

@@ -157,6 +157,8 @@ def _is_irreducible(m, p):
     return power == _pmod(x, m, p)
 
 
+# an explicit modulus is tested once per process, keyed on its tuple
+_is_irreducible_once = lru_cache(maxsize=None)(_is_irreducible)
 TABLE_BOUND = 10**4
 
 
@@ -293,7 +295,7 @@ class FiniteField:
             modulus = [c % p for c in modulus]
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree %d" % n)
-            if not _is_irreducible(modulus, p):
+            if not _is_irreducible_once(tuple(modulus), p):
                 raise FieldError("modulus is reducible over GF(%d)" % p)
         self._modulus = list(modulus)
         self._mod_key = tuple(modulus)

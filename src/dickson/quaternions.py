@@ -43,6 +43,8 @@ class QuaternionAlgebra:
                 raise ValueError("a and b must be nonzero")
             self.ops = QOps()
         else:
+            if p >= 2**31:
+                raise ValueError("characteristic must be an int in [2, 2^31)")
             if not is_prime(p) or p == 2:
                 raise ValueError("base must be Q or GF(p) for an odd prime p")
             self.a = a % p

@@ -20,6 +20,8 @@ and not in the package:
   * quadratic_doubling_nucleus_dims gives the nucleus dimensions of a
     doubling of Q(sqrt d) as sympy nullspaces of associator systems
     built from its own product on Fraction pairs;
+  * _commuter_rows is the commutator system read off the structure
+    tensor, the reference for compute_nuclei's closed commuter;
   * rref_loop is plain Gauss-Jordan elimination through the scalar ops,
     the reference for linalg's packed GF(p) and integer Q routes, and the
     one elimination that takes PadicOps;
@@ -32,7 +34,7 @@ from fractions import Fraction
 from math import gcd
 
 from dickson.analysis import apply_automorphism, enumerate_automorphisms
-from dickson.doubling import _field_grid
+from dickson.doubling import _field_grid, _reduced_rows, structure_constants
 from dickson.fields import (FieldError, _is_irreducible, _is_primitive,
                             make_field)
 from dickson.linalg import FpOps, kernel_basis, rank, solve
@@ -68,6 +70,19 @@ def rref_loop(rows, ops):
         if r == len(rows):
             break
     return pivots
+
+
+def _commuter_rows(T, ops):
+    """The reduced system of the commuting elements of T: sum_i w_i
+    [e_i, e_j] = 0 for every j, the commutators read off the tensor of
+    structure_constants."""
+    P, _ = structure_constants(T)
+    p = ops.p if isinstance(ops, FpOps) else None
+    idx = range(T.dim)
+    comm = [[[(x - y) % p if p else x - y for x, y in zip(P[a][b], P[b][a])]
+             for b in idx] for a in idx]
+    return _reduced_rows(lambda i, j: comm[i][j], [(j,) for j in idx],
+                         T.dim, ops)
 
 
 def in_span(vectors, target, ops):

@@ -171,6 +171,27 @@ def test_bad_characteristic_with_a_modulus_exits_two(capsys):
     assert code == 2 and out == ""
     assert "characteristic must be an int" in err
 
+def test_quaternion_characteristic_bound_exits_two_everywhere(capsys,
+                                                             tmp_path):
+    # the bound of FiniteField, checked where the algebra is built, so no
+    # command enumerates GF(p) or answers over it; census takes no --coeff
+    coeff = "quat(-1,-1;2147483659)"
+    flags = ["--sigma", "conjugation:1,1,0,0", "--c", "0,1,0,0",
+             "--variant", "left"]
+    spec = tmp_path / "a.json"
+    spec.write_text(json.dumps({"coeff": coeff, "sigma": flags[1],
+                                "c": flags[3], "variant": flags[5]}))
+    for argv in [[cmd, "--coeff", coeff] + flags for cmd in
+                 ("construct", "nuclei", "division", "autgroup", "wene")] + [
+            ["witness-zero-divisor", "--coeff", coeff] + flags
+            + ["--r", "1,0,0,0", "--s", "1,0,0,0", "--t", "1,0,0,0"],
+            ["iso", "--spec", str(spec), "--spec2", str(spec)]]:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err == ("error: coefficient spec %r: characteristic must be "
+                       "an int in [2, 2^31)\n" % coeff), argv
+
+
 def test_readme_iso_spec_files(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -19,9 +19,10 @@ from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
 from dickson.reports import DIVISION, NOT_DIVISION
-from oracles import (critical_constants_sumset, doubled_subfield_check,
-                     fixed_field, in_span, random_invertible, random_nonzero,
-                     rref_loop, subalgebra_check)
+from oracles import (_commuter_rows, critical_constants_sumset,
+                     doubled_subfield_check, fixed_field, in_span,
+                     random_invertible, random_nonzero, rref_loop,
+                     subalgebra_check)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +659,7 @@ def test_nuclei_quaternion_left_variant():
 
 
 def _nuclei_from_products(D):
-    """The six nucleus bases from D.associator and D.commutator on basis
+    """The six nucleus bases from D.associator and x y - y x on basis
     elements, without the structure tensor: for each pair of fixed basis
     elements, one row per coordinate, one column per basis element in the
     unknown's slot.  Over Q_p the kernels come from the reference
@@ -678,7 +679,7 @@ def _nuclei_from_products(D):
     middle = rows(lambda w, x, y: D.associator(x, w, y))
     right = rows(lambda w, x, y: D.associator(x, y, w))
     comm = [list(row) for j in range(n)
-            for row in zip(*(D.coords(D.commutator(w, basis[j]))
+            for row in zip(*(D.coords(w * basis[j] - basis[j] * w)
                              for w in basis))]
 
     def kernel(system):
@@ -738,12 +739,25 @@ def _small_field_doublings():
                                          doubling.VARIANTS[i % 4])
 
 
+def _tensor_commuter(D):
+    """The commuting elements of D as the kernel of the commutator system
+    read off the structure tensor (oracles._commuter_rows), solved on the
+    rational twin over Q_p; the reference for the closed commuter that
+    both routes of compute_nuclei read."""
+    T = doubling.rational_twin(D)
+    ops = T.coeff.base_ops()
+    return [D.from_coords(v).literal()
+            for v in kernel_basis(_commuter_rows(T, ops), D.dim, ops)]
+
+
 def test_nuclei_closed_form_matches_associators_over_small_fields():
     count = 0
     for D in _small_field_doublings():
         report = compute_nuclei(D)
         assert report.literals == \
             doubling._nuclei_from_associators(D).literals, D.describe()
+        assert report.literals["commuter"] == _tensor_commuter(D), \
+            D.describe()
         count += 1
     assert count == 1241
 
@@ -801,12 +815,20 @@ def _seeded_doublings():
 
 def test_nuclei_closed_form_matches_associators_over_other_kinds():
     kinds = Counter()
+    middle_c_central = Counter()
     for D in _seeded_doublings():
-        assert compute_nuclei(D).literals == \
+        report = compute_nuclei(D)
+        assert report.literals == \
             doubling._nuclei_from_associators(D).literals, D.describe()
+        assert report.literals["commuter"] == _tensor_commuter(D), \
+            D.describe()
         kinds[D.coeff.kind] += 1
+        if D.coeff.kind == "quat" and D.variant == "middle":
+            middle_c_central[D.c.is_central()] += 1
     assert set(kinds) == {"quad", "padic", "quat"}
     assert min(kinds.values()) >= 40
+    # the middle variant's commuter is F + F or F + 0 as c is central or not
+    assert middle_c_central[True] >= 4 and middle_c_central[False] >= 4
 
 
 def _counting_associators(monkeypatch):
@@ -886,11 +908,37 @@ def test_constants_and_nuclei_are_computed_once_per_doubling(monkeypatch):
     K = make_field(3, 2)
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
     report = compute_nuclei(D)
+    structure_constants(D)
     calls = []
     monkeypatch.setattr(D, "mul", lambda x, y: calls.append(1))
     assert compute_nuclei(D) is report
     assert structure_constants(D) is structure_constants(D)
     assert not calls
+
+
+@pytest.mark.parametrize("doc, commuter", [
+    ({"coeff": "gf(5,3)", "sigma": "frobenius:1", "c": "0,1,0",
+      "variant": "middle"}, 6),
+    ({"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"}, 4),
+    ({"coeff": "qp(5;sqrt_u;8)", "sigma": "conjugate", "c": "2,3",
+      "variant": "right"}, 4),
+    ({"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0",
+      "c": "1/2,2,-1/3,3/4", "variant": "left"}, 2),
+    ({"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0",
+      "c": "1/2,2,-1/3,3/4", "variant": "middle"}, 1),
+    ({"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", "c": "2,0,0,0",
+      "variant": "middle"}, 2),
+    ({"coeff": "quat(-1,-1;7)", "sigma": "conjugation:1,2,0,0",
+      "c": "1,2,3,4", "variant": "right"}, 2),
+])
+def test_nuclei_never_build_the_structure_tensor(monkeypatch, doc, commuter):
+    def refuse(*args):
+        raise AssertionError("the structure tensor was built")
+
+    monkeypatch.setattr(doubling, "structure_constants", refuse)
+    monkeypatch.setattr(doubling, "basis_products", refuse)
+    report = compute_nuclei(algebra_from_document(doc))
+    assert report.dims["commuter"] == commuter
 
 
 def test_nucleus_contains_unit_always():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dickson import fields
 from dickson.fields import (TABLE_BOUND, FieldError, FrobeniusAut,
                             _pmod, _pmul, _ppowmod, _smallest_irreducible,
                             make_field)
@@ -55,6 +56,18 @@ def test_bad_constructions_rejected():
         make_field(4, 1)
     with pytest.raises(FieldError):
         make_field(3, 0)
+
+
+def test_explicit_modulus_is_tested_once_and_a_reducible_one_always_raises():
+    fields._is_irreducible_once.cache_clear()
+    for _ in range(3):
+        assert tuple(make_field(5, 3, [2, 0, 1, 1]).modulus) == (2, 0, 1, 1)
+        # (x + 1)(x^2 + x + 2) over GF(5), also spelled with unreduced ints
+        for modulus in ([2, 3, 2, 1], [7, -2, 2, 6]):
+            with pytest.raises(FieldError, match="reducible over GF"):
+                make_field(5, 3, modulus)
+    info = fields._is_irreducible_once.cache_info()
+    assert (info.misses, info.hits) == (2, 7)
 
 
 # ---------------------------------------------------------------------------
