@@ -24,6 +24,7 @@ ends the run quietly with status 1.
 """
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -81,16 +82,11 @@ _NEGATIVE_LITERAL = re.compile(r"-\d")
 def _join_negative_literals(argv):
     """["--c", "-1,1"] -> ["--c=-1,1"], for the element-literal flags."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _ELEMENT_FLAGS and i + 1 < len(argv)
-                and _NEGATIVE_LITERAL.match(argv[i + 1])):
-            out.append("%s=%s" % (tok, argv[i + 1]))
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _ELEMENT_FLAGS and _NEGATIVE_LITERAL.match(tok):
+            out[-1] = "%s=%s" % (out[-1], tok)
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -144,9 +140,7 @@ def _construct(D, args):
 
 def _autgroup(D, args):
     report = group_structure(D, enumerate_automorphisms(D, _taus(D, args)))
-    result = report.to_dict()
-    result["subgroups"] = report.subgroups.to_dict()
-    return result
+    return dict(report.to_dict(), subgroups=report.subgroups.to_dict())
 
 
 def _witness(D, args):
@@ -174,10 +168,8 @@ def _on_algebra(result):
 def _run_iso(args):
     if not args.spec or not args.spec2:
         raise DescriptionError("iso needs --spec and --spec2")
-    doc1 = load_document(args.spec)
-    doc2 = load_document(args.spec2)
-    verdict = iso_test(algebra_from_document(doc1),
-                       algebra_from_document(doc2))
+    doc1, doc2 = load_document(args.spec), load_document(args.spec2)
+    verdict = iso_test(*(algebra_from_document(d) for d in (doc1, doc2)))
     return {"first": doc1, "second": doc2}, verdict.to_dict()
 
 
@@ -234,8 +226,7 @@ def _emit(command, input_echo, result, fmt, started):
     if fmt == "json":
         print(json.dumps(envelope, indent=2, sort_keys=True, default=str))
     else:
-        lines = []
-        lines.append("command: %s" % command)
+        lines = ["command: %s" % command]
         _render(result, 0, lines)
         print("\n".join(lines))
 
@@ -324,10 +315,19 @@ def main(argv=None):
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    parser = _PARSER
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_negative_literals(argv))
+    args = _PARSER.parse_args(_join_negative_literals(
+        sys.argv[1:] if argv is None else argv))
+    try:
+        return _answer(args)
+    finally:
+        # a command leaves its algebra in reference cycles (elements point
+        # at their algebra or field, whose memo and tables hold elements);
+        # freed here, each call pays for its own, not a later call that the
+        # collector happens to interrupt
+        gc.collect(0)
+
+
+def _answer(args):
     started = time.monotonic()
     try:
         input_echo, result = args.run(args)

@@ -1,6 +1,7 @@
 """Every command documented in the README runs here, against the same
 flags the README shows, and the salient output lines are pinned."""
 
+import gc
 import json
 import os
 import subprocess
@@ -661,3 +662,23 @@ def test_parser_reuse_leaks_no_state_between_calls(capsys):
     in_process, fresh = json.loads(out), json.loads(proc.stdout)
     del in_process["wall_time_s"], fresh["wall_time_s"]
     assert in_process == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ["division", "--coeff=gf(3,3)", "--sigma=frobenius:1", "--c=0,1,0"],
+    ["nuclei", "--coeff=gf(5,2)", "--sigma=frobenius:1", "--c=0,1"],
+    ["nuclei", "--coeff=quat(2,3)", "--sigma=conjugation:0,1,0,0",
+     "--c=2,0,0,0", "--variant=middle", "--format=json"],
+    ["division", "--coeff=gf(3,2)", "--sigma=frobenius:1", "--c=1,0"],
+])
+def test_main_frees_its_cyclic_garbage_before_returning(capsys, argv):
+    """A command leaves its field or algebra in reference cycles; main
+    collects them, so a process that calls main repeatedly does not pay
+    for one call's garbage inside a later call.  The first call fills the
+    process caches and may pass the collector's threshold on its own; the
+    repeated one must leave nothing behind."""
+    for _ in range(2):
+        gc.collect()
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, err
+    assert gc.collect() == 0
