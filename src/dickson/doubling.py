@@ -10,9 +10,11 @@ three shapes distinguished by where c sits:
 
 Over a commutative B all three coincide; "commutative" is accepted as a
 variant tag there and is the same code path as "left".  (1,0) is always a
-two-sided unit and (0,1)^2 = (c,0).
+two-sided unit and (0,1)^2 = (c,0).  mul forms each half of the product
+in one fused a.dot(b, c, e) = a*b + c*e, normalized once: uy + vx is
+u.dot(y, v, x), and the first half u.dot(x, ...) with the variant's term.
 
-Coefficient elements carry their own arithmetic (+, -, *, ==, inv(),
+Coefficient elements carry their own arithmetic (+, -, *, dot, ==, inv(),
 is_zero(), literal()) and their coordinates (coords()), and every
 automorphism carries its own action (tau(x), compose, inverse,
 is_identity, order, label).  Each coefficient algebra is wrapped by a
@@ -279,9 +281,9 @@ class QuadCoefficients(_QuadraticCoefficients):
 
     def random_element(self, rng):
         if self.padic is None:
-            return self.K.element(
-                Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
-                Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+            x, dx, y, dy = (rng.randrange(-9, 10), rng.randrange(1, 4),
+                            rng.randrange(-9, 10), rng.randrange(1, 4))
+            return _quad(self.K, x * dy, y * dx, dx * dy)
         # the extension's draw, (x + y*alpha) * p**shift, from the ints
         x, y, shift = self.padic.draw(rng)
         p = self.padic.ctx.p
@@ -532,16 +534,16 @@ class DicksonAlgebra:
     # -- product ------------------------------------------------------------
 
     def mul(self, lhs, rhs):
+        """The variant's formula, each half one u.dot (module docstring)."""
         u, v, x, y = lhs.u, lhs.v, rhs.u, rhs.v
         sig = self.sigma
-        second = u * y + v * x
-        if self.variant in ("commutative", "left"):
-            extra = self.c * sig(v * y)
-        elif self.variant == "middle":
-            extra = sig(v) * self.c * sig(y)
+        if self.variant == "middle":
+            first = u.dot(x, sig(v) * self.c, sig(y))
+        elif self.variant == "right":
+            first = u.dot(x, sig(v * y), self.c)
         else:
-            extra = sig(v * y) * self.c
-        return DicksonElement(self, u * x + extra, second)
+            first = u.dot(x, self.c, sig(v * y))
+        return DicksonElement(self, first, u.dot(y, v, x))
 
     def associator(self, x, y, z):
         return self.mul(self.mul(x, y), z) - self.mul(x, self.mul(y, z))

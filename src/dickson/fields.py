@@ -210,16 +210,11 @@ class FieldElement(Element):
     def _scalar(self):
         return None if any(self.coeffs[1:]) else self.coeffs[0]
 
-    def _same(self, other):
-        """other as an element of self's field, or NotImplemented."""
-        if other.__class__ is FieldElement and other.field is self.field:
-            return other
-        return self._coerce(other)
-
     def __add__(self, other):
-        other = self._same(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         K = self.field
         log = K._log or K._tables()
         if log is None:
@@ -237,9 +232,10 @@ class FieldElement(Element):
         return K._elems[K._neg[self.index]]
 
     def __mul__(self, other):
-        other = self._same(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         K = self.field
         log = K._log or K._tables()
         if log is None:
@@ -247,6 +243,24 @@ class FieldElement(Element):
             return K._from_poly(prod)
         i, j = self.index, other.index
         return K._elems[K._exp[log[i] + log[j]] if i and j else 0]
+
+    def dot(self, b, c, e):
+        """self*b + c*e: the two products' logs and one Zech sum on the
+        index tables, the operators above them."""
+        K = self.field
+        if not (b.__class__ is c.__class__ is e.__class__ is FieldElement
+                and b.field is K and c.field is K and e.field is K):
+            b, c, e = self._coerced(b, c, e)
+        log = K._log or K._tables()
+        if log is None:
+            return self * b + c * e
+        exp, i, j, k, l = K._exp, self.index, b.index, c.index, e.index
+        s = exp[log[i] + log[j]] if i and j else 0
+        t = exp[log[k] + log[l]] if k and l else 0
+        if not (s and t):
+            return K._elems[s or t]
+        z = K._zech[log[t] - log[s]]
+        return K._elems[0 if z is None else exp[log[s] + z]]
 
     def __pow__(self, e):
         K = self.field

@@ -41,7 +41,8 @@ class Element:
     of the five coefficient element kinds, written once.
 
     A kind defines its arithmetic on operands of its own parent (__add__,
-    __neg__, __mul__ after _coerce, and inv) and four hooks:
+    __neg__, __mul__ after _coerce, inv, and but for PadicNumber the fused
+    a.dot(b, c, e) = a*b + c*e, normalized once) and four hooks:
         parent     the algebra the element lives in;
         _lift(s)   the element equal to a scalar s of a type in _scalars;
         _key()     a canonical tuple: elements of equal parents are equal
@@ -68,6 +69,13 @@ class Element:
         if isinstance(other, self._scalars):
             return self._lift(other)
         return NotImplemented
+
+    def _coerced(self, *others):
+        """others through _coerce, for dot; any other operand a TypeError."""
+        out = [self._coerce(x) for x in others]
+        if any(x is NotImplemented for x in out):
+            raise TypeError("dot needs elements or scalars")
+        return out
 
     def __radd__(self, other):
         return self.__add__(other)

@@ -281,14 +281,13 @@ def _sum(ctx, sv, su, sp, ov, ou, op):
     they cancel through the window both know.  Only su mod p**sp and ou
     mod p**op are read, so a caller may pass unreduced units (as _dot
     does): the window below is at most either precision past its own
-    valuation."""
+    valuation, and at least min(sp, op) >= 1: for sv <= ov it is
+    min(sp, ov - sv + op), so no sum runs out of digits."""
     # absolute precision of the sum
     sa, oa = sv + sp, ov + op
     absp = sa if sa <= oa else oa
     v = sv if sv <= ov else ov
     window = absp - v
-    if window < 1:
-        raise PrecisionError("operands do not overlap in precision")
     pw = ctx.powers
     if sv == v:
         raw = (su + ou * pw[ov - v]) % pw[window]
@@ -503,6 +502,17 @@ class PadicExtElement(Element):
         # x*ox + (d*y)*oy and x*oy + y*ox, with the sums in that order
         return PadicExtElement(ext, _dot(x, ox, ext.d * y, oy),
                                _dot(x, oy, y, ox))
+
+    def dot(self, b, c, e):
+        """self*b + c*e: __mul__'s coordinates, summed as __add__ sums them."""
+        ext = self.ext
+        if not (type(b) is type(c) is type(e) is PadicExtElement
+                and b.ext is ext and c.ext is ext and e.ext is ext):
+            b, c, e = self._coerced(b, c, e)
+        d, x, y, cx, cy = ext.d, self.x, self.y, c.x, c.y
+        return PadicExtElement(
+            ext, _dot(x, b.x, d * y, b.y) + _dot(cx, e.x, d * cy, e.y),
+            _dot(x, b.y, y, b.x) + _dot(cx, e.y, cy, e.x))
 
     def conjugate(self):
         return PadicExtElement(self.ext, self.x, -self.y)

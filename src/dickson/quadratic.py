@@ -228,9 +228,10 @@ class QuadElement(Element):
         return None if y else Fraction(x, d)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not QuadElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         x1, y1, d1 = self._k
         x2, y2, d2 = other._k
         return _quad(self.field, x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
@@ -240,13 +241,27 @@ class QuadElement(Element):
         return _quad(self.field, -x, -y, d)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not QuadElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         x1, y1, d1 = self._k
         x2, y2, d2 = other._k
         return _quad(self.field, x1 * x2 + self.field.a * y1 * y2,
                      x1 * y2 + y1 * x2, d1 * d2)
+
+    def dot(self, b, c, e):
+        """self*b + c*e on the keys, with one gcd."""
+        K = self.field
+        if not (b.__class__ is c.__class__ is e.__class__ is QuadElement
+                and b.field is K and c.field is K and e.field is K):
+            b, c, e = self._coerced(b, c, e)
+        (x1, y1, d1), (x2, y2, d2) = self._k, b._k
+        (x3, y3, d3), (x4, y4, d4) = c._k, e._k
+        a, s, t = K.a, d1 * d2, d3 * d4
+        X = (x1 * x2 + a * y1 * y2) * t + (x3 * x4 + a * y3 * y4) * s
+        Y = (x1 * y2 + y1 * x2) * t + (x3 * y4 + y3 * x4) * s
+        return _quad(K, X, Y, s * t)
 
     def conjugate(self):
         x, y, d = self._k

@@ -22,7 +22,7 @@ give the same map, so comparisons go through a scaled canonical form.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 
 from .fields import is_prime
@@ -119,8 +119,9 @@ class QuaternionAlgebra:
 
     def random_element(self, rng):
         if self.p is None:
-            return self.element(*(Fraction(rng.randrange(-9, 10),
-                                           rng.randrange(1, 4)) for _ in range(4)))
+            nd = [(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(4)]
+            den = lcm(*(d for _, d in nd))
+            return _quaternion(self, *(n * (den // d) for n, d in nd), den)
         return self.element(*(rng.randrange(self.p) for _ in range(4)))
 
     def __eq__(self, other):
@@ -154,6 +155,21 @@ def _quaternion(alg, x, y, z, w, d):
     return q
 
 
+def _product(alg, k1, k2):
+    """The numerators and the denominator of the product of the keys k1
+    and k2, unreduced: the one product formula, of __mul__ and dot."""
+    na, da, nb, db, dadb, nadb, nbda, nanb = alg._ab
+    x1, y1, z1, w1, d1 = k1
+    x2, y2, z2, w2, d2 = k2
+    # the coordinates of the product times d1*d2 and da*db, db, da, 1;
+    # the result puts all four over d1*d2*da*db
+    x = x1 * x2 * dadb + nadb * y1 * y2 + nbda * z1 * z2 - nanb * w1 * w2
+    y = (x1 * y2 + y1 * x2) * db + nb * (w1 * z2 - z1 * w2)
+    z = (x1 * z2 + z1 * x2) * da + na * (y1 * w2 - w1 * y2)
+    w = x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2
+    return x, y * da, z * db, w * dadb, d1 * d2 * dadb
+
+
 class Quaternion(Element):
     """x + y i + z j + w k, kept as the canonical key (X, Y, Z, W, d) of
     ints: x = X/d, ..., w = W/d with d > 0 and gcd(X, Y, Z, W, d) = 1;
@@ -183,9 +199,10 @@ class Quaternion(Element):
         return None if any(k[1:4]) else self.alg._from_ints(k[0], k[4])
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Quaternion or other.alg is not self.alg:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         x1, y1, z1, w1, d1 = self._k
         x2, y2, z2, w2, d2 = other._k
         return _quaternion(self.alg, x1 * d2 + x2 * d1, y1 * d2 + y2 * d1,
@@ -196,20 +213,22 @@ class Quaternion(Element):
         return _quaternion(self.alg, -x, -y, -z, -w, d)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Quaternion or other.alg is not self.alg:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _quaternion(self.alg, *_product(self.alg, self._k, other._k))
+
+    def dot(self, b, c, e):
+        """self*b + c*e from the two products' numerators, reduced once."""
         alg = self.alg
-        na, da, nb, db, dadb, nadb, nbda, nanb = alg._ab
-        x1, y1, z1, w1, d1 = self._k
-        x2, y2, z2, w2, d2 = other._k
-        # the coordinates of the product times d1*d2 and da*db, db, da, 1;
-        # the result puts all four over d1*d2*da*db
-        x = x1 * x2 * dadb + nadb * y1 * y2 + nbda * z1 * z2 - nanb * w1 * w2
-        y = (x1 * y2 + y1 * x2) * db + nb * (w1 * z2 - z1 * w2)
-        z = (x1 * z2 + z1 * x2) * da + na * (y1 * w2 - w1 * y2)
-        w = x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2
-        return _quaternion(alg, x, y * da, z * db, w * dadb, d1 * d2 * dadb)
+        if not (b.__class__ is c.__class__ is e.__class__ is Quaternion
+                and b.alg is alg and c.alg is alg and e.alg is alg):
+            b, c, e = self._coerced(b, c, e)
+        x1, y1, z1, w1, s = _product(alg, self._k, b._k)
+        x2, y2, z2, w2, t = _product(alg, c._k, e._k)
+        return _quaternion(alg, x1 * t + x2 * s, y1 * t + y2 * s,
+                           z1 * t + z2 * s, w1 * t + w2 * s, s * t)
 
     def conjugate(self):
         x, y, z, w, d = self._k

@@ -17,6 +17,9 @@ and not in the package:
     fields._smallest_irreducible prunes with;
   * the quaternion_* and quadratic_* functions are the Fraction formulas
     of the element operators, which now work on integer numerators;
+  * doubled_product is the doubled product by its defining formulas on
+    those, the reference for DicksonAlgebra.mul and its fused dot, and
+    fraction_random_* draw construct's trials from Fractions;
   * quadratic_doubling_nucleus_dims gives the nucleus dimensions of a
     doubling of Q(sqrt d) as sympy nullspaces of associator systems
     built from its own product on Fraction pairs;
@@ -400,6 +403,58 @@ def quadratic_inverse(u):
     return [u.x / n, -u.y / n]
 
 
+# ---------------------------------------------------------------------------
+# the doubled product and the random trials, by definition
+
+
+def doubled_product(D, lhs, rhs):
+    """The halves of lhs * rhs by the doubling module's three formulas:
+    (ux + c sigma(vy), uy + vx), (ux + sigma(v) c sigma(y), uy + vx) and
+    (ux + sigma(vy) c, uy + vx).  Coefficient products and sums are the
+    Fraction formulas above over Q(sqrt a) and quaternions, the element
+    operators over GF(q) and Q_p(alpha); dot is never called."""
+    P = lhs.u.parent
+    if D.coeff.kind == "quat":
+        def mul(a, b):
+            return P.element(*quaternion_product(a, b))
+
+        def add(a, b):
+            return P.element(*quaternion_sum(a, b))
+    elif D.coeff.kind == "quad":
+        def mul(a, b):
+            return P.element(*quadratic_product(a, b))
+
+        def add(a, b):
+            return P.element(*quadratic_sum(a, b))
+    else:
+        def mul(a, b):
+            return a * b
+
+        def add(a, b):
+            return a + b
+    u, v, x, y = lhs.u, lhs.v, rhs.u, rhs.v
+    s, c = D.sigma, D.c
+    if D.variant == "middle":
+        extra = mul(mul(s(v), c), s(y))
+    elif D.variant == "right":
+        extra = mul(s(mul(v, y)), c)
+    else:
+        extra = mul(c, s(mul(v, y)))
+    return add(mul(u, x), extra), add(mul(u, y), mul(v, x))
+
+
+def fraction_random_quad(K, rng):
+    """A random element of Q(sqrt a) as construct drew it from Fractions:
+    x/dx + (y/dy) sqrt(a), x, y in [-9, 9] and dx, dy in [1, 3]."""
+    return K.element(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
+                     Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+
+
+def fraction_random_quaternion(B, rng):
+    """A random quaternion over Q as drawn from Fractions: four n/d, n in
+    [-9, 9] and d in [1, 3]."""
+    return B.element(*(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                       for _ in range(4)))
 
 
 def quadratic_doubling_nucleus_dims(d, c, conjugate):

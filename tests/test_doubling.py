@@ -14,13 +14,14 @@ from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               zero_divisor_search, _field_grid)
 from dickson.fields import FrobeniusAut, make_field
 from dickson.linalg import FpOps, QOps, kernel_basis
-from dickson.padics import PadicOps, PadicQuadExt
+from dickson.padics import PadicExtElement, PadicOps, PadicQuadExt
 from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
 from dickson.reports import DIVISION, NOT_DIVISION
 from oracles import (_commuter_rows, critical_constants_sumset,
-                     doubled_subfield_check, fixed_field, in_span,
+                     doubled_product, doubled_subfield_check, fixed_field,
+                     fraction_random_quad, fraction_random_quaternion, in_span,
                      random_invertible, random_nonzero, rref_loop,
                      subalgebra_check)
 
@@ -171,6 +172,62 @@ def test_variants_differ_over_quaternions():
         if not (pl.u == pr.u and pl.v == pr.v):
             seen_lr = True
     assert seen_lm and seen_lr
+
+
+def _exact(z):
+    """The exact value of a coefficient element: its key, and for Q_p(alpha)
+    the (val, unit, prec) digits of both coordinates."""
+    if isinstance(z, PadicExtElement):
+        return [(t.val, t.unit, t.prec) for t in (z.x, z.y)]
+    return z._key()
+
+
+@pytest.mark.parametrize("doc", [
+    {"coeff": "quat(2,3)", "sigma": "conjugation:1,0,1,1",
+     "c": "1/2,2,-1/3,3/4"},
+    {"coeff": "quat(1/2,-3/5)", "sigma": "conjugation:0,1,0,0", "c": "0,0,1,0"},
+    {"coeff": "quat(2,3;5)", "sigma": "conjugation:0,1,0,0", "c": "1,1,0,0"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3/2,-1/3"},
+    {"coeff": "qp(5;sqrt_u;4)", "sigma": "conjugate", "c": "2,3"},
+    {"coeff": "qp(3;sqrt_p;4)", "sigma": "conjugate", "c": "1/3,-2"},
+    {"coeff": "gf(5,2)", "sigma": "frobenius:1", "c": "4,4"},
+    {"coeff": "gf(101,2)", "sigma": "frobenius:1", "c": "3,1"},
+])
+def test_product_is_the_defining_formula_in_every_variant(doc):
+    """D.mul against the module docstring's formulas written with the
+    Fraction formulas and the operators (oracles.doubled_product), on
+    random pairs and on the basis, in every variant the kind allows."""
+    quat = doc["coeff"].startswith("quat")
+    for variant in doubling.VARIANTS[quat:]:
+        D = algebra_from_document(dict(doc, variant=variant))
+        rng = random.Random(41)
+        pairs = [(D.random_element(rng), D.random_element(rng))
+                 for _ in range(40)]
+        pairs += [(x, y) for x in D.basis() for y in D.basis()]
+        for x, y in pairs:
+            got = D.mul(x, y)
+            want = doubled_product(D, x, y)
+            assert [_exact(got.u), _exact(got.v)] == [_exact(t) for t in want]
+
+
+def test_random_trials_are_the_fraction_draws():
+    """The trials of construct over Q(sqrt a) and over a rational
+    quaternion algebra, drawn on ints, are the elements the Fraction
+    construction (oracles.fraction_random_*) draws from the same rng
+    state, and leave the rng in the same state."""
+    K = QuadField(-7)
+    B = QuaternionAlgebra(Fraction(1, 2), -3)
+    for draw, ref in ((doubling.QuadCoefficients(K).random_element,
+                       lambda rng: fraction_random_quad(K, rng)),
+                      (B.random_element,
+                       lambda rng: fraction_random_quaternion(B, rng))):
+        for seed in range(20):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                got, want = draw(mine), ref(theirs)
+                assert got._key() == want._key()
+                assert got.coords() == want.coords()
+            assert mine.getstate() == theirs.getstate()
 
 
 def test_commutative_doubling_is_commutative_but_not_associative():

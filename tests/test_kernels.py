@@ -4,7 +4,8 @@ Quaternions over Q and Q(sqrt a) elements are integer numerators over
 one denominator, and their operators work on those ints; rational
 elimination runs on ints over common denominators, GF(p) elimination on
 lane-packed ints, and the Q_p(alpha) product on (val, unit, prec)
-triples without building its scalar products.  Each is compared here
+triples without building its scalar products; every coefficient kind's
+fused a.dot(b, c, e) = a*b + c*e normalizes once.  Each is compared here
 with the plain formula through the scalar ops or on Fractions, kept as
 the reference (in oracles.py, for the element operators and the
 elimination): values and types must agree exactly.
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickson import linalg
+from dickson import fields, linalg
+from dickson.fields import make_field
 from dickson.linalg import (FpOps, QOps, PackedLayout, kernel_basis, rank,
                             rref, solve)
 from dickson.padics import (PadicContext, PadicNumber, PadicOps,
@@ -308,6 +310,183 @@ def test_padic_results_are_canonical(pair):
     assert all(_canonical(r) for r in results)
     # a number and its negation cancel to the exact zero
     assert all(not (r + -r).unit for r in results)
+
+
+# ---------------------------------------------------------------------------
+# the fused a.dot(b, c, e) = a*b + c*e of every coefficient kind
+#
+# Planted faults each rejected here (checked on a copy of the package): a
+# dropped term of the sum, a product denominator without da * db, and a
+# dot that skips the parent check of its operands.
+
+def _fours(draw, element):
+    """a, b, c, e from element(): free, or with c = -a, so that the sum
+    is a*(b - e), and zero when also e = b."""
+    a, b, c, e = (element() for _ in range(4))
+    mode = draw(st.sampled_from(["free", "cancel", "negated"]))
+    if mode != "free":
+        c = -a
+        if mode == "cancel":
+            e = b
+    return a, b, c, e
+
+
+@st.composite
+def quadratic_fours(draw):
+    K = QuadField(draw(st.sampled_from([-7, -3, -1, 2, 3, 5, 10])))
+    coords = st.tuples(st.one_of(st.integers(-5, 5), rationals),
+                       st.one_of(st.integers(-5, 5), rationals))
+    return _fours(draw, lambda: K.element(*draw(coords)))
+
+
+@SETTINGS
+@given(quadratic_fours())
+def test_quadratic_dot_matches_operators_and_fraction_formula(four):
+    a, b, c, e = four
+    got = a.dot(b, c, e)
+    assert got._key() == (a * b + c * e)._key()
+    _same(got.coords(), [s + t for s, t in zip(quadratic_product(a, b),
+                                               quadratic_product(c, e))])
+    assert _canonical_key(got)
+
+
+@st.composite
+def quaternion_fours(draw):
+    """As quaternion_pairs: over GF(p) for p in 3, 5, 7, or over Q with a
+    and b that may have denominators."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([3, 5, 7]))
+        B = QuaternionAlgebra(draw(st.integers(1, p - 1)),
+                              draw(st.integers(1, p - 1)), p=p)
+        coords = st.lists(st.integers(0, p - 1), min_size=4, max_size=4)
+    else:
+        B = QuaternionAlgebra(
+            draw(st.one_of(st.just(Fraction(1, 2)), nonzero_rationals)),
+            draw(st.one_of(st.just(Fraction(-3, 5)), nonzero_rationals)))
+        coords = st.lists(st.one_of(st.just(0), st.integers(-5, 5), rationals),
+                          min_size=4, max_size=4)
+    return _fours(draw, lambda: B.element(*draw(coords)))
+
+
+@SETTINGS
+@given(quaternion_fours())
+def test_quaternion_dot_matches_operators_and_fraction_formula(four):
+    a, b, c, e = four
+    o = a.alg.ops
+    got = a.dot(b, c, e)
+    assert got._key() == (a * b + c * e)._key()
+    _same(got.coords(), [o.add(s, t) for s, t in zip(
+        quaternion_product(a, b), quaternion_product(c, e))])
+    assert _canonical_key(got, a.alg.p)
+
+
+@st.composite
+def field_fours(draw):
+    """GF(p^n) with index tables, or GF(101^2) above them; zero drawn
+    often."""
+    K = make_field(*draw(st.sampled_from([(2, 3), (3, 2), (5, 2), (7, 1),
+                                          (101, 2)])))
+    index = st.one_of(st.just(0), st.integers(0, K.order - 1))
+    return _fours(draw, lambda: K.element_at(draw(index)))
+
+
+@SETTINGS
+@given(field_fours())
+def test_field_dot_is_the_operators_element(four):
+    """The very interned element with tables; the same coefficients, and
+    the polynomial formula's, above them."""
+    a, b, c, e = four
+    K = a.field
+    got, want = a.dot(b, c, e), a * b + c * e
+    if K._tables() is not None:
+        assert got is want
+    p = K.p
+    poly = fields._pmod(fields._padd(
+        fields._pmul(list(a.coeffs), list(b.coeffs), p),
+        fields._pmul(list(c.coeffs), list(e.coeffs), p), p), K.modulus, p)
+    assert got.coeffs == want.coeffs == tuple(poly + [0] * (K.n - len(poly)))
+    assert got.index == want.index
+
+
+@st.composite
+def padic_ext_fours(draw):
+    """Four elements of Q_p(alpha) at N = 4, p in 3, 5, 7: free, or with
+    c*e a perturbed negative of a*b, so that the sums cancel partly or
+    through the whole window."""
+    ctx = PadicContext(draw(st.sampled_from([3, 5, 7])), 4)
+    ext = PadicQuadExt(ctx, draw(st.sampled_from(PadicQuadExt.KINDS)))
+    num = padic_numbers(ctx)
+    a, b, c, e = (ext.element(draw(num), draw(num)) for _ in range(4))
+    if draw(st.booleans()):
+        c = ext.element(_near_negative(draw, a.x), _near_negative(draw, a.y))
+        e = b
+    return a, b, c, e
+
+
+@SETTINGS
+@given(padic_ext_fours())
+def test_padic_extension_dot_has_the_operators_digits(four):
+    a, b, c, e = four
+
+    def fused():
+        z = a.dot(b, c, e)
+        assert z.x.ctx is a.ext.ctx and z.y.ctx is a.ext.ctx
+        return [z.x, z.y]
+
+    def operators():
+        z = a * b + c * e
+        return [z.x, z.y]
+
+    assert _outcome(fused) == _outcome(operators)
+    assert all(_canonical(t) for t in fused())
+
+
+def _dot_cases():
+    """(parent, element from an int, scalars, an element of an equal but
+    distinct parent, one of another algebra) per kind."""
+    ctx = PadicContext(5, 4)
+    return [
+        (QuadField(2), lambda K, i: K.element(i, Fraction(1, i + 2)),
+         [3, Fraction(-2, 3)], QuadField(2).root(), QuadField(3).root()),
+        (QuaternionAlgebra(Fraction(1, 2), 3),
+         lambda B, i: B.element(i, 1, 0, -i), [3, Fraction(-2, 3)],
+         QuaternionAlgebra(Fraction(1, 2), 3).i(), QuaternionAlgebra(2, 3).i()),
+        (QuaternionAlgebra(2, 3, p=5), lambda B, i: B.element(i, 1, 2, 0),
+         [3, Fraction(-2, 3)], QuaternionAlgebra(2, 3, p=5).j(),
+         QuaternionAlgebra(2, 3, p=7).j()),
+        (make_field(5, 2), lambda K, i: K.element([i, 1]), [3, -1],
+         make_field(5, 2).gen(), make_field(7, 2).gen()),
+        (make_field(101, 2), lambda K, i: K.element([i, 1]), [3, -1],
+         make_field(101, 2).gen(), make_field(103, 2).gen()),
+        (PadicQuadExt(ctx, "sqrt_u"),
+         lambda E, i: E.element(i + 1, Fraction(1, 5)),
+         [3, Fraction(-2, 3), ctx.from_int(7)],
+         PadicQuadExt(PadicContext(5, 4), "sqrt_u").root(),
+         PadicQuadExt(PadicContext(7, 4), "sqrt_u").root()),
+    ]
+
+
+def _value(z):
+    if hasattr(z, "ext"):
+        return [(t.val, t.unit, t.prec) for t in (z.x, z.y)]
+    return z._key()
+
+
+@pytest.mark.parametrize("parent, make, scalars, equal, foreign",
+                         _dot_cases(), ids=["quad", "quat-Q", "quat-GF5",
+                                            "gf25", "gf10201", "qp5"])
+def test_dot_coerces_scalars_and_refuses_other_algebras(parent, make, scalars,
+                                                        equal, foreign):
+    a, b, c, e = (make(parent, i) for i in range(1, 5))
+    for s in scalars + [equal]:
+        for args in ((s, c, e), (b, s, e), (b, c, s)):
+            x, y, z = args
+            assert _value(a.dot(*args)) == _value(a * x + y * z)
+    for args in ((foreign, c, e), (b, foreign, e), (b, c, foreign)):
+        with pytest.raises(ValueError):
+            a.dot(*args)
+    with pytest.raises(TypeError):
+        a.dot(b, "1", e)
 
 
 # ---------------------------------------------------------------------------
