@@ -16,6 +16,13 @@ serialized with sorted keys, so two runs with the same input and seed
 produce byte-identical payloads apart from the wall time.  Text output
 is a plain aligned rendering of the same payload.
 
+The fixed cost of a question is kept small.  main hands a known command
+straight to its subparser (argparse's top-level parser would classify
+every token before handing them all to the subparser to parse again),
+with the same messages and exit status.  The envelope has its own
+writer, _json: json.dumps with indent takes the stdlib's pure-Python
+encoder, and _json writes the same bytes with the C string encoder.
+
 Exit status is 0 whenever the analysis completed, whatever the
 mathematical verdict (including "unknown"); input and validation
 problems exit with status 2 and a message on standard error.  A reader
@@ -215,6 +222,41 @@ def _render(payload, indent=0, out=None):
     return out
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(o, pad):
+    """o as json.dumps(o, indent=2, sort_keys=True, default=str) writes it,
+    nested len(pad) // 2 levels deep.  A dict key that is not a str raises
+    TypeError (the stdlib would write an int key as a string)."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return json.dumps(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(
+            [_json(v, inner) for v in o]), pad)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
+            [_encode_str(k) + ": " + _json(o[k], inner) for k in sorted(o)]),
+            pad)
+    return _encode_str(str(o))
+
+
 def _emit(command, input_echo, result, fmt, started):
     envelope = {
         "version": __version__,
@@ -224,7 +266,7 @@ def _emit(command, input_echo, result, fmt, started):
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     if fmt == "json":
-        print(json.dumps(envelope, indent=2, sort_keys=True, default=str))
+        print(_json(envelope, ""))
     else:
         lines = ["command: %s" % command]
         _render(result, 0, lines)
@@ -298,8 +340,11 @@ def build_parser():
                     "testing, census.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    # {name: subparser}, for main's direct dispatch
+    parser.command_parsers = {}
     for name, help_text, flags, run in COMMANDS:
         sub = subs.add_parser(name, help=help_text)
+        parser.command_parsers[name] = sub
         for names, options in flags:
             sub.add_argument(*names, **options)
         sub.set_defaults(run=run)
@@ -309,13 +354,28 @@ def build_parser():
 _PARSER = None
 
 
+def _parse(parser, argv):
+    """parser.parse_args(argv), with a known command handed straight to its
+    subparser.  Any other argv, and any with a "--=" token, which the
+    top-level parser refuses as ambiguous before the subparser sees it,
+    take the full parser."""
+    sub = parser.command_parsers.get(argv[0]) if argv else None
+    if sub is None or any(t.startswith("--=") for t in argv):
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:],
+                                        argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def main(argv=None):
     # the parser holds no per-call state, and building it costs about as
     # much as answering a small question, so it is built once per process
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(_join_negative_literals(
+    args = _parse(_PARSER, _join_negative_literals(
         sys.argv[1:] if argv is None else argv))
     try:
         return _answer(args)

@@ -29,9 +29,8 @@ Quadratic extensions come in the three square classes of conductors:
     sqrt_up  ramified,   alpha^2 = u*p
 The uniformizer is alpha for the ramified kinds and p otherwise, and the
 residue field is GF(p) or GF(p^2) accordingly; ext_sqrt reads squareness
-off there and Hensel-lifts the residue's root in one walk.  Every residue
-root, padic_sqrt's in GF(p) included, is FiniteField.sqrt's, which works
-at every p.
+off there and Hensel-lifts the residue's root in one walk.  Its residue
+root is FiniteField.sqrt's, which works at every p.
 
 p = 2 is rejected outright; none of the analyses here need it and the
 square theory is different there.
@@ -333,28 +332,6 @@ def padic_is_square(z):
     if z.val % 2:
         return False
     return pow(z.residue(), (z.ctx.p - 1) // 2, z.ctx.p) == 1
-
-
-def padic_sqrt(z):
-    """The canonical square root in Q_p (smaller unit residue), or None;
-    the residue root it lifts is GF(p)'s FiniteField.sqrt."""
-    if z.is_zero():
-        return z.ctx.zero()
-    if not padic_is_square(z):
-        return None
-    p, prec = z.ctx.p, z.prec
-    F = FiniteField(p, 1)
-    x = F.sqrt(F.from_int(z.unit)).coeffs[0]
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        mod = p ** k
-        x = (x + z.unit * pow(x, -1, mod)) * pow(2, -1, mod) % mod
-    x %= p ** prec
-    x = min(x, (-x) % p ** prec)
-    root = PadicNumber(z.ctx, z.val // 2, x, prec)
-    certify(root * root == z, "the Hensel-lifted root squares back")
-    return root
 
 
 class PadicQuadExt:

@@ -28,6 +28,7 @@ and not in the package:
   * rref_loop is plain Gauss-Jordan elimination through the scalar ops,
     the reference for linalg's packed GF(p) and integer Q routes, and the
     one elimination that takes PadicOps;
+  * padic_sqrt Hensel-lifts a square root in Q_p, which no command needs;
   * the rest are small helpers: fixed subfields and subalgebras, norms to
     a fixed field, p-adic square classes and random invertible elements.
 """
@@ -41,8 +42,9 @@ from dickson.doubling import _field_grid, _reduced_rows, structure_constants
 from dickson.fields import (FieldError, _is_irreducible, _is_primitive,
                             make_field)
 from dickson.linalg import FpOps, kernel_basis, rank, solve
-from dickson.padics import PadicExtElement
+from dickson.padics import PadicExtElement, PadicNumber, padic_is_square
 from dickson.quaternions import Quaternion
+from dickson.reports import certify
 
 
 def rref_loop(rows, ops):
@@ -566,3 +568,25 @@ def ext_square_class(z):
         raise ValueError("zero has no square class")
     unit_sq = z.ext.residue_field().is_square(z.unit_part().residue())
     return _SQUARE_CLASSES[(z.val_pi() % 2 == 1, unit_sq)]
+
+
+def padic_sqrt(z):
+    """The canonical square root in Q_p (smaller unit residue), or None;
+    the residue root it lifts is GF(p)'s FiniteField.sqrt."""
+    if z.is_zero():
+        return z.ctx.zero()
+    if not padic_is_square(z):
+        return None
+    p, prec = z.ctx.p, z.prec
+    F = make_field(p, 1)
+    x = F.sqrt(F.from_int(z.unit)).coeffs[0]
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        mod = p ** k
+        x = (x + z.unit * pow(x, -1, mod)) * pow(2, -1, mod) % mod
+    x %= p ** prec
+    x = min(x, (-x) % p ** prec)
+    root = PadicNumber(z.ctx, z.val // 2, x, prec)
+    certify(root * root == z, "the Hensel-lifted root squares back")
+    return root

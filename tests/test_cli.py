@@ -3,14 +3,19 @@ flags the README shows, and the salient output lines are pinned."""
 
 import gc
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickson
-from dickson.cli import build_parser, main
+from dickson.cli import _json, _parse, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -682,3 +687,104 @@ def test_main_frees_its_cyclic_garbage_before_returning(capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 0, err
     assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# the envelope writer and the direct dispatch write and read what the
+# stdlib json and the full argparse parser do
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _stdlib(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, default=str)
+
+
+def _recorded_answers():
+    with open(os.path.join(HERE, "answers_seed1.jsonl")) as f:
+        return [json.loads(line) for line in f]
+
+
+def test_writer_matches_stdlib_on_recorded_envelopes():
+    with open(os.path.join(HERE, "golden_answers.json")) as f:
+        envelopes = list(json.load(f).values())
+    envelopes += [a["envelope"] for a in _recorded_answers()]
+    assert len(envelopes) > 360
+    for envelope in envelopes:
+        assert _json(envelope, "") == _stdlib(envelope)
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                          '\xe9\u2211\U0001f600'),
+                          st.characters()))
+_LEAVES = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]),
+    st.fractions())
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_NESTED)
+def test_writer_matches_stdlib_on_nested_values(obj):
+    assert _json(obj, "") == _stdlib(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a"}, {"a": {None: 1}}, [{1.5: 2}], {"a": [{True: 1}]},
+    {Fraction(1, 2): 0},
+])
+def test_writer_refuses_keys_that_are_not_str(obj):
+    with pytest.raises(TypeError):
+        _json(obj, "")
+
+
+def _readme_argvs():
+    with open(os.path.join(os.path.dirname(HERE), "README.md")) as f:
+        return [shlex.split(line)[2:] for line in f
+                if line.startswith("$ dickson ")]
+
+
+def test_dispatch_reads_what_the_full_parser_reads():
+    argvs = ([a["argv"] + ["--format=json"] for a in _recorded_answers()]
+             + _readme_argvs())
+    assert len(argvs) > 370
+    parser = build_parser()
+    for argv in argvs:
+        assert vars(_parse(parser, argv)) == vars(parser.parse_args(argv))
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        parsed, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    out, err = capsys.readouterr()
+    return parsed, code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["frobnicate", "--c=0,1"],
+    ["division", "-h"], ["division", "--version"],
+    ["division", "--coeff=gf(3,2)", "--bogus"],
+    ["division", "--coeff=gf(3,2)", "extra"],
+    ["division", "--coe=gf(3,2)", "--sigma=frobenius:1", "--c=0,1"],
+    ["--"], ["--", "division"], ["division", "--", "--c=0,1"],
+    ["division", "--format=xml"],
+    ["census", "--p", "3"],
+    ["division", "--=x"],
+])
+def test_dispatch_prints_and_exits_as_the_full_parser(capsys, argv):
+    parser = build_parser()
+    assert (_parse_outcome(capsys, lambda a: _parse(parser, a), argv)
+            == _parse_outcome(capsys, parser.parse_args, argv))

@@ -11,9 +11,8 @@ import dickson
 from dickson.analysis import division_decide
 from dickson.doubling import DicksonAlgebra
 from dickson.padics import (PadicContext, PadicNumber, PadicQuadExt,
-                            PrecisionError, ext_sqrt,
-                            padic_is_square, padic_sqrt)
-from oracles import square_class
+                            PrecisionError, ext_sqrt, padic_is_square)
+from oracles import padic_sqrt, square_class
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +253,14 @@ def test_results_carry_the_left_operand_context():
 _WRONG_ROOT_SCRIPT = textwrap.dedent("""
     import dickson.fields as fields
     import dickson.padics as padics
+    import oracles
 
     sqrt = fields.FiniteField.sqrt
     # 1 is not a root of 4 mod 7, nor of 4 in GF(25)
     fields.FiniteField.sqrt = lambda self, e: self.from_int(1)
     ctx = padics.PadicContext(7)
     try:
-        r = padics.padic_sqrt(ctx.from_fraction(4))
+        r = oracles.padic_sqrt(ctx.from_fraction(4))
         print("returned", r)
     except RuntimeError as exc:
         print("raised", exc)
@@ -288,7 +288,8 @@ _WRONG_ROOT_SCRIPT = textwrap.dedent("""
 
 def test_sqrt_certificates_run_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dickson.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
     proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_ROOT_SCRIPT],
                           capture_output=True, text=True, env=env,
                           timeout=120)
