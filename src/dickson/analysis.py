@@ -273,18 +273,33 @@ def _b_candidates(D1, D2, tau):
     return D2.coeff.b_candidates(tau(D1.c) * D2.c.inv(), D2.sigma)
 
 
+def _table_orders(table):
+    """The order of each element as the table reads it: the powers of k,
+    followed through table[.][k], return to k after that many steps; 0
+    when a power is None or none returns to k within len(table) steps."""
+    n = len(table)
+    orders = []
+    for k in range(n):
+        cur, m = table[k][k], 1
+        while cur != k and cur is not None and m <= n:
+            cur = table[cur][k]
+            m += 1
+        orders.append(m if cur == k else 0)
+    return orders
+
+
 def _prove_members(D, elements, table):
     """Prove every element an automorphism of D and every row of its
-    composition table right, taking the elements in order.
+    composition table right.
 
-    Each element k is proved by the first rule that applies:
+    Each element k is proved by one of three rules:
       (a) it is the identity descriptor (id, 1), and it fixes every basis
           vector;
       (b) it is table[i][j] for members i and j already proved.  Row i is
           already checked, so apply(d_k) equals apply(d_i) after
           apply(d_j) on every basis vector; both maps are F-linear, so
           they are the same map, a composite of two automorphisms;
-      (c) otherwise the full check, verify_automorphism.
+      (c) the full check, verify_automorphism.
     Then its row, where table[k][l] is the member whose map is apply(d_k)
     after apply(d_l), or None when no member's is:
       (a) table[k][l] = l;
@@ -294,7 +309,16 @@ def _prove_members(D, elements, table):
           result up among the members' basis images; so too an entry of
           (b) whose table[j][l] is None.
     A failed check in (a) or (b) or of a row is a program fault and
-    raises; (c) raises AssertionError as verify_automorphism does."""
+    raises; (c) raises AssertionError as verify_automorphism does.
+
+    The table only schedules the proof: the identity goes first, then
+    always an element that (b) reaches.  Only when (b) reaches none does
+    (c) take the unproved element of largest table order (_table_orders),
+    the lowest index among equals.  So a cyclic group takes one full
+    check, of a generator, whose powers follow by (b).  A wrong table
+    changes only the order of the work: every element is still proved and
+    every row still checked."""
+    n = len(elements)
     basis = D.basis()
     one = D.coeff.one()
     images = [tuple(apply_automorphism(D, d, e) for e in basis)
@@ -307,28 +331,42 @@ def _prove_members(D, elements, table):
         return members.get(tuple(apply_automorphism(D, elements[k], x)
                                  for x in images[l]))
 
-    # an element index -> the first pair of proved members whose table
-    # entry it is
-    reached = {}
+    done = [False] * n
     proved = []
-    for k, desc in enumerate(elements):
-        if desc[0].is_identity() and desc[1] == one:
-            certify(images[k] == tuple(basis),
-                    "the identity descriptor fixes every basis vector")
-            row = list(range(len(elements)))
-        elif k in reached:
-            i, j = reached[k]
-            row = [applied(k, l) if m is None else table[i][m]
-                   for l, m in enumerate(table[j])]
-        else:
-            verify_automorphism(D, desc)
-            row = [applied(k, l) for l in range(len(elements))]
+    # an element index -> the first pair of proved members whose table
+    # entry it is; pending holds the ones not yet proved
+    reached = {}
+    pending = []
+
+    def prove(k, row):
         certify(table[k] == row, "row %d of the composition table is the "
                 "composite of its maps" % k)
+        done[k] = True
         proved.append(k)
         for i in proved:
-            reached.setdefault(table[i][k], (i, k))
-            reached.setdefault(table[k][i], (k, i))
+            for m, pair in ((table[i][k], (i, k)), (table[k][i], (k, i))):
+                if m is not None and not done[m] and m not in reached:
+                    reached[m] = pair
+                    pending.append(m)
+
+    ident = next((k for k, (tau, b) in enumerate(elements)
+                  if tau.is_identity() and b == one), None)
+    if ident is not None:
+        certify(images[ident] == tuple(basis),
+                "the identity descriptor fixes every basis vector")
+        prove(ident, list(range(n)))
+    orders = _table_orders(table)
+    by_order = iter(sorted(range(n), key=orders.__getitem__, reverse=True))
+    while len(proved) < n:
+        if pending:
+            k = pending.pop()
+            i, j = reached[k]
+            prove(k, [applied(k, l) if m is None else table[i][m]
+                      for l, m in enumerate(table[j])])
+        else:
+            k = next(k for k in by_order if not done[k])
+            verify_automorphism(D, elements[k])
+            prove(k, [applied(k, l) for l in range(n)])
 
 
 def enumerate_automorphisms(D, taus=None):
@@ -338,10 +376,13 @@ def enumerate_automorphisms(D, taus=None):
     _prove_members proves each element and checks each row of the table:
     the identity on sight, a product of two members already proved from
     their checked rows, anything else by the full verify_automorphism and
-    its row by applying it.  Building a group's members and table from
-    checked generators is standard (D. F. Holt, B. Eick and E. A. O'Brien,
-    Handbook of Computational Group Theory, 2005); each shortcut is still
-    a check on the spot, not a theorem taken on trust.
+    its row by applying it.  The table schedules that work, so that the
+    full checks fall on a generating set (one generator for a cyclic
+    group), but it proves nothing: every row is checked against the maps.
+    Building a group's members and table from checked generators is
+    standard (D. F. Holt, B. Eick and E. A. O'Brien, Handbook of
+    Computational Group Theory, 2005); each shortcut is still a check on
+    the spot, not a theorem taken on trust.
 
     Finite field, quadratic and p-adic coefficients: the list is complete
     and has order exactly 2 |J(c) and C(sigma)|.  Quaternion coefficients:

@@ -17,7 +17,10 @@ Square roots over Q follow quadratic.element_sqrt, the rule of Q(sqrt a).
 Inner automorphisms x -> m^-1 x m are the only automorphism witnesses
 this package handles on quaternions (Skolem-Noether says that is no
 restriction over a field).  Witnesses that differ by a central factor
-give the same map, so comparisons go through a scaled canonical form.
+give the same map, so an InnerAut compares and hashes by an int key made
+once from the witness's key: over Q its primitive numerators with the
+first nonzero one positive, over GF(p) its residues scaled so that the
+first nonzero one is 1.  No Fraction is made to compare two of them.
 """
 
 import itertools
@@ -281,8 +284,18 @@ class InnerAut:
         if witness.alg.ops.is_zero(witness.norm()):
             raise ValueError("witness has zero norm; conjugation undefined")
         self.witness = witness
-        self.alg = witness.alg
+        alg = self.alg = witness.alg
         self._minv = witness.inv()
+        # the key of the module docstring, shared by m and every lambda m
+        ns = witness._k[:4]
+        lead = next(t for t in ns if t)
+        if alg.p is None:
+            g = gcd(*ns) if lead > 0 else -gcd(*ns)
+            self._key = tuple(t // g for t in ns)
+        else:
+            f = pow(lead, -1, alg.p)
+            self._key = tuple(t * f % alg.p for t in ns)
+        self._hash = hash((alg.p, alg.a, alg.b, self._key))
 
     def __call__(self, q):
         return self._minv * q * self.witness
@@ -302,22 +315,12 @@ class InnerAut:
     def label(self):
         return "conj-by(%s)" % self.witness.literal()
 
-    def canonical_witness(self):
-        """Scale so the first nonzero coordinate is 1; witnesses equal up
-        to a central factor collapse to the same tuple."""
-        o = self.alg.ops
-        for t in self.witness.coords():
-            if not o.is_zero(t):
-                f = o.inv(t)
-                return tuple(o.mul(f, s) for s in self.witness.coords())
-        raise AssertionError("zero witness")
-
     def __eq__(self, other):
-        return (isinstance(other, InnerAut) and other.alg == self.alg
-                and other.canonical_witness() == self.canonical_witness())
+        return (isinstance(other, InnerAut) and other._key == self._key
+                and other.alg == self.alg)
 
     def __hash__(self):
-        return hash((self.alg.a, self.alg.b, self.canonical_witness()))
+        return self._hash
 
     def __repr__(self):
         return self.label

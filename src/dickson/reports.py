@@ -6,10 +6,13 @@ divisors), or the implemented criteria simply do not decide it.  Nothing
 in this package ever converts "unknown" into a guess.
 
 Records keep native algebra elements where useful for re-verification,
-plus pre-rendered literals so they serialize deterministically.
+plus pre-rendered literals so they serialize deterministically.  Each
+to_dict is shallow: the dict it builds shares the record's lists and
+dicts, which hold only literals, instead of copying them as
+dataclasses.asdict would.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 
 DIVISION = "proved-division"
@@ -120,7 +123,7 @@ class IsoVerdict:
     witness: dict | None = None
 
     def to_dict(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -133,7 +136,7 @@ class WeneReport:
     images: list                # literals of the grouped map on a basis
 
     def to_dict(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -146,4 +149,4 @@ class CensusReport:
     classes_including_id: int = 0
 
     def to_dict(self):
-        return asdict(self)
+        return dict(vars(self))

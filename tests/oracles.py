@@ -29,6 +29,8 @@ and not in the package:
     the reference for linalg's packed GF(p) and integer Q routes, and the
     one elimination that takes PadicOps;
   * padic_sqrt Hensel-lifts a square root in Q_p, which no command needs;
+  * inner_auts_equal compares two conjugations by their witnesses scaled
+    to a leading 1 in Fractions, the reference for InnerAut's int key;
   * the rest are small helpers: fixed subfields and subalgebras, norms to
     a fixed field, p-adic square classes and random invertible elements.
 """
@@ -540,6 +542,22 @@ def random_invertible(B, rng):
         q = B.random_element(rng)
         if not B.ops.is_zero(q.norm()):
             return q
+
+
+def canonical_witness(aut):
+    """The witness of an InnerAut scaled through the scalar ops so that its
+    first nonzero coordinate is 1: witnesses equal up to a central factor
+    give the same tuple."""
+    o = aut.alg.ops
+    coords = aut.witness.coords()
+    f = o.inv(next(t for t in coords if not o.is_zero(t)))
+    return tuple(o.mul(f, t) for t in coords)
+
+
+def inner_auts_equal(s, t):
+    """Equality of two InnerAuts by the Fraction rule: the same algebra and
+    the same canonical_witness."""
+    return s.alg == t.alg and canonical_witness(s) == canonical_witness(t)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -484,10 +485,8 @@ def test_every_enumerated_automorphism_of_small_fields_passes(q):
                 assert verify_automorphism(D, desc)
 
 
-def test_gf_3_8_group_takes_at_most_three_full_checks(monkeypatch):
-    """Order 16 = 2n over GF(3^8): the identity, (id, -1) and one
-    generator above it are all the full checks; the rest are composites."""
-    D = _gf(3, 8, [0, 1, 0, 0, 0, 0, 0, 0])
+def _count_full_checks(monkeypatch):
+    """The descriptors verify_automorphism is called on, from now on."""
     calls = []
     real = analysis.verify_automorphism
 
@@ -496,9 +495,68 @@ def test_gf_3_8_group_takes_at_most_three_full_checks(monkeypatch):
         return real(D, desc)
 
     monkeypatch.setattr(analysis, "verify_automorphism", counted)
+    return calls
+
+
+def test_gf_3_8_group_takes_one_full_check(monkeypatch):
+    """Order 16 = 2n over GF(3^8), a cyclic group: the identity is proved
+    on sight, one generator of order 16 takes the full check and the other
+    fifteen elements are its powers, proved as composites."""
+    D = _gf(3, 8, [0, 1, 0, 0, 0, 0, 0, 0])
+    calls = _count_full_checks(monkeypatch)
     rep = enumerate_automorphisms(D)
     assert rep.order == 16 and rep.complete
-    assert len(calls) <= 3
+    assert max(analysis._element_orders(rep.table)) == 16
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
+def test_full_checks_fall_on_a_generating_set(p, n, monkeypatch):
+    """Every sigma (the identity included) and every unit c: one full check
+    when some element's order is the group order (a cyclic group), two
+    when none is (Z/2 x Z/2 here)."""
+    K = make_field(p, n)
+    calls = _count_full_checks(monkeypatch)
+    shapes = set()
+    for k in range(n):
+        for c in K.elements():
+            if c.is_zero():
+                continue
+            D = DicksonAlgebra(K, FrobeniusAut(K, k), c, allow_identity=True)
+            calls.clear()
+            rep = enumerate_automorphisms(D)
+            cyclic = max(analysis._element_orders(rep.table)) == rep.order
+            assert len(calls) == (1 if cyclic else 2), (k, c)
+            shapes.add(cyclic)
+    # GF(27): all 78 groups are cyclic of order 6; GF(9) and GF(25) have
+    # groups of order 4 of both shapes
+    assert shapes == ({True} if n == 3 else {True, False})
+
+
+@pytest.mark.parametrize("doc", [EVERY_KIND[0], EVERY_KIND[3]],
+                         ids=lambda d: d["coeff"])
+def test_a_single_wrong_table_entry_fails_the_certificate(doc, monkeypatch):
+    """For each pair (i, j) in turn, compose_descriptors returns another
+    member's descriptor for that pair alone: however the wrong table
+    schedules the proof, enumeration raises."""
+    D, taus = _enumerated(doc)
+    elements = enumerate_automorphisms(D, taus).elements
+    n = len(elements)
+    assert n == {"field": 6, "quad": 4}[D.coeff.kind]
+    real = analysis.compose_descriptors
+    for i in range(n):
+        for j in range(n):
+            true = elements.index(real(D, elements[i], elements[j]))
+            wrong = elements[(true + 1) % n]
+
+            def planted(D, d1, d2, i=i, j=j, wrong=wrong):
+                if d1 == elements[i] and d2 == elements[j]:
+                    return wrong
+                return real(D, d1, d2)
+
+            monkeypatch.setattr(analysis, "compose_descriptors", planted)
+            with pytest.raises(RuntimeError, match="certificate failed"):
+                enumerate_automorphisms(D, taus)
 
 
 def test_a_map_with_non_invertible_b_is_not_bijective():
@@ -790,6 +848,19 @@ def test_census_5_2():
     rep = census(5, 2)
     assert rep.classes_excluding_id == 1
     assert rep.classes_including_id == 2
+
+
+def test_shallow_reports_serialize_as_asdict():
+    """The census, iso and wene reports build their dicts without copying
+    their entries, and still equal dataclasses.asdict entry for entry."""
+    K = make_field(3, 2)
+    phi = FrobeniusAut(K, 1)
+    D = DicksonAlgebra(K, phi, K.gen())
+    verdict = iso_test(D, DicksonAlgebra(K, phi, K.gen().inv()))
+    assert verdict.witness is not None
+    for rep in (census(3, 2), census(3, 3), census(5, 2), verdict,
+                wene_inner_check(D)):
+        assert rep.to_dict() == asdict(rep)
 
 
 def test_census_7_2_past_the_old_pair_cap():

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dickson.quaternions import InnerAut, QuaternionAlgebra, quat_is_square
-from oracles import fixed_subalgebra, random_invertible
+from oracles import fixed_subalgebra, inner_auts_equal, random_invertible
 
 
 def _rand_quat(B, rng, span=6):
@@ -118,6 +120,74 @@ def test_inner_aut_canonical_witness_equality():
     i = B.element(0, 1, 0, 0)
     assert InnerAut(i) == InnerAut(i * B.scalar(-3))
     assert InnerAut(i) != InnerAut(B.element(0, 0, 1, 0))
+
+
+# (2,3 | Q) and quat(a,b;p) for p in 3, 5, 7
+ALGEBRAS = st.one_of(
+    st.just(QuaternionAlgebra(2, 3)),
+    st.sampled_from([3, 5, 7]).flatmap(lambda p: st.builds(
+        QuaternionAlgebra, st.integers(1, p - 1), st.integers(1, p - 1),
+        st.just(p))))
+KEY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _central(B):
+    """A nonzero base-field scalar of B, negative ones included over Q."""
+    if B.p is None:
+        return st.fractions(-9, 9, max_denominator=6).filter(bool)
+    return st.integers(1, B.p - 1)
+
+
+def _witness(data, B, coord=None):
+    """An invertible quaternion of B, zero coordinates drawn often."""
+    if coord is None:
+        coord = st.integers(0, B.p - 1) if B.p is not None else \
+            st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=6))
+    m = B.element(*data.draw(st.lists(coord, min_size=4, max_size=4)))
+    assume(not B.ops.is_zero(m.norm()))
+    return m
+
+
+@KEY_SETTINGS
+@given(st.data())
+def test_inner_aut_key_ignores_a_central_factor(data):
+    B = data.draw(ALGEBRAS)
+    m = _witness(data, B)
+    lam = data.draw(_central(B))
+    s, t = InnerAut(m), InnerAut(m * B.element(lam, 0, 0, 0))
+    assert s == t and hash(s) == hash(t)
+
+
+@KEY_SETTINGS
+@given(st.data())
+def test_inner_aut_equality_is_the_fraction_rule(data):
+    """Equality by the int key agrees with the witnesses scaled to a
+    leading 1 in Fractions (oracles.inner_auts_equal), on independent
+    witnesses and on one that is a central multiple of the other."""
+    B = data.draw(ALGEBRAS)
+    m = _witness(data, B)
+    if data.draw(st.booleans()):
+        n = m * B.element(data.draw(_central(B)), 0, 0, 0)
+    else:
+        n = _witness(data, B)
+    s, t = InnerAut(m), InnerAut(n)
+    assert (s == t) == inner_auts_equal(s, t)
+    if s == t:
+        assert hash(s) == hash(t)
+
+
+@KEY_SETTINGS
+@given(st.data())
+def test_inner_aut_key_tells_algebras_apart(data):
+    """The same witness coordinates in two different algebras give unequal
+    conjugations."""
+    B1, B2 = data.draw(ALGEBRAS), data.draw(ALGEBRAS)
+    assume(B1 != B2)
+    coords = data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    m1, m2 = B1.element(*coords), B2.element(*coords)
+    assume(not B1.ops.is_zero(m1.norm()) and not B2.ops.is_zero(m2.norm()))
+    assert InnerAut(m1) != InnerAut(m2)
+    assert not inner_auts_equal(InnerAut(m1), InnerAut(m2))
 
 
 # ---------------------------------------------------------------------------
