@@ -127,9 +127,10 @@ def _construct(D, args):
         z = E.random_element(rng)
         if E.mul(one, x) != x or E.mul(x, one) != x:
             checks["unit_two_sided"] = False
-        if E.mul(x + y, z) != E.mul(x, z) + E.mul(y, z):
+        s = x + y
+        if E.mul(s, z) != E.mul(x, z) + E.mul(y, z):
             checks["left_distributive"] = False
-        if E.mul(z, x + y) != E.mul(z, x) + E.mul(z, y):
+        if E.mul(z, s) != E.mul(z, x) + E.mul(z, y):
             checks["right_distributive"] = False
         xy = E.mul(x, y)
         if E.coeff.commutative:

@@ -10,9 +10,15 @@ three shapes distinguished by where c sits:
 
 Over a commutative B all three coincide; "commutative" is accepted as a
 variant tag there and is the same code path as "left".  (1,0) is always a
-two-sided unit and (0,1)^2 = (c,0).  mul forms each half of the product
-in one fused a.dot(b, c, e) = a*b + c*e, normalized once: uy + vx is
-u.dot(y, v, x), and the first half u.dot(x, ...) with the variant's term.
+two-sided unit and (0,1)^2 = (c,0).  mul has the coefficient adapter
+form both halves of the product (doubled).  Over GF(q), Q_p(alpha) and
+quaternions each half is one fused a.dot(b, c, e) = a*b + c*e,
+normalized once: uy + vx is u.dot(y, v, x), and the first half
+u.dot(x, ...) with the variant's term.  Over Q(sqrt a), the rational twin
+of a Q_p doubling included, QuadCoefficients forms both halves from the
+integer keys of u, v, x, y and c, one normalization each and no element
+for vy or sigma(vy): every variant is the left one there, and sigma
+keeps or negates the sqrt(a) part of vy.
 
 Coefficient elements carry their own arithmetic (+, -, *, dot, ==, inv(),
 is_zero(), literal()) and their coordinates (coords()), and every
@@ -50,12 +56,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .fields import FiniteField, FrobeniusAut
+from .fields import FiniteField, FrobeniusAut, randbelow
 from .linalg import (FpOps, QOps, _packed_pivots, kernel_basis,
                      packed_layout, rref)
 from .padics import (DEFAULT_PRECISION, PadicQuadExt, ext_sqrt,
                      rational_coords)
-from .quadratic import (QuadField, _quad, is_norm_from_quadfield,
+from .quadratic import (QuadElement, QuadField, _quad, is_norm_from_quadfield,
                         quad_is_square, rational_is_square, rational_sqrt)
 from .quaternions import (InnerAut, QuaternionAlgebra, _quaternion,
                           quat_is_square)
@@ -155,6 +161,18 @@ class _Coefficients:
 
     def is_invertible(self, x):
         return not x.is_zero()
+
+    def doubled(self, D, u, v, x, y):
+        """The halves of the product (u,v)(x,y) in D by its variant's
+        formula, each one u.dot (module docstring)."""
+        sig, c = D.sigma, D.c
+        if D.variant == "middle":
+            first = u.dot(x, sig(v) * c, sig(y))
+        elif D.variant == "right":
+            first = u.dot(x, sig(v * y), c)
+        else:
+            first = u.dot(x, c, sig(v * y))
+        return first, u.dot(y, v, x)
 
     def b_candidates(self, t, sigma):
         """Both b with sigma(b)^2 = t, as [b0, -b0], or [] when there are
@@ -273,6 +291,38 @@ class QuadCoefficients(_QuadraticCoefficients):
     def from_scaled_coords(self, vec, den):
         return _quad(self.K, vec[0], vec[1], den)
 
+    def doubled(self, D, u, v, x, y):
+        """The halves of (u,v)(x,y) from the keys of u, v, x, y and c, one
+        _quad each and no element for v*y.  K is commutative, so every
+        variant is ux + c*sigma(vy), and sigma only negates the sqrt(a)
+        part of vy or keeps it.  Operands that are not elements of K, or
+        a c that is not, take the dot formula, which coerces or refuses
+        them."""
+        K, c = self.K, D.c
+        if not (u.__class__ is v.__class__ is x.__class__ is y.__class__
+                is c.__class__ is QuadElement and u.field is K
+                and v.field is K and x.field is K and y.field is K
+                and c.field is K):
+            return super().doubled(D, u, v, x, y)
+        a = K.a
+        (x1, y1, d1), (x2, y2, d2) = u._k, v._k
+        (x3, y3, d3), (x4, y4, d4) = x._k, y._k
+        c0, c1, dc = c._k
+        # v*y = (P + Q sqrt(a)) / (d2 d4), then sigma and c
+        P, Q = x2 * x4 + a * y2 * y4, x2 * y4 + y2 * x4
+        if not D.sigma_is_id:
+            Q = -Q
+        s, t = d1 * d3, dc * d2 * d4
+        first = _quad(K, (x1 * x3 + a * y1 * y3) * t
+                      + (c0 * P + a * c1 * Q) * s,
+                      (x1 * y3 + y1 * x3) * t + (c0 * Q + c1 * P) * s, s * t)
+        s, t = d1 * d4, d2 * d3
+        second = _quad(K, (x1 * x4 + a * y1 * y4) * t
+                       + (x2 * x3 + a * y2 * y3) * s,
+                       (x1 * y4 + y1 * x4) * t + (x2 * y3 + y2 * x3) * s,
+                       s * t)
+        return first, second
+
     def is_square(self, x):
         return quad_is_square(x)
 
@@ -281,8 +331,10 @@ class QuadCoefficients(_QuadraticCoefficients):
 
     def random_element(self, rng):
         if self.padic is None:
-            x, dx, y, dy = (rng.randrange(-9, 10), rng.randrange(1, 4),
-                            rng.randrange(-9, 10), rng.randrange(1, 4))
+            # what rng.randrange(-9, 10), rng.randrange(1, 4), twice, draw
+            bits = rng.getrandbits
+            x, dx, y, dy = (randbelow(bits, 19) - 9, randbelow(bits, 3) + 1,
+                            randbelow(bits, 19) - 9, randbelow(bits, 3) + 1)
             return _quad(self.K, x * dy, y * dx, dx * dy)
         # the extension's draw, (x + y*alpha) * p**shift, from the ints
         x, y, shift = self.padic.draw(rng)
@@ -534,16 +586,11 @@ class DicksonAlgebra:
     # -- product ------------------------------------------------------------
 
     def mul(self, lhs, rhs):
-        """The variant's formula, each half one u.dot (module docstring)."""
-        u, v, x, y = lhs.u, lhs.v, rhs.u, rhs.v
-        sig = self.sigma
-        if self.variant == "middle":
-            first = u.dot(x, sig(v) * self.c, sig(y))
-        elif self.variant == "right":
-            first = u.dot(x, sig(v * y), self.c)
-        else:
-            first = u.dot(x, self.c, sig(v * y))
-        return DicksonElement(self, first, u.dot(y, v, x))
+        """The variant's formula, both halves formed by the coefficient
+        adapter: from the keys over Q(sqrt a), one u.dot each over the
+        other kinds (module docstring)."""
+        first, second = self.coeff.doubled(self, lhs.u, lhs.v, rhs.u, rhs.v)
+        return DicksonElement(self, first, second)
 
     def associator(self, x, y, z):
         return self.mul(self.mul(x, y), z) - self.mul(x, self.mul(y, z))

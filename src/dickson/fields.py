@@ -72,6 +72,19 @@ def prime_factors(n):
     return out
 
 
+def randbelow(bits, n):
+    """rng.randrange(n) from bits = rng.getrandbits, leaving the same
+    getstate(): CPython's randrange (3.10 and 3.11 alike) takes
+    getrandbits(k), k the bit length of n, until it is below n, and so
+    does this, without randrange's argument checks.  choice(seq) is
+    seq[randbelow(bits, len(seq))]."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p); polynomials are lists, ascending degree
 
@@ -184,13 +197,12 @@ def _index_tables(p, n, modulus):
     return coeffs, neg, log, exp + exp, zech
 
 
-class FieldElement(Element):
+class FieldElement(Element, parent="field", key="coeffs"):
     """An element of a FiniteField: its n ascending coefficients and its
     index.  Up to TABLE_BOUND elements, one interned element per value,
     whose arithmetic reads the field's index tables."""
 
     __slots__ = ("field", "coeffs", "index")
-    parent = property(attrgetter("field"))
     _scalars = (int,)
 
     def __init__(self, field, coeffs):
@@ -203,9 +215,6 @@ class FieldElement(Element):
 
     def _lift(self, s):
         return self.field.from_int(s)
-
-    def _key(self):
-        return self.coeffs
 
     def _scalar(self):
         return None if any(self.coeffs[1:]) else self.coeffs[0]

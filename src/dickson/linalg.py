@@ -42,12 +42,19 @@ class Element:
 
     A kind defines its arithmetic on operands of its own parent (__add__,
     __neg__, __mul__ after _coerce, inv, and but for PadicNumber the fused
-    a.dot(b, c, e) = a*b + c*e, normalized once) and four hooks:
+    a.dot(b, c, e) = a*b + c*e, normalized once) and these hooks:
         parent     the algebra the element lives in;
+        _k         its key, a canonical tuple: elements of equal parents
+                   are equal exactly when their keys are;
         _lift(s)   the element equal to a scalar s of a type in _scalars;
-        _key()     a canonical tuple: elements of equal parents are equal
-                   exactly when their keys are;
         _scalar()  the base scalar the element is, or None.
+    The class statement names the slots that hold the first two, as in
+    class FieldElement(Element, parent="field", key="coeffs"), and parent
+    and _k are then those slots' own descriptors, read as fast as the slots
+    (a kind whose key is no slot defines _k itself).  __eq__ reads them
+    directly: the very same object is equal, and an operand of the same
+    kind and the same parent object compares by its key alone, with no
+    hook called; an equal but distinct parent still compares equal.
     coords(), the coordinates over the base field, is the key unless the
     kind keys on ints over one denominator (Q-quaternions, Q(sqrt a)).
     An element equals a scalar only when it is that base scalar in
@@ -58,6 +65,13 @@ class Element:
 
     __slots__ = ()
     _scalars = (int, Fraction)
+
+    def __init_subclass__(cls, parent=None, key=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if parent is not None:
+            cls.parent = cls.__dict__[parent]
+        if key is not None:
+            cls._k = cls.__dict__[key]
 
     def _coerce(self, other):
         """other as an element of self's parent, or NotImplemented."""
@@ -101,10 +115,15 @@ class Element:
             return NotImplemented
         return self * other.inv()
 
+    def _key(self):
+        return self._k
+
     def __eq__(self, other):
-        if type(other) is type(self):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
             return ((other.parent is self.parent or other.parent == self.parent)
-                    and self._key() == other._key())
+                    and self._k == other._k)
         if isinstance(other, self._scalars):
             return self._scalar() == other
         return NotImplemented

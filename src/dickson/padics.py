@@ -39,7 +39,7 @@ square theory is different there.
 from fractions import Fraction
 from operator import attrgetter
 
-from .fields import FiniteField, is_prime
+from .fields import FiniteField, is_prime, randbelow
 from .linalg import Element
 from .reports import certify
 
@@ -398,13 +398,16 @@ class PadicQuadExt:
 
     def draw(self, rng):
         """The ints (x, y, shift) of one random element, (x + y*alpha) *
-        p**shift: x, y in [-99, 99], not both 0, and shift 0, 1 or -1."""
+        p**shift: x, y in [-99, 99], not both 0, and shift 0, 1 or -1.
+        They are what rng.randrange(-99, 100) twice, until x or y is
+        nonzero, and rng.choice([0, 0, 1, -1]) draw (fields.randbelow)."""
+        bits = rng.getrandbits
         while True:
-            x = rng.randrange(-99, 100)
-            y = rng.randrange(-99, 100)
+            x = randbelow(bits, 199) - 99
+            y = randbelow(bits, 199) - 99
             if x or y:
                 break
-        return x, y, rng.choice([0, 0, 1, -1])
+        return x, y, (0, 0, 1, -1)[randbelow(bits, 4)]
 
     def random_element(self, rng):
         x, y, shift = self.draw(rng)
@@ -424,13 +427,13 @@ class PadicQuadExt:
         return "Q_%d(%s)" % (self.ctx.p, self.kind)
 
 
-class PadicExtElement(Element):
+class PadicExtElement(Element, parent="ext"):
     """x + y*alpha over a PadicQuadExt; x and y are PadicNumbers, and
     (x, 0) equals x.  `exact` is the pair of rationals the element was made
     from by ext.element, or None; arithmetic results keep none."""
 
     __slots__ = ("ext", "x", "y", "exact")
-    parent = property(attrgetter("ext"))
+    _k = property(attrgetter("x", "y"))
     _scalars = (int, Fraction, PadicNumber)
 
     def __init__(self, ext, x, y, exact=None):
@@ -441,9 +444,6 @@ class PadicExtElement(Element):
 
     def _lift(self, s):
         return self.ext.element(s, 0)
-
-    def _key(self):
-        return self.x, self.y
 
     def _scalar(self):
         return self.x if self.y.is_zero() else None

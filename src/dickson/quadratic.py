@@ -24,7 +24,6 @@ where either argument is a non-unit.
 
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import attrgetter
 
 from .fields import prime_factors
 from .linalg import Element, QOps, _integer_scaled
@@ -200,12 +199,11 @@ def _quad(field, x, y, d):
     return z
 
 
-class QuadElement(Element):
+class QuadElement(Element, parent="field"):
     """x + y sqrt(a) with rational x, y, kept as the canonical key
     (X, Y, d) of ints: x = X/d, y = Y/d, d > 0 and gcd(X, Y, d) = 1."""
 
     __slots__ = ("field", "_k")
-    parent = property(attrgetter("field"))
     x = property(lambda self: Fraction(self._k[0], self._k[2]))
     y = property(lambda self: Fraction(self._k[1], self._k[2]))
 
@@ -219,9 +217,6 @@ class QuadElement(Element):
 
     def _lift(self, s):
         return self.field.element(s, 0)
-
-    def _key(self):
-        return self._k
 
     def _scalar(self):
         x, y, d = self._k

@@ -26,9 +26,8 @@ first nonzero one is 1.  No Fraction is made to compare two of them.
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 
-from .fields import is_prime
+from .fields import is_prime, randbelow
 from .linalg import Element, FpOps, QOps, _integer_scaled
 from .quadratic import element_sqrt
 
@@ -121,11 +120,16 @@ class QuaternionAlgebra:
         return None
 
     def random_element(self, rng):
-        if self.p is None:
-            nd = [(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(4)]
+        """Four coordinates n/d, n in [-9, 9] and d in [1, 3], over Q, and
+        four residues over GF(p): what rng.randrange(-9, 10) and
+        rng.randrange(1, 4), or rng.randrange(p), draw (fields.randbelow)."""
+        bits, p = rng.getrandbits, self.p
+        if p is None:
+            nd = [(randbelow(bits, 19) - 9, randbelow(bits, 3) + 1)
+                  for _ in range(4)]
             den = lcm(*(d for _, d in nd))
             return _quaternion(self, *(n * (den // d) for n, d in nd), den)
-        return self.element(*(rng.randrange(self.p) for _ in range(4)))
+        return _quaternion(self, *(randbelow(bits, p) for _ in range(4)), 1)
 
     def __eq__(self, other):
         return (isinstance(other, QuaternionAlgebra) and other.p == self.p
@@ -173,13 +177,12 @@ def _product(alg, k1, k2):
     return x, y * da, z * db, w * dadb, d1 * d2 * dadb
 
 
-class Quaternion(Element):
+class Quaternion(Element, parent="alg"):
     """x + y i + z j + w k, kept as the canonical key (X, Y, Z, W, d) of
     ints: x = X/d, ..., w = W/d with d > 0 and gcd(X, Y, Z, W, d) = 1;
     over GF(p), d = 1 and X, ..., W lie in range(p)."""
 
     __slots__ = ("alg", "_k")
-    parent = property(attrgetter("alg"))
     x, y, z, w = (property(lambda q, i=i: q.alg._from_ints(q._k[i], q._k[4]))
                   for i in range(4))
 
@@ -193,9 +196,6 @@ class Quaternion(Element):
 
     def _lift(self, s):
         return self.alg.element(s, 0, 0, 0)
-
-    def _key(self):
-        return self._k
 
     def _scalar(self):
         k = self._k
@@ -298,7 +298,14 @@ class InnerAut:
         self._hash = hash((alg.p, alg.a, alg.b, self._key))
 
     def __call__(self, q):
-        return self._minv * q * self.witness
+        """m^-1 q m: two _product calls on the keys, the first left
+        unreduced, and one _quaternion.  Any other operand goes through
+        the operators, which coerce or refuse it."""
+        alg = self.alg
+        if q.__class__ is not Quaternion or q.alg is not alg:
+            return self._minv * q * self.witness
+        return _quaternion(alg, *_product(
+            alg, _product(alg, self._minv._k, q._k), self.witness._k))
 
     def compose(self, other):
         """self after other: with m = self.witness and m' = other.witness it

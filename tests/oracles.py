@@ -19,7 +19,9 @@ and not in the package:
     of the element operators, which now work on integer numerators;
   * doubled_product is the doubled product by its defining formulas on
     those, the reference for DicksonAlgebra.mul and its fused dot, and
-    fraction_random_* draw construct's trials from Fractions;
+    fraction_random_* and randrange_random_* draw construct's trials from
+    Fractions and through rng.randrange, the references for the draws
+    on rng.getrandbits;
   * quadratic_doubling_nucleus_dims gives the nucleus dimensions of a
     doubling of Q(sqrt d) as sympy nullspaces of associator systems
     built from its own product on Fraction pairs;
@@ -459,6 +461,25 @@ def fraction_random_quaternion(B, rng):
     [-9, 9] and d in [1, 3]."""
     return B.element(*(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
                        for _ in range(4)))
+
+
+def randrange_random_twin(A, rng):
+    """A random element of the rational twin A (QuadCoefficients of a Q_p
+    extension) as drawn through rng.randrange and rng.choice: (x + y
+    sqrt(d)) * p**shift, x, y in [-99, 99] not both 0, shift from
+    [0, 0, 1, -1], built from Fractions."""
+    while True:
+        x, y = rng.randrange(-99, 100), rng.randrange(-99, 100)
+        if x or y:
+            break
+    s = Fraction(A.padic.ctx.p) ** rng.choice([0, 0, 1, -1])
+    return A.K.element(x * s, y * s)
+
+
+def randrange_random_quaternion(B, rng):
+    """A random quaternion over GF(p) as drawn through rng.randrange: four
+    residues."""
+    return B.element(*(rng.randrange(B.p) for _ in range(4)))
 
 
 def quadratic_doubling_nucleus_dims(d, c, conjugate):

@@ -14,7 +14,8 @@ from dickson.doubling import (DicksonAlgebra, compute_nuclei,
                               zero_divisor_search, _field_grid)
 from dickson.fields import FrobeniusAut, make_field
 from dickson.linalg import FpOps, QOps, kernel_basis
-from dickson.padics import PadicExtElement, PadicOps, PadicQuadExt
+from dickson.padics import (PadicContext, PadicExtElement, PadicOps,
+                            PadicQuadExt)
 from dickson.parsing import algebra_from_document
 from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
@@ -22,8 +23,9 @@ from dickson.reports import DIVISION, NOT_DIVISION
 from oracles import (_commuter_rows, critical_constants_sumset,
                      doubled_product, doubled_subfield_check, fixed_field,
                      fraction_random_quad, fraction_random_quaternion, in_span,
-                     random_invertible, random_nonzero, rref_loop,
-                     subalgebra_check)
+                     random_invertible, random_nonzero,
+                     randrange_random_quaternion, randrange_random_twin,
+                     rref_loop, subalgebra_check)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +230,64 @@ def test_random_trials_are_the_fraction_draws():
                 assert got._key() == want._key()
                 assert got.coords() == want.coords()
             assert mine.getstate() == theirs.getstate()
+
+
+def test_direct_draws_are_the_randrange_draws():
+    """The rational twin's trials over Q_p(sqrt d) and the random elements
+    of quat(a,b;p), drawn on rng.getrandbits, are the elements the
+    randrange and choice draws (oracles.randrange_random_*) give from the
+    same rng state, and leave the rng in the same state."""
+    draws = []
+    for p, kind in ((3, "sqrt_p"), (5, "sqrt_u"), (7, "sqrt_up")):
+        ext = PadicQuadExt(PadicContext(p, 16), kind)
+        A = doubling.QuadCoefficients(QuadField(ext.d_int), padic=ext)
+        draws.append((A.random_element,
+                      lambda rng, A=A: randrange_random_twin(A, rng)))
+    for a, b, p in ((2, 3, 5), (1, 6, 7), (5, 2, 101)):
+        B = QuaternionAlgebra(a, b, p)
+        draws.append((B.random_element,
+                      lambda rng, B=B: randrange_random_quaternion(B, rng)))
+    for draw, ref in draws:
+        for seed in range(20):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                got, want = draw(mine), ref(theirs)
+                assert got._key() == want._key()
+                assert got.coords() == want.coords()
+            assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("a", [3, -7])
+def test_quad_product_in_one_step_is_the_dot_formula(a):
+    """QuadCoefficients.doubled forms (u,v)(x,y) from the keys: in every
+    variant and under both sigma it is the dot formula of _Coefficients
+    and oracles.doubled_product.  Operands of an equal but distinct field
+    take the dot formula and come out the same; operands of another
+    field are refused as dot refuses them."""
+    K = QuadField(a)
+    rng = random.Random(a)
+    for sigma in ("id", "conjugate"):
+        for variant in doubling.VARIANTS:
+            D = DicksonAlgebra(K, sigma, K.element(Fraction(3, 2), -2),
+                               variant, allow_identity=True)
+            pairs = [(D.random_element(rng), D.random_element(rng))
+                     for _ in range(40)]
+            pairs += [(x, y) for x in D.basis() for y in D.basis()]
+            for x, y in pairs:
+                got = D.mul(x, y)
+                dot = doubling._Coefficients.doubled(D.coeff, D, x.u, x.v,
+                                                     y.u, y.v)
+                want = doubled_product(D, x, y)
+                assert [got.u._k, got.v._k] == [t._k for t in dot]
+                assert [got.u._k, got.v._k] == [t._k for t in want]
+            x, y = pairs[0]
+            twin = QuadField(a)
+            moved = D.element(twin.element(*x.u.coords()), x.v)
+            assert twin is not K and D.mul(moved, y) == D.mul(x, y)
+            other = QuadField(a + 2)
+            alien = D.element(other.element(*x.u.coords()), x.v)
+            with pytest.raises(ValueError):
+                D.mul(alien, y)
 
 
 def test_commutative_doubling_is_commutative_but_not_associative():

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dickson.fields import FieldElement, make_field
+from dickson.fields import TABLE_BOUND, FieldElement, FiniteField, make_field
 from dickson.padics import (PadicContext, PadicExtElement, PadicNumber,
                             PadicQuadExt)
 from dickson.parsing import algebra_from_document
@@ -240,3 +242,87 @@ def test_doublings_from_one_spec_share_elements():
     x = D1.element(D1.coeff.K.element(1, 2), D1.coeff.K.element(0, 3))
     y = D2.element(D2.coeff.K.element(1, 2), D2.coeff.K.element(0, 3))
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the equality and hash contract of Element, on every path of __eq__
+
+
+class _Kind:
+    """How to build one kind's parents and elements for the contract test:
+    make() a fresh parent, other() a different parent of the same shape,
+    element(P, coords), the scalar equal to (s, 0, ...), and p, the
+    modulus coordinates reduce by (None over Q and Q_p)."""
+
+    def __init__(self, make, other, dim, p=None, element=None, scalar=None):
+        self.make, self.other, self.dim, self.p = make, other, dim, p
+        self.element = element or (lambda P, v: P.element(*v))
+        self.scalar = scalar or (lambda P, s: s)
+
+    def coord(self):
+        if self.p is not None:
+            return st.integers(-self.p, 2 * self.p)
+        return st.fractions(-4, 4, max_denominator=3)
+
+    def reduce(self, v):
+        return [t % self.p for t in v] if self.p is not None else list(v)
+
+
+CONTRACT_KINDS = {
+    # GF(25) arithmetic reads the index tables, GF(101^2) is above them;
+    # the other parent has the same p and n and another modulus
+    "gf-tables": _Kind(lambda: FiniteField(5, 2),
+                       lambda: FiniteField(5, 2, [3, 0, 1]), 2, 5,
+                       lambda P, v: P.element(list(v))),
+    "gf-poly": _Kind(lambda: FiniteField(101, 2),
+                     lambda: FiniteField(101, 2, [99, 0, 1]), 2, 101,
+                     lambda P, v: P.element(list(v))),
+    "quadratic": _Kind(lambda: QuadField(-7), lambda: QuadField(5), 2),
+    "quaternion": _Kind(lambda: QuaternionAlgebra(2, 3),
+                        lambda: QuaternionAlgebra(2, 5), 4),
+    "quaternion-p": _Kind(lambda: QuaternionAlgebra(1, 2, p=5),
+                          lambda: QuaternionAlgebra(1, 3, p=5), 4, 5),
+    "padic-ext": _Kind(lambda: PadicQuadExt(PadicContext(5), "sqrt_u"),
+                       lambda: PadicQuadExt(PadicContext(5), "sqrt_p"), 2,
+                       scalar=lambda P, s: P.ctx.from_fraction(s)),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_equality_and_hash_contract(data):
+    """For each of the four element kinds (GF(q) below and above
+    TABLE_BOUND): equality is that of the reduced coordinates, != is its
+    negation, the same coordinates in an equal but distinct parent are
+    equal and hash alike, in a different parent unequal, an element
+    equals a scalar exactly when it is that scalar, and equal elements
+    hash alike."""
+    kind = CONTRACT_KINDS[data.draw(st.sampled_from(sorted(CONTRACT_KINDS)))]
+    P, twin, other = kind.make(), kind.make(), kind.other()
+    assert P is not twin and P == twin and P != other
+    coords = st.lists(kind.coord(), min_size=kind.dim, max_size=kind.dim)
+    cx = data.draw(coords)
+    cy = data.draw(st.one_of(st.just(cx), coords))
+    x, y = kind.element(P, cx), kind.element(P, cy)
+    equal = kind.reduce(cx) == kind.reduce(cy)
+    assert (x == y) is equal and (y == x) is equal
+    assert (x != y) is (not equal) and (y != x) is (not equal)
+    if equal:
+        assert hash(x) == hash(y)
+    assert x == x and not x != x
+    xt, xo = kind.element(twin, cx), kind.element(other, cx)
+    assert x == xt and xt == x and not x != xt and hash(x) == hash(xt)
+    assert x != xo and xo != x and not x == xo
+    s = data.draw(kind.coord())
+    if kind.p is not None:
+        s %= kind.p
+    zeros = [0] * (kind.dim - 1)
+    z, scalar = kind.element(P, [s] + zeros), kind.scalar(P, s)
+    assert z == scalar and scalar == z and not z != scalar
+    assert hash(z) == hash(scalar)
+    is_scalar = kind.reduce(cx) == kind.reduce([s] + zeros)
+    assert (x == scalar) is is_scalar and (x != scalar) is (not is_scalar)
+
+
+def test_contract_kinds_cover_both_field_routes():
+    assert FiniteField(5, 2).order <= TABLE_BOUND < FiniteField(101, 2).order
