@@ -115,9 +115,6 @@ class Element:
             return NotImplemented
         return self * other.inv()
 
-    def _key(self):
-        return self._k
-
     def __eq__(self, other):
         if other is self:
             return True
@@ -130,10 +127,10 @@ class Element:
 
     def __hash__(self):
         s = self._scalar()
-        return hash(self._key() if s is None else s)
+        return hash(self._k if s is None else s)
 
     def coords(self):
-        return list(self._key())
+        return list(self._k)
 
 
 class FpOps:
