@@ -2,9 +2,10 @@
 doubled algebras.
 
 The guiding rule: every positive claim is re-verified on the spot by
-direct computation (witness pairs are multiplied out, automorphism
-candidates are checked on a full basis or shown, on a basis, to be the
-composite of two checked ones) and anything the implemented criteria
+direct computation (witness pairs are multiplied out, automorphism and
+isomorphism candidates are checked against the hypotheses of the
+doubling theorem, proved in _map_failure, or shown, on a basis, to be
+the composite of two checked ones) and anything the implemented criteria
 cannot settle is reported as "unknown" or "undetermined", never guessed.
 
 Automorphisms of D = B + B are represented as pairs (tau, b) acting by
@@ -15,8 +16,8 @@ coefficient algebra and b a coefficient element.
 from dataclasses import replace
 
 from .doubling import (DicksonAlgebra, FieldCoefficients, _critical_pair,
-                       _norm_zero_pair, _quat_is_split, basis_products,
-                       compute_nuclei, critical_constants)
+                       _norm_zero_pair, _quat_is_split, compute_nuclei,
+                       critical_constants)
 from .fields import TABLE_BOUND, FrobeniusAut, make_field
 from .linalg import solve
 from .padics import padic_is_square
@@ -189,7 +190,7 @@ def division_decide(D):
 
 def _intertwines(D1, D2, tau):
     """tau after sigma1 equals sigma2 after tau, on a basis."""
-    return all(tau(D1.sigma(e)) == D2.sigma(tau(e)) for e in D2.coeff.basis())
+    return all(tau(D1.sigma(e)) == D2.sigma(tau(e)) for e in D2.coeff.basis)
 
 
 def _closure_ok(group):
@@ -232,34 +233,73 @@ def compose_descriptors(D, d1, d2):
 
 def _map_failure(D1, D2, desc):
     """Why phi: (u,v) -> (tau(u), tau(v) b) is not an isomorphism D1 -> D2,
-    or None.  phi is F-linear, and three facts make it an isomorphism:
-      * it fixes the unit;
-      * it is bijective, checked as b being invertible: tau is a bijection
-        of B, and right multiplication by b on the finite-dimensional
-        associative algebra B is bijective exactly when b is invertible
-        (a bijection has some v with v b = 1, and a one-sided inverse in
-        such an algebra is two-sided);
-      * phi(e_i e_j) = phi(e_i) phi(e_j) on every basis pair, with e_i e_j
-        read from D1's table of basis products (basis_products), made
-        once per doubling and shared by every candidate checked against
-        D1."""
-    if apply_automorphism(D2, desc, D1.unit()) != D2.unit():
-        return "candidate does not fix the unit"
-    if not D2.coeff.is_invertible(desc[1]):
+    or None, decided by the doubling theorem: with tau an automorphism of
+    B, phi is an isomorphism exactly when
+      (1) b is invertible,
+      (2) over quaternions, b is central,
+      (3) tau sigma1 = sigma2 tau, checked on a basis of B, and
+      (4) tau(c1) = c2 sigma2(b)^2, which over quaternions reads
+          tau(c1) = c2 b^2,
+    checked in that order.  The tests' reference is the check on every
+    basis pair, oracles.map_failure_by_products.
+
+    phi is F-linear, since tau is, and it fixes the unit: tau(1) = 1.  It
+    is bijective exactly when b is invertible: tau is a bijection of B,
+    and right multiplication by b on the finite-dimensional associative
+    algebra B is bijective exactly when b is invertible (a bijection has
+    some v with v b = 1, and a one-sided inverse in such an algebra is
+    two-sided).  Both sides of (3) are F-linear, so a basis settles it.
+    What is left is phi(xy) = phi(x) phi(y), half by half.  Write
+    x = (u,v), y = (x',y'), z = vy', and c = c1, d = c2.
+
+    Commutative B (GF(q), Q(sqrt a), Q_p(sqrt d); every variant is the
+    left one).  The second halves agree always: tau(uy' + vx') b =
+    tau(u) tau(y') b + tau(v) b tau(x').  The first halves agree exactly
+    when tau(c) tau sigma1(z) = d sigma2(tau(v) b tau(y') b)
+    = d sigma2(b)^2 sigma2 tau(z) for all z.  At z = 1 that is (4).
+    Given (4), the two sides differ by the factor tau(c) (invertible, as
+    c is) times tau sigma1(z) - sigma2 tau(z), so the rest is (3).
+
+    Quaternion B, every variant.  The second halves agree exactly when
+    tau(v) tau(x') b = tau(v) b tau(x') for all v, x'; at v = 1, as tau
+    is onto, that says b commutes with B, which is (2).  So an invertible
+    non-central b is refused, with no other route to try.  Let b be
+    central: it lies in F, so sigma2(b) = b and b commutes with all.
+      * left, (ux' + c sigma(z), ...): the first halves agree exactly when
+        tau(c) tau sigma1(z) = d b^2 sigma2 tau(z) for all z; at z = 1
+        that is (4), and given (4) the rest is (3), cancelling tau(c) on
+        the left.
+      * right, (ux' + sigma(z) c, ...): exactly when
+        tau sigma1(z) tau(c) = sigma2 tau(z) b^2 d for all z; at z = 1
+        that is (4) (b^2 d = d b^2), and given (4) the rest is (3),
+        cancelling tau(c) on the right.
+      * middle, (ux' + sigma(v) c sigma(y'), ...): exactly when
+        tau sigma1(v) tau(c) tau sigma1(y') = sigma2 tau(v) b^2 d
+        sigma2 tau(y') for all v, y'.  At v = y' = 1 that is (4); at
+        y' = 1, given (4), it is (3) cancelling tau(c) on the right; and
+        (3) with (4) turn the left side into the right one.
+    Over Q_p, (4) is compared as every p-adic equality is, to the
+    precision both sides know."""
+    tau, b = desc
+    A = D2.coeff
+    if not A.is_invertible(b):
         return "candidate is not bijective"
-    basis, products = basis_products(D1)
-    images = [apply_automorphism(D2, desc, e) for e in basis]
-    for i, row in enumerate(products):
-        for j, xy in enumerate(row):
-            if apply_automorphism(D2, desc, xy) != D2.mul(images[i], images[j]):
-                return ("candidate is not multiplicative on basis pair "
-                        "(%d, %d)" % (i, j))
+    if A.commutative:
+        s = D2.sigma(b)
+    elif b.is_central():
+        s = b
+    else:
+        return "candidate's b is not central"
+    if not _intertwines(D1, D2, tau):
+        return "tau does not intertwine the two sigmas"
+    if tau(D1.c) != D2.c * (s * s):
+        return "tau(c1) is not c2 sigma2(b)^2"
     return None
 
 
 def verify_automorphism(D, desc):
-    """Unital, multiplicative on a full basis, and bijective; raises on
-    failure."""
+    """(tau, b) is an automorphism of D by the doubling theorem
+    (_map_failure); raises on failure."""
     failure = _map_failure(D, D, desc)
     if failure is not None:
         raise AssertionError(failure)
@@ -299,7 +339,7 @@ def _prove_members(D, elements, table):
           already checked, so apply(d_k) equals apply(d_i) after
           apply(d_j) on every basis vector; both maps are F-linear, so
           they are the same map, a composite of two automorphisms;
-      (c) the full check, verify_automorphism.
+      (c) the full check, verify_automorphism, by the doubling theorem.
     Then its row, where table[k][l] is the member whose map is apply(d_k)
     after apply(d_l), or None when no member's is:
       (a) table[k][l] = l;
@@ -375,8 +415,9 @@ def enumerate_automorphisms(D, taus=None):
     The composition table comes first, read off compose_descriptors; then
     _prove_members proves each element and checks each row of the table:
     the identity on sight, a product of two members already proved from
-    their checked rows, anything else by the full verify_automorphism and
-    its row by applying it.  The table schedules that work, so that the
+    their checked rows, anything else by the full verify_automorphism (the
+    hypotheses of the doubling theorem, no product formed) and its row by
+    applying it.  The table schedules that work, so that the
     full checks fall on a generating set (one generator for a cyclic
     group), but it proves nothing: every row is checked against the maps.
     Building a group's members and table from checked generators is
@@ -572,10 +613,10 @@ def wene_inner_check(D):
 
 
 def verify_isomorphism(D1, D2, tau, b):
-    """(u,v) -> (tau(u), tau(v) b) as a map D1 -> D2: unital, bijective
-    (b is invertible) and multiplicative on all basis pairs (_map_failure).
-    The basis products of D1 are made once and kept on D1, so the census
-    and iso_test check every candidate against one table."""
+    """(u,v) -> (tau(u), tau(v) b) is an isomorphism D1 -> D2 by the
+    doubling theorem (_map_failure): b invertible, and central over
+    quaternions, tau sigma1 = sigma2 tau on a basis, and
+    tau(c1) = c2 sigma2(b)^2.  No product is formed."""
     return _map_failure(D1, D2, (tau, b)) is None
 
 
@@ -672,14 +713,15 @@ def census(p, n, limit=27):
         and the exhaustive iso_test answers "no" between representatives
         of different sigma (n(n-1)/2 tests);
       * members: each is reached from its representative by (id, b), b
-        from _b_candidates, checked by verify_isomorphism.
+        from _b_candidates, checked by verify_isomorphism on the
+        theorem's hypotheses, n + 1 comparisons and no product.
     An outcome the theorem rules out is a program fault and raises.  Both
     class counts are reported: with and without the degenerate sigma = id
     convention.
 
     Sized for p^n <= limit and refused above fields.TABLE_BOUND, where the
-    field has no index tables; limit=81 and limit=125 answer in well under
-    a second."""
+    field has no index tables; limit=81, limit=125 and limit=2187 (p = 3,
+    n = 7) answer in well under a second."""
     if p == 2:
         raise ValueError("the census is about odd characteristic")
     # p^n, or a power of p already past the bound when n is larger (for a

@@ -138,10 +138,13 @@ class _Coefficients:
     def dim(self):
         return len(self.one().coords())
 
+    @cached_property
     def basis(self):
+        """The coordinate basis of B over F, made once per adapter; a
+        tuple, so no reader can change it."""
         n = self.dim
-        return [self.from_coords([0] * j + [1] + [0] * (n - 1 - j))
-                for j in range(n)]
+        return tuple(self.from_coords([0] * j + [1] + [0] * (n - 1 - j))
+                     for j in range(n))
 
     def coords(self, x):
         return x.coords()
@@ -571,8 +574,8 @@ class DicksonAlgebra:
         return 2 * self.coeff.dim
 
     def basis(self):
-        out = [self.element(b, self.coeff.zero()) for b in self.coeff.basis()]
-        out += [self.element(self.coeff.zero(), b) for b in self.coeff.basis()]
+        out = [self.element(b, self.coeff.zero()) for b in self.coeff.basis]
+        out += [self.element(self.coeff.zero(), b) for b in self.coeff.basis]
         return out
 
     def coords(self, x):
@@ -661,9 +664,8 @@ def rational_twin(D):
 def basis_products(D):
     """(basis, products): the basis of D and products[i][j] = e_i e_j as
     elements of D, each made once by the defining formula and kept on D,
-    so callers must not change them.  structure_constants reads them as
-    ints over one denominator, and every (tau, b) map out of D is checked
-    against them (analysis._map_failure)."""
+    so callers must not change them.  Its one reader is
+    structure_constants, which reads them as ints over one denominator."""
     if "products" not in D._memo:
         basis = D.basis()
         D._memo["products"] = basis, [[D.mul(x, y) for y in basis]
@@ -824,7 +826,7 @@ def _nucleus_conditions(D):
     if D.sigma_is_id:
         return None
     A, s, c = D.coeff, D.sigma, D.c
-    basis = A.basis()
+    basis = A.basis
 
     def rows(f):
         # f(sum a_i e_i) = sum a_i f(e_i): row r holds coordinate r of each

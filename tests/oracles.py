@@ -18,7 +18,9 @@ and not in the package:
   * the quaternion_* and quadratic_* functions are the Fraction formulas
     of the element operators, which now work on integer numerators;
   * doubled_product is the doubled product by its defining formulas on
-    those, the reference for DicksonAlgebra.mul and its fused dot, and
+    those, the reference for DicksonAlgebra.mul and its fused dot;
+    map_failure_by_products checks a (tau, b) map on every basis pair
+    with it, the reference for analysis._map_failure's theorem; and
     fraction_random_* and randrange_random_* draw construct's trials from
     Fractions and through rng.randrange, the references for the draws
     on rng.getrandbits;
@@ -447,6 +449,34 @@ def doubled_product(D, lhs, rhs):
     else:
         extra = mul(c, s(mul(v, y)))
     return add(mul(u, x), extra), add(mul(u, y), mul(v, x))
+
+
+def map_failure_by_products(D1, D2, desc):
+    """Why (u,v) -> (tau(u), tau(v) b) is not an isomorphism D1 -> D2, or
+    None, by the definition: it fixes the unit, b is invertible (so the
+    map is bijective) and it is multiplicative on every basis pair, each
+    product formed by doubled_product and not by DicksonAlgebra.mul.  The
+    reference for analysis._map_failure, which decides the same question
+    by the doubling theorem."""
+    tau, b = desc
+
+    def phi(u, v):
+        return tau(u), tau(v) * b
+
+    one, zero = D1.coeff.one(), D1.coeff.zero()
+    if phi(one, zero) != (D2.coeff.one(), D2.coeff.zero()):
+        return "candidate does not fix the unit"
+    if not D2.coeff.is_invertible(b):
+        return "candidate is not bijective"
+    basis = D1.basis()
+    images = [D2.element(*phi(e.u, e.v)) for e in basis]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            if phi(*doubled_product(D1, x, y)) \
+                    != doubled_product(D2, images[i], images[j]):
+                return ("candidate is not multiplicative on basis pair "
+                        "(%d, %d)" % (i, j))
+    return None
 
 
 def fraction_random_quad(K, rng):

@@ -13,13 +13,13 @@ import pytest
 
 import dickson
 from dickson import analysis, cli, doubling
-from dickson.analysis import (apply_automorphism, census, compose_descriptors,
-                              division_decide, enumerate_automorphisms,
-                              group_structure, iso_test, subgroups,
-                              verify_automorphism, verify_isomorphism,
-                              wene_inner_check)
+from dickson.analysis import (_map_failure, apply_automorphism, census,
+                              compose_descriptors, division_decide,
+                              enumerate_automorphisms, group_structure,
+                              iso_test, subgroups, verify_automorphism,
+                              verify_isomorphism, wene_inner_check)
 from dickson.doubling import (DicksonAlgebra, FieldCoefficients,
-                              zero_divisor_search)
+                              coefficients_for, zero_divisor_search)
 from dickson.fields import FrobeniusAut, make_field
 from dickson.parsing import algebra_from_document, parse_element
 from dickson.padics import PadicContext, PadicQuadExt
@@ -27,7 +27,8 @@ from dickson.quadratic import QuadField
 from dickson.quaternions import InnerAut, QuaternionAlgebra
 from dickson.reports import DIVISION
 from oracles import (aut_bounds_check, automorphism_images,
-                     oracle_automorphisms)
+                     map_failure_by_products, oracle_automorphisms,
+                     random_invertible)
 
 
 def _gf(p, n, c_coeffs, k=1):
@@ -589,6 +590,232 @@ def test_rejected_automorphism_candidate():
     K = D.coeff.K
     with pytest.raises(AssertionError):
         verify_automorphism(D, (FrobeniusAut(K, 1), K.one()))
+
+
+# ---------------------------------------------------------------------------
+# the (tau, b) map check: the doubling theorem against the basis products
+
+# every odd GF(q) with q <= 125, as (p, n)
+ODD_FIELDS = [(p, n) for p in (3, 5, 7, 11) for n in range(1, 5)
+              if p ** n <= 125] + [(p, 1) for p in range(13, 126)
+                                   if all(p % r for r in range(2, p))]
+
+
+def _recorded_candidates(monkeypatch):
+    """Every (D1, D2, (tau, b)) that _map_failure is asked from now on."""
+    seen = []
+
+    def recorded(D1, D2, desc):
+        seen.append((D1, D2, desc))
+        return _map_failure(D1, D2, desc)
+
+    monkeypatch.setattr(analysis, "_map_failure", recorded)
+    return seen
+
+
+def _retargeted(D1, D2, tau, b, sigma):
+    """D2's coefficients and variant with sigma, and the c2 for which the
+    identity of _map_failure holds for (tau, b): tau(c1) = c2 s^2, with
+    s = sigma(b), or b over quaternions."""
+    s = sigma(b) if D2.coeff.commutative else b
+    return DicksonAlgebra(D2.coeff, sigma, tau(D1.c) * (s * s).inv(),
+                          D2.variant, allow_identity=True)
+
+
+def _agreement_cases(D1, D2, desc, m, other_sigma=None, w=None):
+    """The candidate and the rejected ones made from it: b times m (a
+    non-square where the kind has one), tau into a doubling with
+    other_sigma and a c2 that keeps the identity, b times a non-central
+    invertible quaternion w with such a c2, and b = 0."""
+    tau, b = desc
+    zero = D2.coeff.zero()
+    cases = [(D1, D2, desc), (D1, D2, (tau, b * m)), (D1, D2, (tau, zero))]
+    if other_sigma is not None:
+        cases.append((D1, _retargeted(D1, D2, tau, b, other_sigma), desc))
+    if w is not None:
+        cases.append((D1, _retargeted(D1, D2, tau, b * w, D2.sigma),
+                      (tau, b * w)))
+    return cases
+
+
+def _assert_agreement(cases):
+    """_map_failure and the basis-product reference accept or reject each
+    case alike; returns the set of outcomes seen (True for accepted)."""
+    outcomes = set()
+    for D1, D2, desc in cases:
+        want = map_failure_by_products(D1, D2, desc) is None
+        got = _map_failure(D1, D2, desc)
+        assert (got is None) == want, (D1.describe(), D2.describe(),
+                                       desc[0].label, desc[1].literal(), got)
+        outcomes.add(want)
+    return outcomes
+
+
+def test_theorem_agrees_with_basis_products_over_small_fields(monkeypatch):
+    """Every (tau, b) candidate that the census, autgroup and iso_test
+    meet over every odd GF(q), q <= 125, and the rejected candidates made
+    from each: b times a non-square, a tau that does not intertwine and
+    b = 0."""
+    seen = _recorded_candidates(monkeypatch)
+    outcomes, met = set(), 0
+    for p, n in ODD_FIELDS:
+        seen.clear()
+        census(p, n, limit=125)
+        K = make_field(p, n)
+        units = list(K.elements())[1:]
+        squares = [c for c in units if K.is_square(c)]
+        nonsquares = [c for c in units if not K.is_square(c)]
+        for sigma in K.automorphisms():
+            for cs in (squares, nonsquares):
+                D = DicksonAlgebra(K, sigma, cs[-1], allow_identity=True)
+                enumerate_automorphisms(D)
+                iso_test(D, DicksonAlgebra(K, sigma, cs[0],
+                                           allow_identity=True))
+        # a non-square other than -1, but for GF(3), which has no other
+        m = next((c for c in nonsquares if c * c != K.one()), nonsquares[0])
+        for D1, D2, desc in list(seen):
+            other = FrobeniusAut(K, (D2.sigma.k + 1) % n) if n > 1 else None
+            outcomes |= _assert_agreement(
+                _agreement_cases(D1, D2, desc, m, other))
+        met += len(seen)
+    assert met > 1500 and outcomes == {True, False}
+
+
+def _non_square(A, values):
+    """The first of the base-field values, as elements of the adapter A's
+    algebra, that is not a square there and whose square is not 1."""
+    for t in values:
+        x = A.from_coords([t] + [0] * (A.dim - 1))
+        if not A.is_square(x)[0] and x * x != A.one():
+            return x
+    raise AssertionError("no non-square among %s" % (values,))
+
+
+def _seeded_commutative():
+    """(D1, D2, taus, m, other_sigma, w): seeded doublings of Q(sqrt a) and
+    of Q_p(sqrt d) for p = 3, 5, 7 and all three kinds, each with D2 a
+    doubling iso_test can match to it."""
+    rng = random.Random(3607)
+    fields = [QuadField(a) for a in (2, -3, 5)]
+    fields += [PadicQuadExt(PadicContext(p), kind) for p in (3, 5, 7)
+               for kind in ("sqrt_p", "sqrt_u", "sqrt_up")]
+    out = []
+    for K in fields:
+        A = coefficients_for(K)
+        m = _non_square(A, range(2, 30))
+        for label, other in (("conjugate", "id"), ("id", "conjugate")):
+            sigma, other = A.automorphism(label), A.automorphism(other)
+            c, b = A.random_element(rng), A.random_element(rng)
+            D1 = DicksonAlgebra(A, sigma, c, allow_identity=True)
+            D2 = DicksonAlgebra(A, sigma, c * sigma(b) * sigma(b),
+                                allow_identity=True)
+            out.append((D1, D2, None, m, other, None))
+    return out
+
+
+def _seeded_quaternion():
+    """The same over quat(2,3), quat(1,2;5) and quat(-1,-1;7) in all three
+    variants, sigma a random conjugation; D2 is D1 carried by a random
+    conjugation tau and scaled by a central square, and the witnesses are
+    id, sigma and tau.  c is sigma's witness, and over GF(p) also a
+    random unit and a central one (the reference's Fraction products make
+    the rational cases the slow ones)."""
+    rng = random.Random(3608)
+    out = []
+    for B in (QuaternionAlgebra(2, 3), QuaternionAlgebra(1, 2, 5),
+              QuaternionAlgebra(-1, -1, 7)):
+        A = coefficients_for(B)
+        r = 2 if B.p is None else min(
+            t for t in range(2, B.p) if pow(t, (B.p - 1) // 2, B.p) != 1)
+        m = B.element(r, 0, 0, 0)
+        for variant in ("left", "middle", "right"):
+            g = random_invertible(B, rng)
+            sigma, tau = InnerAut(g), InnerAut(random_invertible(B, rng))
+            w = random_invertible(B, rng)
+            s = B.element(rng.randrange(1, 5), 0, 0, 0)
+            units = (g,) if B.p is None else (
+                random_invertible(B, rng), g, B.element(3, 0, 0, 0))
+            for c in units:
+                D1 = DicksonAlgebra(A, sigma, c, variant)
+                D2 = DicksonAlgebra(A, tau.compose(sigma).compose(
+                    tau.inverse()), tau(c) * (s * s).inv(), variant)
+                out.append((D1, D2, ["id", sigma, tau], m,
+                            A.automorphism("id"), w))
+    return out
+
+
+def test_theorem_agrees_with_basis_products_on_seeded_cases(monkeypatch):
+    """Seeded Q(sqrt a), Q_p(sqrt d) and quaternion doublings: every
+    candidate that autgroup and iso_test meet, and the rejected ones made
+    from each, a non-central invertible quaternion b among them."""
+    seen = _recorded_candidates(monkeypatch)
+    outcomes, kinds = set(), set()
+    for D1, D2, taus, m, other, w in _seeded_commutative() + \
+            _seeded_quaternion():
+        seen.clear()
+        enumerate_automorphisms(D1, taus)
+        assert iso_test(D1, D2, taus).status == "yes"
+        for E1, E2, desc in list(seen):
+            outcomes |= _assert_agreement(
+                _agreement_cases(E1, E2, desc, m, other, w))
+            kinds.add((E1.coeff.kind, E1.variant))
+    assert outcomes == {True, False}
+    assert kinds == {("quad", "commutative"), ("padic", "commutative"),
+                     ("quat", "left"), ("quat", "middle"), ("quat", "right")}
+
+
+@pytest.fixture
+def map_checks_refuse_products(monkeypatch):
+    """DicksonAlgebra.mul raises while verify_automorphism or
+    verify_isomorphism runs; the calls each makes are counted."""
+    calls = {"verify_automorphism": 0, "verify_isomorphism": 0}
+    inside = []
+    real_mul = DicksonAlgebra.mul
+
+    def mul(D, lhs, rhs):
+        if inside:
+            raise AssertionError("%s formed a product" % inside[-1])
+        return real_mul(D, lhs, rhs)
+
+    monkeypatch.setattr(DicksonAlgebra, "mul", mul)
+    for name in calls:
+        def scoped(*args, name=name, real=getattr(analysis, name)):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(analysis, name, scoped)
+    return calls
+
+
+@pytest.mark.parametrize("doc", [
+    {"coeff": "gf(3,3)", "sigma": "frobenius:1", "c": "0,1,0"},
+    {"coeff": "quad(2)", "sigma": "conjugate", "c": "3,1"},
+    {"coeff": "qp(5;sqrt_u;16)", "sigma": "conjugate", "c": "2,3"},
+] + [{"coeff": "quat(2,3)", "sigma": "conjugation:0,1,0,0", "c": "2,0,0,0",
+      "variant": v} for v in ("left", "middle", "right")],
+    ids=lambda d: d["coeff"] + "/" + d.get("variant", "commutative"))
+def test_automorphism_checks_form_no_products(doc, map_checks_refuse_products):
+    D, taus = _enumerated(doc)
+    group_structure(D, enumerate_automorphisms(D, taus))
+    assert map_checks_refuse_products["verify_automorphism"] > 0
+
+
+def test_iso_and_census_checks_form_no_products(map_checks_refuse_products):
+    """iso_test between two sigma != id doublings of GF(27), and the census
+    of GF(81), whose sigma = id representative still forms products for
+    its nuclei outside the checks."""
+    K = make_field(3, 3)
+    sigma = FrobeniusAut(K, 1)
+    nonsquares = [c for c in list(K.elements())[1:] if not K.is_square(c)]
+    v = iso_test(DicksonAlgebra(K, sigma, nonsquares[0]),
+                 DicksonAlgebra(K, sigma, nonsquares[-1]))
+    assert v.status == "yes"
+    assert census(3, 4, limit=81).classes_including_id == 4
+    assert map_checks_refuse_products["verify_isomorphism"] > 40
 
 
 def test_aut_bounds_hold():

@@ -98,7 +98,7 @@ def test_every_automorphism_carries_its_action(doc):
     for t in auts:
         assert callable(t) and isinstance(t.label, str)
         assert t.compose(t.inverse()).is_identity()
-        for e in A.basis():
+        for e in A.basis:
             assert t.inverse()(t(e)) == e
             assert t.compose(t)(e) == t(t(e))
 
@@ -1073,7 +1073,7 @@ def test_nucleus_contains_unit_always():
 def test_coefficient_copy_is_a_subalgebra():
     K = make_field(3, 2)
     D = DicksonAlgebra(K, FrobeniusAut(K, 1), K.gen())
-    emb = [D.element(b, K.zero()) for b in D.coeff.basis()]
+    emb = [D.element(b, K.zero()) for b in D.coeff.basis]
     closed, failures = subalgebra_check(D, emb)
     assert closed and failures == []
 
